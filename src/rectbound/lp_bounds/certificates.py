@@ -19,14 +19,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from ..combinatorics import InputPair, MuParams
 from ..errors import CapExceededError, ParameterRangeError
-from ..rectangles import Rectangle, WeightMatrix, WitnessSet, witness_set
+from ..rectangles import Rectangle, WeightMatrix, WitnessSet, witness_set, witness_sets
 from .model import (
     FAMILY_AVOID_DISJOINT,
-    FAMILY_FULL,
     FAMILY_WITNESS,
     KIND_SEARCH,
     KIND_SMOOTH,
@@ -286,10 +284,8 @@ def _exhaustive_max(cert: DualCertificate, cap: int):
     best_witness = None
     fam = cert.family
     if fam.kind == FAMILY_WITNESS:
-        for coords in combinations(range(1, cert.universe + 1), fam.k or 0):
-            mask = 0
-            for c in coords:
-                mask |= 1 << (c - 1)
+        for witness in witness_sets(cert.universe, fam.k or 0):
+            mask = witness.mask
             bxs = [s for s in xs if s.mask & mask == mask]
             bys = [s for s in ys if s.mask & mask == mask]
             if not bxs or not bys:
@@ -297,7 +293,7 @@ def _exhaustive_max(cert: DualCertificate, cap: int):
             val, rect = run_block(bxs, bys)
             if val > best:
                 best, best_rect = val, rect
-                best_witness = WitnessSet(cert.universe, coords)
+                best_witness = witness
     elif fam.kind == FAMILY_AVOID_DISJOINT:
         disjoint = [
             sum(1 << j for j, y in enumerate(ys) if x.mask & y.mask == 0) for x in xs

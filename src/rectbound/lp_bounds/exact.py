@@ -182,7 +182,8 @@ def solve_exact_lp(costs, rows) -> SimplexResult:
         phase1_costs = [_ZERO] * ncols + [_ONE] * len(art_cols)
         obj = _reduced_costs(phase1_costs, tableau, basis, total_cols)
         status, iterations = _run_phase(tableau, obj, basis, set(), iterations)
-        assert status == STATUS_OPTIMAL
+        if status != STATUS_OPTIMAL:
+            raise ConvergenceError(f"phase 1 ended {status}; its objective is bounded below by 0")
         infeasibility = sum(
             tableau[i][-1] for i in range(len(basis)) if basis[i] >= ncols
         )
@@ -221,7 +222,8 @@ def solve_exact_lp(costs, rows) -> SimplexResult:
     columns = []
     cb = []
     for i, bj in enumerate(basis):
-        assert bj < ncols, "artificial column left in the final basis"
+        if bj >= ncols:
+            raise ConvergenceError("artificial column left in the final basis")
         columns.append([eq_rows[kept[r]][bj] for r in range(len(kept))])
         cb.append(phase2_costs[bj])
     y_kept = _solve_transposed(columns, cb) if kept else []

@@ -18,11 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from ..caps import rectangle_cap
 from ..combinatorics import BitString, InputPair
-from ..errors import CapExceededError, KindMismatchError, ParameterRangeError
+from ..errors import KindMismatchError, ParameterRangeError
 from ..rectangles import (
     Rectangle,
     WeightMatrix,
@@ -32,6 +32,8 @@ from ..rectangles import (
     max_weight_rectangle,
     max_weight_rectangle_avoiding_disjoint,
     max_weight_rectangle_in_rv,
+    witness_set,
+    witness_sets,
 )
 from ..truth_tables import TruthTable
 
@@ -92,12 +94,8 @@ class RectangleFamily:
         if self.kind == FAMILY_FULL:
             return True
         if self.kind == FAMILY_WITNESS:
-            common = (1 << r.n) - 1
-            for s in r.rows:
-                common &= s.mask
-            for s in r.cols:
-                common &= s.mask
-            return common.bit_count() >= (self.k or 0)
+            k = self.k or 0
+            return k <= r.n and witness_set(r, k) is not None
         for x in r.rows:
             for y in r.cols:
                 if x.mask & y.mask == 0:
@@ -111,12 +109,8 @@ class RectangleFamily:
             k = self.k or 0
             seen: set[tuple] = set()
             out: list[Rectangle] = []
-            from itertools import combinations
-
-            for coords in combinations(range(1, n + 1), k):
-                mask = 0
-                for c in coords:
-                    mask |= 1 << (c - 1)
+            for witness in witness_sets(n, k):
+                mask = witness.mask
                 members = [s for s in all_strings(n) if s.mask & mask == mask]
                 for rect in enumerate_rectangles(members, members, cap=limit):
                     if rect.is_empty:
@@ -204,6 +198,52 @@ class LPInstance:
 
     def param(self, name: str, default=None):
         return self.params.get(name, default)
+
+
+def covering_columns(pairs: Sequence[InputPair], rects: Sequence[Rectangle]) -> list[list[int]]:
+    """For each pair, the ascending indices of the rectangles containing it.
+
+    This is the one coverage routine: the LP rows, their presolve and their
+    residuals all read it.  Each string (keyed by its mask, as all pairs and
+    rectangles share one universe) maps to the bitmask of rectangles having
+    it as a row, or as a column; a pair's cover is the AND of the two.
+    """
+    row_bits: dict[int, int] = {}
+    col_bits: dict[int, int] = {}
+    for j, rect in enumerate(rects):
+        bit = 1 << j
+        for s in rect.rows:
+            row_bits[s.mask] = row_bits.get(s.mask, 0) | bit
+        for s in rect.cols:
+            col_bits[s.mask] = col_bits.get(s.mask, 0) | bit
+    out = []
+    for pair in pairs:
+        both = row_bits.get(pair.x.mask, 0) & col_bits.get(pair.y.mask, 0)
+        cover = []
+        while both:
+            low = both & -both
+            cover.append(low.bit_length() - 1)
+            both ^= low
+        out.append(cover)
+    return out
+
+
+def max_violation(lp: LPInstance, weights: Mapping[Rectangle, object], zero):
+    """The largest amount by which the weighted rectangles miss a row, or `zero`."""
+    values = list(weights.values())
+    covers = covering_columns([c.pair for c in lp.constraints], list(weights))
+    worst = zero
+    for c, cover in zip(lp.constraints, covers):
+        coverage = sum(values[j] for j in cover)
+        if c.sense == SENSE_GE:
+            gap = c.rhs - coverage
+        elif c.sense == SENSE_LE:
+            gap = coverage - c.rhs
+        else:
+            gap = abs(coverage - c.rhs)
+        if gap > worst:
+            worst = gap
+    return worst
 
 
 def _all_pairs(n: int) -> Iterator[InputPair]:

@@ -25,14 +25,14 @@ import numpy as np
 from scipy.optimize import linprog
 
 from ..errors import CapExceededError, ConvergenceError, ParameterRangeError
-from ..rectangles import Rectangle, WeightMatrix
+from ..rectangles import Rectangle, WeightMatrix, all_strings, witness_sets
 from .exact import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
     solve_exact_lp,
 )
-from .model import CLASS_COVER, LPInstance, PairConstraint, SENSE_EQ, SENSE_GE, SENSE_LE
+from .model import CLASS_COVER, LPInstance, SENSE_EQ, SENSE_GE, SENSE_LE, covering_columns, max_violation
 
 _ENUMERATION_CELL_LIMIT = 2_000_000
 
@@ -60,25 +60,6 @@ class LPResult:
         return sum(self.weights.values())
 
 
-def _coverage(weights: Mapping[Rectangle, object], c: PairConstraint):
-    return sum(w for rect, w in weights.items() if c.pair.x in rect.rows and c.pair.y in rect.cols)
-
-
-def _max_violation(lp: LPInstance, weights, zero):
-    worst = zero
-    for c in lp.constraints:
-        cov = _coverage(weights, c)
-        if c.sense == SENSE_GE:
-            gap = c.rhs - cov
-        elif c.sense == SENSE_LE:
-            gap = cov - c.rhs
-        else:
-            gap = abs(cov - c.rhs)
-        if gap > worst:
-            worst = gap
-    return worst
-
-
 def solve_full_enumeration(lp: LPInstance, cap: int | None = None) -> LPResult:
     """Exact optimum over the explicitly enumerated rectangle family."""
     members = lp.family.members(lp.n, cap)
@@ -89,25 +70,20 @@ def solve_full_enumeration(lp: LPInstance, cap: int | None = None) -> LPResult:
         )
 
     # Presolve: a <= or == row with rhs 0 pins every covering column at zero.
-    banned_cols: set[int] = set()
-    live_rows: list[int] = []
-    for ridx, c in enumerate(lp.constraints):
-        if c.rhs == 0 and c.sense in (SENSE_LE, SENSE_EQ):
-            for j, rect in enumerate(members):
-                if c.pair.x in rect.rows and c.pair.y in rect.cols:
-                    banned_cols.add(j)
-        else:
-            live_rows.append(ridx)
-    keep = [j for j in range(len(members)) if j not in banned_cols]
+    pinned = [c.rhs == 0 and c.sense in (SENSE_LE, SENSE_EQ) for c in lp.constraints]
+    pairs = [c.pair for c in lp.constraints]
+    banned = {j for pin, cover in zip(pinned, covering_columns(pairs, members)) if pin for j in cover}
+    keep = [j for j in range(len(members)) if j not in banned]
+    live_rows = [ridx for ridx, pin in enumerate(pinned) if not pin]
 
     rows = []
-    for ridx in live_rows:
+    live_cover = covering_columns([pairs[ridx] for ridx in live_rows], [members[j] for j in keep])
+    for ridx, cover in zip(live_rows, live_cover):
         c = lp.constraints[ridx]
-        coeffs = [
-            Fraction(1) if c.pair.x in members[j].rows and c.pair.y in members[j].cols else Fraction(0)
-            for j in keep
-        ]
-        if not any(coeffs) and c.sense == SENSE_GE and c.rhs > 0:
+        coeffs = [Fraction(0)] * len(keep)
+        for pos in cover:
+            coeffs[pos] = Fraction(1)
+        if not cover and c.sense == SENSE_GE and c.rhs > 0:
             return LPResult(
                 status=STATUS_INFEASIBLE,
                 optimum=None,
@@ -143,7 +119,7 @@ def solve_full_enumeration(lp: LPInstance, cap: int | None = None) -> LPResult:
         optimum=res.objective,
         weights=weights,
         duals=tuple(duals),
-        residual=_max_violation(lp, weights, Fraction(0)),
+        residual=max_violation(lp, weights, Fraction(0)),
         solver=SOLVER_EXACT,
         arithmetic=ARITH_EXACT,
         iterations=res.iterations,
@@ -161,15 +137,8 @@ def _seed_columns(lp: LPInstance) -> list[Rectangle]:
                 seen.add(rect.key())
                 seeds.append(rect)
     if lp.family.kind == "witness":
-        from itertools import combinations
-
-        from ..rectangles import all_strings
-
-        k = lp.family.k or 0
-        for coords in combinations(range(1, lp.n + 1), k):
-            mask = 0
-            for coord in coords:
-                mask |= 1 << (coord - 1)
+        for witness in witness_sets(lp.n, lp.family.k or 0):
+            mask = witness.mask
             strings = frozenset(s for s in all_strings(lp.n) if s.mask & mask == mask)
             if not strings:
                 continue
@@ -181,25 +150,16 @@ def _seed_columns(lp: LPInstance) -> list[Rectangle]:
 
 
 def _master_rows(lp: LPInstance, columns: list[Rectangle]):
-    a_ub, b_ub, ub_rows = [], [], []
-    a_eq, b_eq, eq_rows = [], [], []
-    for ridx, c in enumerate(lp.constraints):
-        line = [
-            1.0 if c.pair.x in rect.rows and c.pair.y in rect.cols else 0.0 for rect in columns
-        ]
-        if c.sense == SENSE_GE:
-            a_ub.append([-v for v in line])
-            b_ub.append(-float(c.rhs))
-            ub_rows.append(ridx)
-        elif c.sense == SENSE_LE:
-            a_ub.append(line)
-            b_ub.append(float(c.rhs))
-            ub_rows.append(ridx)
-        else:
-            a_eq.append(line)
-            b_eq.append(float(c.rhs))
-            eq_rows.append(ridx)
-    return a_ub, b_ub, ub_rows, a_eq, b_eq, eq_rows
+    """The master's 0/1 coverage matrix: <= rows (>= rows negated) and == rows."""
+    cover = np.zeros((len(lp.constraints), len(columns)))
+    for ridx, cols in enumerate(covering_columns([c.pair for c in lp.constraints], columns)):
+        cover[ridx, cols] = 1.0
+    ub_rows = [ridx for ridx, c in enumerate(lp.constraints) if c.sense != SENSE_EQ]
+    eq_rows = [ridx for ridx, c in enumerate(lp.constraints) if c.sense == SENSE_EQ]
+    sign = np.array([-1.0 if lp.constraints[ridx].sense == SENSE_GE else 1.0 for ridx in ub_rows])
+    b_ub = sign * np.array([float(lp.constraints[ridx].rhs) for ridx in ub_rows])
+    b_eq = np.array([float(lp.constraints[ridx].rhs) for ridx in eq_rows])
+    return sign[:, None] * cover[ub_rows], b_ub, ub_rows, cover[eq_rows], b_eq, eq_rows
 
 
 def solve_constraint_generation(
@@ -218,7 +178,7 @@ def solve_constraint_generation(
             optimum=0.0,
             weights={},
             duals=tuple(0.0 for _ in lp.constraints),
-            residual=_max_violation(lp, {}, 0.0),
+            residual=max_violation(lp, {}, 0.0),
             solver=SOLVER_CG,
             arithmetic=ARITH_FLOAT,
             iterations=0,
@@ -234,10 +194,10 @@ def solve_constraint_generation(
         a_ub, b_ub, ub_rows, a_eq, b_eq, eq_rows = _master_rows(lp, columns)
         res = linprog(
             c=np.ones(len(columns)),
-            A_ub=np.array(a_ub) if a_ub else None,
-            b_ub=np.array(b_ub) if b_ub else None,
-            A_eq=np.array(a_eq) if a_eq else None,
-            b_eq=np.array(b_eq) if b_eq else None,
+            A_ub=a_ub if ub_rows else None,
+            b_ub=b_ub if ub_rows else None,
+            A_eq=a_eq if eq_rows else None,
+            b_eq=b_eq if eq_rows else None,
             bounds=(0, None),
             method="highs",
         )
@@ -294,7 +254,7 @@ def solve_constraint_generation(
         optimum=float(res.fun),
         weights=weights,
         duals=tuple(duals),
-        residual=float(_max_violation(lp, weights, 0.0)),
+        residual=float(max_violation(lp, weights, 0.0)),
         solver=SOLVER_CG,
         arithmetic=ARITH_FLOAT,
         iterations=iteration,

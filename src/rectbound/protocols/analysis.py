@@ -29,7 +29,6 @@ from .core import (
     AnyProtocol,
     Leaf,
     ProgramProtocol,
-    RandomizedProtocol,
     TreeProtocol,
     as_randomized,
 )
@@ -316,29 +315,14 @@ class BridgeReport:
 
 def check_weights_against_lp(lp, weights: Mapping[Rectangle, Fraction], cost: int) -> BridgeReport:
     """Do these protocol-derived weights satisfy the LP rows and 2^cost cap?"""
-    from ..lp_bounds.model import SENSE_GE, SENSE_LE
+    from ..lp_bounds.model import max_violation
 
-    worst = Fraction(0)
-    feasible = True
-    for c in lp.constraints:
-        coverage = sum(
-            (w for rect, w in weights.items() if c.pair.x in rect.rows and c.pair.y in rect.cols),
-            Fraction(0),
-        )
-        if c.sense == SENSE_GE:
-            gap = c.rhs - coverage
-        elif c.sense == SENSE_LE:
-            gap = coverage - c.rhs
-        else:
-            gap = abs(coverage - c.rhs)
-        if gap > 0:
-            feasible = False
-            worst = max(worst, gap)
+    worst = max_violation(lp, weights, Fraction(0))
     family_ok = all(lp.family.contains(rect) for rect in weights)
     total = sum(weights.values(), Fraction(0))
     cap = Fraction(2) ** cost
     return BridgeReport(
-        feasible=feasible,
+        feasible=worst <= 0,
         family_ok=family_ok,
         max_violation=worst,
         total_weight=total,

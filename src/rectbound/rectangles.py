@@ -105,6 +105,12 @@ class WitnessSet:
         return m
 
 
+def witness_sets(n: int, k: int) -> Iterator[WitnessSet]:
+    """Every size-k witness set over coordinates 1..n, in lexicographic order."""
+    for coords in combinations(range(1, n + 1), k):
+        yield WitnessSet(n, coords)
+
+
 @dataclass(frozen=True)
 class WeightMatrix:
     """A finitely supported map from input pairs to signed weights."""
@@ -172,61 +178,21 @@ def rect_weight(w: WeightMatrix, r: Rectangle) -> Weight:
         raise DimensionMismatchError(f"universe mismatch: matrix {w.n} vs rectangle {r.n}")
     total: Weight = Fraction(0)
     for pair, value in w.weights.items():
-        if pair.x in r.rows and pair.y in r.cols:
+        if r.contains(pair):
             total += value
     return total
 
 
-def _sweep_best(rows: list[BitString], cols: list[BitString], cell: dict[tuple[int, int], Weight],
-                col_allowed: Callable[[list[int]], list[bool]] | None = None,
-                cap: int | None = None) -> tuple[frozenset[BitString], frozenset[BitString], Weight]:
-    """Gray-code sweep over row subsets; per subset pick positive-sum columns.
+def _max_rectangle(w: WeightMatrix, cap: int | None, avoid_disjoint: bool) -> tuple[Rectangle, Weight]:
+    """Gray-code sweep over the row subsets of the smaller side.
 
-    `col_allowed`, when given, receives the current member row indices and
-    returns per-column admissibility (used by the no-disjoint-pair variant).
-    Returns the best (rows, cols, value) with the empty rectangle as baseline.
+    For a fixed row set the best columns are exactly the admissible ones with
+    positive column sum.  Every column is admissible, unless `avoid_disjoint`
+    is set: then a column is admissible only while no member row is disjoint
+    from it, which a per-column count of such rows tracks.  The column set is
+    built only when the best value improves, so ties keep the row set met
+    first in Gray order.
     """
-    limit = oracle_subset_cap() if cap is None else cap
-    if 2 ** len(rows) > limit:
-        raise CapExceededError(
-            f"{2 ** len(rows)} row subsets exceed the oracle cap {limit}; "
-            "shrink the support or raise RECTBOUND_ORACLE_SUBSET_CAP"
-        )
-    nc = len(cols)
-    col_sums: list[Weight] = [Fraction(0)] * nc
-    member = [False] * len(rows)
-    best_value: Weight = Fraction(0)
-    best_rows: frozenset[BitString] = frozenset()
-    best_cols: frozenset[BitString] = frozenset()
-    for step in range(1, 2 ** len(rows)):
-        # Gray code: toggle the lowest set bit position of `step`.
-        toggled = (step & -step).bit_length() - 1
-        sign = -1 if member[toggled] else 1
-        member[toggled] = not member[toggled]
-        for j in range(nc):
-            v = cell.get((toggled, j))
-            if v is not None:
-                col_sums[j] = col_sums[j] + v if sign > 0 else col_sums[j] - v
-        if col_allowed is None:
-            value = sum((s for s in col_sums if s > 0), Fraction(0))
-            chosen = [j for j, s in enumerate(col_sums) if s > 0]
-        else:
-            allowed = col_allowed([i for i, m in enumerate(member) if m])
-            value = Fraction(0)
-            chosen = []
-            for j, s in enumerate(col_sums):
-                if allowed[j] and s > 0:
-                    value += s
-                    chosen.append(j)
-        if value > best_value:
-            best_value = value
-            best_rows = frozenset(rows[i] for i, m in enumerate(member) if m)
-            best_cols = frozenset(cols[j] for j in chosen)
-    return best_rows, best_cols, best_value
-
-
-def max_weight_rectangle(w: WeightMatrix, cap: int | None = None) -> tuple[Rectangle, Weight]:
-    """Exact maximum of rect_weight over all rectangles (empty admitted, value 0)."""
     rows = w.xs()
     cols = w.ys()
     if not rows or not cols:
@@ -234,23 +200,55 @@ def max_weight_rectangle(w: WeightMatrix, cap: int | None = None) -> tuple[Recta
     transposed = len(rows) > len(cols)
     if transposed:
         rows, cols = cols, rows
-        cell = {}
-        row_index = {s: i for i, s in enumerate(rows)}
-        col_index = {s: j for j, s in enumerate(cols)}
-        for pair, value in w.weights.items():
-            cell[(row_index[pair.y], col_index[pair.x])] = value
-    else:
-        row_index = {s: i for i, s in enumerate(rows)}
-        col_index = {s: j for j, s in enumerate(cols)}
-        cell = {
-            (row_index[pair.x], col_index[pair.y]): value for pair, value in w.weights.items()
-        }
-    best_rows, best_cols, best_value = _sweep_best(rows, cols, cell, cap=cap)
-    if transposed:
-        best_rows, best_cols = best_cols, best_rows
+    limit = oracle_subset_cap() if cap is None else cap
+    if 2 ** len(rows) > limit:
+        raise CapExceededError(
+            f"{2 ** len(rows)} row subsets exceed the oracle cap {limit}; "
+            "shrink the support or raise RECTBOUND_ORACLE_SUBSET_CAP"
+        )
+    row_index = {s: i for i, s in enumerate(rows)}
+    col_index = {s: j for j, s in enumerate(cols)}
+    row_cells: list[list[tuple[int, Weight]]] = [[] for _ in rows]
+    for pair, value in w.weights.items():
+        x, y = (pair.y, pair.x) if transposed else (pair.x, pair.y)
+        row_cells[row_index[x]].append((col_index[y], value))
+    row_disjoint = [
+        [j for j, c in enumerate(cols) if not r.mask & c.mask] if avoid_disjoint else [] for r in rows
+    ]
+    col_sums: list[Weight] = [Fraction(0)] * len(cols)
+    blocked = [0] * len(cols)
+    row_set = 0
+    best_value: Weight = Fraction(0)
+    best_rows = best_cols = frozenset()
+    for step in range(1, 1 << len(rows)):
+        # Gray code: toggle the lowest set bit position of `step`.
+        i = (step & -step).bit_length() - 1
+        row_set ^= 1 << i
+        if row_set >> i & 1:
+            delta = 1
+            for j, v in row_cells[i]:
+                col_sums[j] += v
+        else:
+            delta = -1
+            for j, v in row_cells[i]:
+                col_sums[j] -= v
+        for j in row_disjoint[i]:
+            blocked[j] += delta
+        value = sum([s for s, b in zip(col_sums, blocked) if not b and s > 0], Fraction(0))
+        if value > best_value:
+            best_value = value
+            best_rows = frozenset(r for p, r in enumerate(rows) if row_set >> p & 1)
+            best_cols = frozenset(c for c, s, b in zip(cols, col_sums, blocked) if not b and s > 0)
     if best_value <= 0:
         return Rectangle.empty(w.n), Fraction(0)
+    if transposed:
+        best_rows, best_cols = best_cols, best_rows
     return Rectangle(w.n, best_rows, best_cols), best_value
+
+
+def max_weight_rectangle(w: WeightMatrix, cap: int | None = None) -> tuple[Rectangle, Weight]:
+    """Exact maximum of rect_weight over all rectangles (empty admitted, value 0)."""
+    return _max_rectangle(w, cap, avoid_disjoint=False)
 
 
 def max_weight_rectangle_in_rv(
@@ -265,18 +263,14 @@ def max_weight_rectangle_in_rv(
     if not 0 <= k <= w.n:
         raise ParameterRangeError(f"witness size must satisfy 0 <= k <= {w.n}, got {k}")
     best: tuple[Rectangle, Weight, WitnessSet | None] = (Rectangle.empty(w.n), Fraction(0), None)
-    for coords in combinations(range(1, w.n + 1), k):
-        witness_mask = 0
-        for c in coords:
-            witness_mask |= 1 << (c - 1)
-        restricted = w.restrict(
-            lambda pair, m=witness_mask: pair.x.mask & m == m and pair.y.mask & m == m
-        )
+    for witness in witness_sets(w.n, k):
+        m = witness.mask
+        restricted = w.restrict(lambda pair: pair.x.mask & m == m and pair.y.mask & m == m)
         if restricted.support_size == 0:
             continue
         rect, value = max_weight_rectangle(restricted, cap=cap)
         if value > best[1]:
-            best = (rect, value, WitnessSet(w.n, coords))
+            best = (rect, value, witness)
     return best
 
 
@@ -289,32 +283,7 @@ def max_weight_rectangle_avoiding_disjoint(
     every member row) is independent of the other columns, so the greedy
     positive-column rule still applies among admissible columns.
     """
-    rows = w.xs()
-    cols = w.ys()
-    if not rows or not cols:
-        return Rectangle.empty(w.n), Fraction(0)
-    transposed = len(rows) > len(cols)
-    if transposed:
-        rows, cols = cols, rows
-    row_index = {s: i for i, s in enumerate(rows)}
-    col_index = {s: j for j, s in enumerate(cols)}
-    if transposed:
-        cell = {(row_index[pair.y], col_index[pair.x]): v for pair, v in w.weights.items()}
-    else:
-        cell = {(row_index[pair.x], col_index[pair.y]): v for pair, v in w.weights.items()}
-
-    def col_allowed(member_rows: list[int]) -> list[bool]:
-        out = []
-        for j in range(len(cols)):
-            out.append(all(rows[i].mask & cols[j].mask for i in member_rows))
-        return out
-
-    best_rows, best_cols, best_value = _sweep_best(rows, cols, cell, col_allowed=col_allowed, cap=cap)
-    if transposed:
-        best_rows, best_cols = best_cols, best_rows
-    if best_value <= 0:
-        return Rectangle.empty(w.n), Fraction(0)
-    return Rectangle(w.n, best_rows, best_cols), best_value
+    return _max_rectangle(w, cap, avoid_disjoint=True)
 
 
 def witness_set(r: Rectangle, k: int) -> WitnessSet | None:
@@ -390,16 +359,14 @@ def decompose_by_witness(
     lhs = mu_mass_of_rectangle(p, r, cap=cap)
     family: list[tuple[WitnessSet, Rectangle]] = []
     total = Fraction(0)
-    for coords in combinations(range(1, r.n + 1), k):
-        mask = 0
-        for c in coords:
-            mask |= 1 << (c - 1)
+    for witness in witness_sets(r.n, k):
+        mask = witness.mask
         sub = Rectangle(
             r.n,
             frozenset(s for s in r.rows if s.mask & mask == mask),
             frozenset(s for s in r.cols if s.mask & mask == mask),
         )
-        family.append((WitnessSet(r.n, coords), sub))
+        family.append((witness, sub))
         total += mu_mass_of_rectangle(p, sub, cap=cap)
     rhs = total / (k + 1)
     return DecompositionReport(k=k, params=p, lhs=lhs, rhs=rhs, family=tuple(family))

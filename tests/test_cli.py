@@ -1,6 +1,8 @@
 """End-to-end runs of the command line, in process via main()."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -319,3 +321,19 @@ def test_unknown_flag_exits_1(capsys):
     code, _, err = run_cli(capsys, "scan", "--n", "8", "--seed", "1", "--wat")
     assert code == 1
     assert "error" in err
+
+
+def _readme_cli_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("rectbound ")]
+
+
+def test_readme_cli_examples_exit_0(capsys, tmp_path, monkeypatch):
+    # The block's lines run in order: a later line may read an earlier one's file.
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_cli_lines()
+    assert lines
+    for line in lines:
+        code, _, err = run_cli(capsys, *shlex.split(line)[1:])
+        assert code == 0, f"{line!r} exited {code}: {err}"

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from rectbound.errors import ParameterRangeError
+from rectbound.errors import ConvergenceError, ParameterRangeError
+from rectbound.lp_bounds import exact
 from rectbound.lp_bounds.exact import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
@@ -94,3 +95,11 @@ def test_dual_feasibility_on_a_square_system():
     assert res.x == (F(0), F(0))
     # complementary slackness: nothing tight, duals vanish
     assert res.duals == (F(0), F(0), F(0))
+
+
+def test_phase_one_failure_raises_convergence_error(monkeypatch):
+    # A >= row starts on an artificial, so phase 1 runs; a phase 1 that does
+    # not end optimal is a solver fault, reported as a typed error.
+    monkeypatch.setattr(exact, "_run_phase", lambda tableau, obj, basis, banned, it: (STATUS_UNBOUNDED, it))
+    with pytest.raises(ConvergenceError):
+        solve_exact_lp([F(1)], [([F(1)], ">=", F(2))])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rectbound.combinatorics import BitString, InputPair, MuParams
 from rectbound.errors import CapExceededError, ParameterRangeError
+from rectbound.lp_bounds.model import FULL_FAMILY, RectangleFamily, avoid_disjoint_family, witness_family
 from rectbound.rectangles import (
     Rectangle,
     WeightMatrix,
@@ -39,9 +40,11 @@ def _random_matrix(rng: Random, n: int, rows: int, cols: int) -> WeightMatrix:
     return WeightMatrix(n, dict(entries))
 
 
-def _brute_force_max(w: WeightMatrix) -> Fraction:
+def _brute_force_max(w: WeightMatrix, family: RectangleFamily = FULL_FAMILY) -> Fraction:
     best = Fraction(0)  # the empty rectangle is always available
     for rect in enumerate_rectangles(w.xs(), w.ys()):
+        if not family.contains(rect):
+            continue
         value = rect_weight(w, rect)
         if value > best:
             best = value
@@ -110,6 +113,16 @@ def test_oracle_matches_brute_force_on_seeded_matrices():
         rect, value = max_weight_rectangle(w)
         assert value == _brute_force_max(w)
         assert rect_weight(w, rect) == value
+        rect, value = max_weight_rectangle_avoiding_disjoint(w)
+        assert value == _brute_force_max(w, avoid_disjoint_family())
+        assert avoid_disjoint_family().contains(rect)
+        assert rect_weight(w, rect) == value
+        for k in range(n + 1):
+            rect, value, witness = max_weight_rectangle_in_rv(w, k)
+            assert value == _brute_force_max(w, witness_family(k))
+            assert witness_family(k).contains(rect)
+            assert rect_weight(w, rect) == value
+            assert (witness is None) == rect.is_empty
 
 
 @settings(max_examples=40, deadline=None)
