@@ -19,6 +19,7 @@ from rectbound.lp_bounds import (
     certificate_to_json,
     verify_dual_certificate,
 )
+from rectbound.rectangles import string_masks
 
 F = Fraction
 
@@ -42,8 +43,8 @@ def main() -> None:
     bad = build_search_dual_certificate(3, 1, 1, F(1), F(2))
     report = show("same shape but beta=2 (inflated)", bad)
     worst = report.argmax
-    print(f"  violating rectangle rows={sorted(s.mask for s in worst.rows)}"
-          f" cols={sorted(s.mask for s in worst.cols)}")
+    print(f"  violating rectangle rows={list(string_masks(worst.rows))}"
+          f" cols={list(string_masks(worst.cols))}")
 
     print()
     smooth = build_smooth_dual_ndisj(8, F(1, 8))

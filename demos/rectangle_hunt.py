@@ -23,7 +23,7 @@ from rectbound import (
     mu_mass_of_rectangle,
     rect_weight,
 )
-from rectbound.rectangles import all_strings
+from rectbound.rectangles import WitnessSet, string_masks
 
 
 def random_matrix(rng: Random, n: int) -> WeightMatrix:
@@ -44,8 +44,10 @@ def main() -> None:
     print(f"random weight matrix on {1 << n}x{1 << n} input pairs, entries in [-5, 8]/d")
 
     best_rect, best_val = max_weight_rectangle(w)
-    print(f"oracle best rectangle: rows={sorted(s.bits() for s in best_rect.rows)}")
-    print(f"                       cols={sorted(s.bits() for s in best_rect.cols)}")
+    rows = sorted(BitString(n, s).bits() for s in string_masks(best_rect.rows))
+    cols = sorted(BitString(n, s).bits() for s in string_masks(best_rect.cols))
+    print(f"oracle best rectangle: rows={rows}")
+    print(f"                       cols={cols}")
     print(f"oracle best weight:    {best_val}")
 
     brute = Fraction(0)
@@ -62,7 +64,7 @@ def main() -> None:
     print("witness decomposition")
     p = MuParams(2, 4, 3)
     # a rectangle whose members all mark coordinates {1, 2}
-    rows = frozenset(s for s in all_strings(4) if s.contains_coords((1, 2)))
+    rows = WitnessSet(4, (1, 2)).strings
     rect = Rectangle(4, rows, rows)
     lhs = mu_mass_of_rectangle(p, rect)
     print(f"rectangle of strings marking coords (1, 2): mass under mu(2,4,3) = {lhs}")

@@ -6,9 +6,10 @@ timing is the one nondeterministic item and stays on stderr.  Every
 number in a JSON report carries a mode tag naming the arithmetic that
 produced it, and exact rationals travel as 'p/q' strings.
 
-Exit status: 0 on success; 2 when an LP comes back infeasible, a
-certificate fails verification, or a measured success rate lands below
-the bound it was compared against; 1 for bad flags, cap hits, and
+Exit status: 0 on success; 2 when an LP comes back infeasible, the exact
+and column-generation optima of `--solver both` differ by more than
+1e-9, a certificate fails verification, or a measured success rate lands
+below the bound it was compared against; 1 for bad flags, cap hits, and
 parameter errors.
 """
 
@@ -59,9 +60,13 @@ from .protocols import (
     trivial_search_kfold,
 )
 from .protocols.tasks import enumerate_inputs
+from .rectangles import string_masks
 from .truth_tables import FAMILIES, TruthTable, family
 
 MODE_MC = "monte-carlo-ci"
+
+# Largest exact-vs-CG optimum gap `--solver both` accepts.
+_AGREEMENT_TOL = 1e-9
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,20 +142,26 @@ def _optimum_of(res: LPResult):
 
 
 def _solve_lp(lp, solver: str):
-    """Returns (doc, representative optimum or None, worst status)."""
+    """Returns (doc, representative optimum or None, ok).
+
+    ok is False when a solver's status is not optimal, or when the two
+    solvers of `both` disagree by more than _AGREEMENT_TOL.
+    """
     if solver == "exact":
         res = solve_full_enumeration(lp)
-        return _result_doc(res), _optimum_of(res), res.status
+        return _result_doc(res), _optimum_of(res), res.status == "optimal"
     if solver == "cg":
         res = solve_constraint_generation(lp)
-        return _result_doc(res), _optimum_of(res), res.status
+        return _result_doc(res), _optimum_of(res), res.status == "optimal"
     res_e = solve_full_enumeration(lp)
     res_c = solve_constraint_generation(lp)
     doc = {"exact": _result_doc(res_e), "cg": _result_doc(res_c)}
-    if res_e.status == "optimal" and res_c.status == "optimal":
-        doc["agreement_gap"] = _float(abs(float(res_e.optimum) - res_c.optimum))
-    status = res_e.status if res_e.status != "optimal" else res_c.status
-    return doc, _optimum_of(res_e), status
+    ok = res_e.status == "optimal" and res_c.status == "optimal"
+    if ok:
+        gap = abs(float(res_e.optimum) - res_c.optimum)
+        doc["agreement_gap"] = _float(gap)
+        ok = gap <= _AGREEMENT_TOL
+    return doc, _optimum_of(res_e), ok
 
 
 def cmd_bound(args) -> tuple[dict, int]:
@@ -165,9 +176,9 @@ def cmd_bound(args) -> tuple[dict, int]:
         sigma = Fraction(1) if args.sigma is None else args.sigma
         lp = build_search_lp(args.n, args.k, sigma)
         report.update({"n": args.n, "k": args.k, "sigma": _exact(sigma)})
-        doc, _, status = _solve_lp(lp, args.solver)
+        doc, _, ok = _solve_lp(lp, args.solver)
         report["result"] = doc
-        return report, 0 if status == "optimal" else 2
+        return report, 0 if ok else 2
 
     if args.sigma is not None:
         raise ParameterRangeError("--sigma applies to the search LP only")
@@ -191,18 +202,17 @@ def cmd_bound(args) -> tuple[dict, int]:
     report.update({"n": table.n, "eps": _exact(eps)})
 
     if args.lp == "lovasz":
-        doc, _, status = _solve_lp(build_lovasz_lp(table, eps), args.solver)
+        doc, _, ok = _solve_lp(build_lovasz_lp(table, eps), args.solver)
         report["result"] = doc
-        return report, 0 if status == "optimal" else 2
+        return report, 0 if ok else 2
 
-    doc, smooth_opt, status = _solve_lp(build_smooth_lp(table, eps), args.solver)
-    lov_doc, lov_opt, lov_status = _solve_lp(build_lovasz_lp(table, eps), args.solver)
+    doc, smooth_opt, ok = _solve_lp(build_smooth_lp(table, eps), args.solver)
+    lov_doc, lov_opt, lov_ok = _solve_lp(build_lovasz_lp(table, eps), args.solver)
     report["result"] = doc
     report["lovasz_result"] = lov_doc
     if smooth_opt is not None and lov_opt is not None:
         report["smooth_dominates"] = bool(float(smooth_opt) >= float(lov_opt) - 1e-9)
-    bad = status != "optimal" or lov_status != "optimal"
-    return report, 2 if bad else 0
+    return report, 0 if ok and lov_ok else 2
 
 
 # -------------------------------------------------------------- certify
@@ -211,8 +221,8 @@ def cmd_bound(args) -> tuple[dict, int]:
 def _rectangle_doc(rect) -> dict:
     return {
         "n": rect.n,
-        "rows": sorted(s.mask for s in rect.rows),
-        "cols": sorted(s.mask for s in rect.cols),
+        "rows": list(string_masks(rect.rows)),
+        "cols": list(string_masks(rect.cols)),
     }
 
 

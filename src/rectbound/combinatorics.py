@@ -183,7 +183,7 @@ def _mask(coords: Iterable[int]) -> int:
     return m
 
 
-def enumerate_support(p: MuParams, cap: int | None = None) -> list[InputPair]:
+def enumerate_support(p: MuParams) -> list[InputPair]:
     """All support pairs of mu(p), in a fixed deterministic order.
 
     Returns [] when the support is empty; raises CapExceededError above the
@@ -192,7 +192,7 @@ def enumerate_support(p: MuParams, cap: int | None = None) -> list[InputPair]:
     size = p.support_size
     if size == 0:
         return []
-    limit = support_cap() if cap is None else cap
+    limit = support_cap()
     if size > limit:
         raise CapExceededError(f"support of {p!r} has {size} pairs, cap is {limit}")
     out: list[InputPair] = []
@@ -302,7 +302,7 @@ class IdentityReport:
         return self.max_abs_diff == 0
 
 
-def check_lemma4(identity: str, p: MuParams, cap: int | None = None) -> IdentityReport:
+def check_lemma4(identity: str, p: MuParams) -> IdentityReport:
     """Verify one lifting identity over every left-side support pair.
 
     For each pair the `removed` lowest shared coordinates are deleted and
@@ -317,7 +317,7 @@ def check_lemma4(identity: str, p: MuParams, cap: int | None = None) -> Identity
         )
     max_diff = Fraction(0)
     count = 0
-    for pair in enumerate_support(sides.lhs, cap):
+    for pair in enumerate_support(sides.lhs):
         shared = pair.x.mask & pair.y.mask
         shared_coords = tuple(j for j in range(pair.n) if (shared >> j) & 1)
         removed = shared_coords[: sides.removed]

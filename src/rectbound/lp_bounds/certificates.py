@@ -251,7 +251,7 @@ def _gray_sweep_all(nx: int, ny: int, cell, allowed_cols=None):
     return best, best_rect
 
 
-def _exhaustive_max(cert: DualCertificate, cap: int):
+def _exhaustive_max(cert: DualCertificate):
     w = cert.combined()
     xs = w.xs()
     ys = w.ys()
@@ -259,7 +259,7 @@ def _exhaustive_max(cert: DualCertificate, cap: int):
         return Fraction(0), Rectangle.empty(cert.universe), None
 
     def run_block(bxs, bys, allowed_cols=None):
-        if (1 << len(bxs)) * (1 << len(bys)) > cap:
+        if (1 << len(bxs)) * (1 << len(bys)) > _EXHAUSTIVE_STEP_LIMIT:
             raise CapExceededError(
                 f"exhaustive sweep over {len(bxs)}x{len(bys)} support strings "
                 "is past the step limit; use the oracle mode"
@@ -274,8 +274,8 @@ def _exhaustive_max(cert: DualCertificate, cap: int):
         )
         rect = Rectangle(
             cert.universe,
-            frozenset(bxs[i] for i in range(len(bxs)) if rmask >> i & 1),
-            frozenset(bys[j] for j in range(len(bys)) if cmask >> j & 1),
+            sum(1 << x.mask for i, x in enumerate(bxs) if rmask >> i & 1),
+            sum(1 << y.mask for j, y in enumerate(bys) if cmask >> j & 1),
         )
         return val, rect
 
@@ -320,7 +320,6 @@ def verify_dual_certificate(
     cert: DualCertificate,
     mode: str = MODE_AUTO,
     tol=Fraction(0),
-    cap: int | None = None,
 ) -> FeasibilityReport:
     """Measure the heaviest family rectangle under phi + psi.
 
@@ -333,13 +332,12 @@ def verify_dual_certificate(
         raise ParameterRangeError(f"unknown verification mode {mode!r}")
     sign_ok = _signs_ok(cert)
     w = cert.combined()
-    step_cap = _EXHAUSTIVE_STEP_LIMIT if cap is None else cap
     if mode == MODE_AUTO:
         nx, ny = len(w.xs()), len(w.ys())
-        small = nx + ny <= 0 or (1 << nx) * (1 << ny) <= step_cap
+        small = nx + ny <= 0 or (1 << nx) * (1 << ny) <= _EXHAUSTIVE_STEP_LIMIT
         mode = MODE_EXHAUSTIVE if small else MODE_ORACLE
     if mode == MODE_EXHAUSTIVE:
-        max_weight, argmax, witness = _exhaustive_max(cert, step_cap)
+        max_weight, argmax, witness = _exhaustive_max(cert)
         if cert.family.kind == FAMILY_WITNESS and not argmax.is_empty and witness is None:
             witness = witness_set(argmax, cert.family.k or 0)
     else:

@@ -20,18 +20,17 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Iterator, Mapping, Sequence
 
-from ..caps import rectangle_cap
 from ..combinatorics import BitString, InputPair
 from ..errors import KindMismatchError, ParameterRangeError
 from ..rectangles import (
     Rectangle,
     WeightMatrix,
     WitnessSet,
-    all_strings,
     enumerate_rectangles,
     max_weight_rectangle,
     max_weight_rectangle_avoiding_disjoint,
     max_weight_rectangle_in_rv,
+    string_masks,
     witness_set,
     witness_sets,
 )
@@ -96,52 +95,35 @@ class RectangleFamily:
         if self.kind == FAMILY_WITNESS:
             k = self.k or 0
             return k <= r.n and witness_set(r, k) is not None
-        for x in r.rows:
-            for y in r.cols:
-                if x.mask & y.mask == 0:
+        for x in string_masks(r.rows):
+            for y in string_masks(r.cols):
+                if x & y == 0:
                     return False
         return True
 
-    def members(self, n: int, cap: int | None = None) -> list[Rectangle]:
+    def members(self, n: int) -> list[Rectangle]:
         """All nonempty member rectangles, deterministically ordered."""
-        limit = rectangle_cap() if cap is None else cap
         if self.kind == FAMILY_WITNESS:
-            k = self.k or 0
-            seen: set[tuple] = set()
-            out: list[Rectangle] = []
-            for witness in witness_sets(n, k):
-                mask = witness.mask
-                members = [s for s in all_strings(n) if s.mask & mask == mask]
-                for rect in enumerate_rectangles(members, members, cap=limit):
-                    if rect.is_empty:
-                        continue
-                    key = rect.key()
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(rect)
-            out.sort(key=Rectangle.key)
-            return out
-        everything = all_strings(n)
-        out = []
-        for rect in enumerate_rectangles(everything, everything, cap=limit):
-            if rect.is_empty:
-                continue
-            if self.kind == FAMILY_AVOID_DISJOINT and not self.contains(rect):
-                continue
-            out.append(rect)
-        out.sort(key=Rectangle.key)
-        return out
+            string_sets = [witness.strings for witness in witness_sets(n, self.k or 0)]
+        else:
+            string_sets = [(1 << (1 << n)) - 1]
+        labels = [[BitString(n, s) for s in string_masks(strings)] for strings in string_sets]
+        out = {
+            rect
+            for members in labels
+            for rect in enumerate_rectangles(members, members)
+            if not rect.is_empty and self.contains(rect)
+        }
+        return sorted(out, key=Rectangle.key)
 
-    def separation_oracle(
-        self, w: WeightMatrix, cap: int | None = None
-    ) -> tuple[Rectangle, object, WitnessSet | None]:
+    def separation_oracle(self, w: WeightMatrix) -> tuple[Rectangle, object, WitnessSet | None]:
         """Exact max-weight member rectangle for the given dual weights."""
         if self.kind == FAMILY_FULL:
-            rect, value = max_weight_rectangle(w, cap=cap)
+            rect, value = max_weight_rectangle(w)
             return rect, value, None
         if self.kind == FAMILY_WITNESS:
-            return max_weight_rectangle_in_rv(w, self.k or 0, cap=cap)
-        rect, value = max_weight_rectangle_avoiding_disjoint(w, cap=cap)
+            return max_weight_rectangle_in_rv(w, self.k or 0)
+        rect, value = max_weight_rectangle_avoiding_disjoint(w)
         return rect, value, None
 
 
@@ -212,10 +194,10 @@ def covering_columns(pairs: Sequence[InputPair], rects: Sequence[Rectangle]) -> 
     col_bits: dict[int, int] = {}
     for j, rect in enumerate(rects):
         bit = 1 << j
-        for s in rect.rows:
-            row_bits[s.mask] = row_bits.get(s.mask, 0) | bit
-        for s in rect.cols:
-            col_bits[s.mask] = col_bits.get(s.mask, 0) | bit
+        for s in string_masks(rect.rows):
+            row_bits[s] = row_bits.get(s, 0) | bit
+        for s in string_masks(rect.cols):
+            col_bits[s] = col_bits.get(s, 0) | bit
     out = []
     for pair in pairs:
         both = row_bits.get(pair.x.mask, 0) & col_bits.get(pair.y.mask, 0)

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from ..errors import CapExceededError, ConvergenceError, ParameterRangeError
-from ..rectangles import Rectangle, WeightMatrix, all_strings, witness_sets
+from ..rectangles import Rectangle, WeightMatrix, witness_sets
 from .exact import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
@@ -56,13 +56,10 @@ class LPResult:
     columns: int
     oracle_max: float | None = None
 
-    def weight_total(self):
-        return sum(self.weights.values())
 
-
-def solve_full_enumeration(lp: LPInstance, cap: int | None = None) -> LPResult:
+def solve_full_enumeration(lp: LPInstance) -> LPResult:
     """Exact optimum over the explicitly enumerated rectangle family."""
-    members = lp.family.members(lp.n, cap)
+    members = lp.family.members(lp.n)
     if len(members) * max(1, len(lp.constraints)) > _ENUMERATION_CELL_LIMIT:
         raise CapExceededError(
             f"{len(members)} columns x {len(lp.constraints)} rows is past the "
@@ -127,26 +124,21 @@ def solve_full_enumeration(lp: LPInstance, cap: int | None = None) -> LPResult:
     )
 
 
-def _seed_columns(lp: LPInstance) -> list[Rectangle]:
-    seeds: list[Rectangle] = []
-    seen: set[tuple] = set()
-    for c in lp.constraints:
-        if c.klass == CLASS_COVER:
-            rect = Rectangle(lp.n, frozenset({c.pair.x}), frozenset({c.pair.y}))
-            if rect.key() not in seen:
-                seen.add(rect.key())
-                seeds.append(rect)
+def _seed_columns(lp: LPInstance) -> dict[Rectangle, None]:
+    """The first master columns, in first-seen order.
+
+    One 1x1 rectangle per cover pair, then, over the witness family, the
+    rectangle of all strings marking each witness on both sides.
+    """
+    seeds = [
+        Rectangle(lp.n, 1 << c.pair.x.mask, 1 << c.pair.y.mask)
+        for c in lp.constraints
+        if c.klass == CLASS_COVER
+    ]
     if lp.family.kind == "witness":
-        for witness in witness_sets(lp.n, lp.family.k or 0):
-            mask = witness.mask
-            strings = frozenset(s for s in all_strings(lp.n) if s.mask & mask == mask)
-            if not strings:
-                continue
-            rect = Rectangle(lp.n, strings, strings)
-            if rect.key() not in seen:
-                seen.add(rect.key())
-                seeds.append(rect)
-    return seeds
+        witnesses = witness_sets(lp.n, lp.family.k or 0)
+        seeds += [Rectangle(lp.n, w.strings, w.strings) for w in witnesses]
+    return dict.fromkeys(seeds)
 
 
 def _master_rows(lp: LPInstance, columns: list[Rectangle]):
@@ -166,7 +158,6 @@ def solve_constraint_generation(
     lp: LPInstance,
     tol: float = 1e-9,
     max_iters: int = 1000,
-    oracle_cap: int | None = None,
 ) -> LPResult:
     """Float optimum by column generation against the exact rectangle oracle."""
     if max_iters < 1:
@@ -185,13 +176,12 @@ def solve_constraint_generation(
             columns=0,
             oracle_max=None,
         )
-    known = {rect.key() for rect in columns}
 
     res = None
     duals = [0.0] * len(lp.constraints)
     oracle_max = None
     for iteration in range(1, max_iters + 1):
-        a_ub, b_ub, ub_rows, a_eq, b_eq, eq_rows = _master_rows(lp, columns)
+        a_ub, b_ub, ub_rows, a_eq, b_eq, eq_rows = _master_rows(lp, list(columns))
         res = linprog(
             c=np.ones(len(columns)),
             A_ub=a_ub if ub_rows else None,
@@ -234,15 +224,14 @@ def solve_constraint_generation(
             if duals[ridx]:
                 pair_weight[c.pair] = pair_weight.get(c.pair, 0.0) + duals[ridx]
         w = WeightMatrix(lp.n, pair_weight)
-        rect, value, _witness = lp.family.separation_oracle(w, cap=oracle_cap)
+        rect, value, _witness = lp.family.separation_oracle(w)
         oracle_max = float(value)
         if oracle_max <= 1.0 + tol:
             break
-        if rect.key() in known:
+        if rect in columns:
             # Float noise: the priced column is already in the master.
             break
-        known.add(rect.key())
-        columns.append(rect)
+        columns[rect] = None
     else:
         raise ConvergenceError(f"no convergence after {max_iters} iterations")
 

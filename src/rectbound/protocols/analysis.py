@@ -21,9 +21,8 @@ from random import Random
 from typing import Callable, Mapping
 
 from ..caps import exact_protocol_cap
-from ..combinatorics import BitString
 from ..errors import CapExceededError, ParameterRangeError
-from ..rectangles import Rectangle
+from ..rectangles import Rectangle, string_masks
 from .core import (
     ALICE,
     AnyProtocol,
@@ -155,9 +154,11 @@ def success_probability(
 
 @dataclass(frozen=True)
 class LeafRectangle:
+    """The inputs reaching one leaf; rows and cols are string sets over input masks."""
+
     output: object
-    rows: frozenset[int]
-    cols: frozenset[int]
+    rows: int
+    cols: int
     depth: int
 
     @property
@@ -166,7 +167,7 @@ class LeafRectangle:
 
     @property
     def pair_count(self) -> int:
-        return len(self.rows) * len(self.cols)
+        return self.rows.bit_count() * self.cols.bit_count()
 
 
 @dataclass(frozen=True)
@@ -197,21 +198,20 @@ def _structural_census(proto: TreeProtocol) -> LeafReport:
     _census_cap_check(proto.n_alice, proto.n_bob)
     leaves: list[LeafRectangle] = []
 
-    def walk(node, xs: list[int], ys: list[int], depth: int) -> None:
+    def walk(node, xs: int, ys: int, depth: int) -> None:
         if isinstance(node, Leaf):
-            leaves.append(LeafRectangle(node.value, frozenset(xs), frozenset(ys), depth))
+            leaves.append(LeafRectangle(node.value, xs, ys, depth))
             return
         held = xs if node.owner == ALICE else ys
-        sides = ([], [])
-        for v in held:
-            bit = node.message(v)
-            sides[bit].append(v)
+        sides = [0, 0]
+        for v in string_masks(held):
+            sides[node.message(v)] |= 1 << v
         for bit in (0, 1):
             new_xs = sides[bit] if node.owner == ALICE else xs
             new_ys = ys if node.owner == ALICE else sides[bit]
             walk(node.children[bit], new_xs, new_ys, depth + 1)
 
-    walk(proto.root, list(range(1 << proto.n_alice)), list(range(1 << proto.n_bob)), 0)
+    walk(proto.root, (1 << (1 << proto.n_alice)) - 1, (1 << (1 << proto.n_bob)) - 1, 0)
 
     covered = sum(leaf.pair_count for leaf in leaves)
     partition_ok = covered == 1 << (proto.n_alice + proto.n_bob)
@@ -219,8 +219,8 @@ def _structural_census(proto: TreeProtocol) -> LeafReport:
         for leaf in leaves:
             if not leaf.reachable:
                 continue
-            x = next(iter(leaf.rows))
-            y = next(iter(leaf.cols))
+            x = next(string_masks(leaf.rows))
+            y = next(string_masks(leaf.cols))
             if proto.run(x, y).output != leaf.output:
                 partition_ok = False
                 break
@@ -241,22 +241,20 @@ def _transcript_census(proto: ProgramProtocol) -> LeafReport:
         for y in range(1 << proto.n_bob):
             res = proto.run(x, y)
             g = groups.setdefault(
-                res.transcript, {"output": res.output, "xs": set(), "ys": set(), "pairs": 0}
+                res.transcript, {"output": res.output, "xs": 0, "ys": 0, "pairs": 0}
             )
             if g["output"] != res.output:
                 consistent = False
-            g["xs"].add(x)
-            g["ys"].add(y)
+            g["xs"] |= 1 << x
+            g["ys"] |= 1 << y
             g["pairs"] += 1
     leaves = []
     product_ok = consistent
     for transcript in sorted(groups):
         g = groups[transcript]
-        if g["pairs"] != len(g["xs"]) * len(g["ys"]):
+        if g["pairs"] != g["xs"].bit_count() * g["ys"].bit_count():
             product_ok = False
-        leaves.append(
-            LeafRectangle(g["output"], frozenset(g["xs"]), frozenset(g["ys"]), len(transcript))
-        )
+        leaves.append(LeafRectangle(g["output"], g["xs"], g["ys"], len(transcript)))
     return LeafReport(
         mode=CENSUS_TRANSCRIPT,
         n_alice=proto.n_alice,
@@ -290,11 +288,7 @@ def accepting_rectangle_weights(
         for leaf in leaf_rectangle_check(det).leaves:
             if not leaf.reachable or not accept(leaf.output):
                 continue
-            rect = Rectangle(
-                n,
-                frozenset(BitString(n, mask) for mask in leaf.rows),
-                frozenset(BitString(n, mask) for mask in leaf.cols),
-            )
+            rect = Rectangle(n, leaf.rows, leaf.cols)
             weights[rect] = weights.get(rect, Fraction(0)) + prob
     return weights
 

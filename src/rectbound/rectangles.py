@@ -21,38 +21,56 @@ from .errors import CapExceededError, DimensionMismatchError, ParameterRangeErro
 Weight = Fraction | float | int
 
 
+def string_masks(members: int) -> Iterator[int]:
+    """The member masks of a string set, ascending."""
+    while members:
+        low = members & -members
+        yield low.bit_length() - 1
+        members ^= low
+
+
 @dataclass(frozen=True)
 class Rectangle:
-    """A product set rows x cols of inputs over a common universe."""
+    """A product set rows x cols of n-bit strings.
+
+    Each side is a string set: an int whose bit s is set when the string
+    with mask s is a member, the convention `TruthTable.rows` shares.
+    """
 
     n: int
-    rows: frozenset[BitString]
-    cols: frozenset[BitString]
+    rows: int
+    cols: int
 
     def __post_init__(self) -> None:
-        for s in self.rows | self.cols:
-            if s.n != self.n:
-                raise DimensionMismatchError(f"member {s} does not live in universe size {self.n}")
+        for side in (self.rows, self.cols):
+            if side < 0 or side >> (1 << self.n):
+                raise DimensionMismatchError(
+                    f"string set {side:#x} does not live in universe size {self.n}"
+                )
 
     @classmethod
     def from_bits(cls, rows: Iterable[str], cols: Iterable[str], n: int | None = None) -> Rectangle:
-        row_set = frozenset(BitString.from_bits(r) for r in rows)
-        col_set = frozenset(BitString.from_bits(c) for c in cols)
+        row_strings = [BitString.from_bits(r) for r in rows]
+        col_strings = [BitString.from_bits(c) for c in cols]
         if n is None:
-            any_member = next(iter(row_set | col_set), None)
-            if any_member is None:
+            if not row_strings and not col_strings:
                 raise ParameterRangeError("empty rectangle needs an explicit universe size")
-            n = any_member.n
+            n = (row_strings or col_strings)[0].n
+        for s in row_strings + col_strings:
+            if s.n != n:
+                raise DimensionMismatchError(f"member {s} does not live in universe size {n}")
+        row_set = sum(1 << s.mask for s in set(row_strings))
+        col_set = sum(1 << s.mask for s in set(col_strings))
         return cls(n, row_set, col_set)
 
     @classmethod
     def full(cls, n: int) -> Rectangle:
-        everything = frozenset(BitString(n, m) for m in range(1 << n))
+        everything = (1 << (1 << n)) - 1
         return cls(n, everything, everything)
 
     @classmethod
     def empty(cls, n: int) -> Rectangle:
-        return cls(n, frozenset(), frozenset())
+        return cls(n, 0, 0)
 
     @property
     def is_empty(self) -> bool:
@@ -60,23 +78,23 @@ class Rectangle:
 
     @property
     def pair_count(self) -> int:
-        return len(self.rows) * len(self.cols)
+        return self.rows.bit_count() * self.cols.bit_count()
 
     def contains(self, pair: InputPair) -> bool:
-        return pair.x in self.rows and pair.y in self.cols
+        return bool(self.rows >> pair.x.mask & 1 and self.cols >> pair.y.mask & 1)
 
     def pairs(self) -> Iterator[InputPair]:
-        for x in sorted(self.rows):
-            for y in sorted(self.cols):
-                yield InputPair(x, y)
+        for x in string_masks(self.rows):
+            for y in string_masks(self.cols):
+                yield InputPair(BitString(self.n, x), BitString(self.n, y))
 
     def key(self) -> tuple:
-        """Deterministic sort key."""
-        return (tuple(sorted(s.mask for s in self.rows)), tuple(sorted(s.mask for s in self.cols)))
+        """Deterministic sort key: the member masks of each side, ascending."""
+        return (tuple(string_masks(self.rows)), tuple(string_masks(self.cols)))
 
     def describe(self) -> str:
-        rows = ",".join(s.bits() for s in sorted(self.rows)) or "-"
-        cols = ",".join(s.bits() for s in sorted(self.cols)) or "-"
+        rows = ",".join(BitString(self.n, s).bits() for s in string_masks(self.rows)) or "-"
+        cols = ",".join(BitString(self.n, s).bits() for s in string_masks(self.cols)) or "-"
         return f"{{{rows}}}x{{{cols}}}"
 
 
@@ -103,6 +121,12 @@ class WitnessSet:
         for c in self.coords:
             m |= 1 << (c - 1)
         return m
+
+    @property
+    def strings(self) -> int:
+        """The string set of every string marking all witness coordinates."""
+        m = self.mask
+        return sum(1 << s for s in range(1 << self.n) if s & m == m)
 
 
 def witness_sets(n: int, k: int) -> Iterator[WitnessSet]:
@@ -168,9 +192,6 @@ class WeightMatrix:
     def restrict(self, keep: Callable[[InputPair], bool]) -> WeightMatrix:
         return WeightMatrix(self.n, {pair: w for pair, w in self.weights.items() if keep(pair)})
 
-    def as_float(self) -> WeightMatrix:
-        return WeightMatrix(self.n, {pair: float(w) for pair, w in self.weights.items()})
-
 
 def rect_weight(w: WeightMatrix, r: Rectangle) -> Weight:
     """Sum of w over the pairs of r (exact when weights are Fractions)."""
@@ -219,7 +240,7 @@ def _max_rectangle(w: WeightMatrix, cap: int | None, avoid_disjoint: bool) -> tu
     blocked = [0] * len(cols)
     row_set = 0
     best_value: Weight = Fraction(0)
-    best_rows = best_cols = frozenset()
+    best_rows = best_cols = 0
     for step in range(1, 1 << len(rows)):
         # Gray code: toggle the lowest set bit position of `step`.
         i = (step & -step).bit_length() - 1
@@ -237,8 +258,10 @@ def _max_rectangle(w: WeightMatrix, cap: int | None, avoid_disjoint: bool) -> tu
         value = sum([s for s, b in zip(col_sums, blocked) if not b and s > 0], Fraction(0))
         if value > best_value:
             best_value = value
-            best_rows = frozenset(r for p, r in enumerate(rows) if row_set >> p & 1)
-            best_cols = frozenset(c for c, s, b in zip(cols, col_sums, blocked) if not b and s > 0)
+            best_rows = sum(1 << r.mask for p, r in enumerate(rows) if row_set >> p & 1)
+            best_cols = sum(
+                1 << c.mask for c, s, b in zip(cols, col_sums, blocked) if not b and s > 0
+            )
     if best_value <= 0:
         return Rectangle.empty(w.n), Fraction(0)
     if transposed:
@@ -252,7 +275,7 @@ def max_weight_rectangle(w: WeightMatrix, cap: int | None = None) -> tuple[Recta
 
 
 def max_weight_rectangle_in_rv(
-    w: WeightMatrix, k: int, cap: int | None = None
+    w: WeightMatrix, k: int
 ) -> tuple[Rectangle, Weight, WitnessSet | None]:
     """Exact maximum over rectangles admitting a size-k witness.
 
@@ -268,22 +291,20 @@ def max_weight_rectangle_in_rv(
         restricted = w.restrict(lambda pair: pair.x.mask & m == m and pair.y.mask & m == m)
         if restricted.support_size == 0:
             continue
-        rect, value = max_weight_rectangle(restricted, cap=cap)
+        rect, value = max_weight_rectangle(restricted)
         if value > best[1]:
             best = (rect, value, witness)
     return best
 
 
-def max_weight_rectangle_avoiding_disjoint(
-    w: WeightMatrix, cap: int | None = None
-) -> tuple[Rectangle, Weight]:
+def max_weight_rectangle_avoiding_disjoint(w: WeightMatrix) -> tuple[Rectangle, Weight]:
     """Exact maximum over rectangles containing no disjoint pair.
 
     For a fixed row set the admissibility of a column (it must intersect
     every member row) is independent of the other columns, so the greedy
     positive-column rule still applies among admissible columns.
     """
-    return _max_rectangle(w, cap, avoid_disjoint=True)
+    return _max_rectangle(w, None, avoid_disjoint=True)
 
 
 def witness_set(r: Rectangle, k: int) -> WitnessSet | None:
@@ -296,32 +317,30 @@ def witness_set(r: Rectangle, k: int) -> WitnessSet | None:
     if not 0 <= k <= r.n:
         raise ParameterRangeError(f"witness size must satisfy 0 <= k <= {r.n}, got {k}")
     common = (1 << r.n) - 1
-    for s in r.rows:
-        common &= s.mask
-    for s in r.cols:
-        common &= s.mask
+    for s in string_masks(r.rows | r.cols):
+        common &= s
     coords = tuple(j + 1 for j in range(r.n) if (common >> j) & 1)
     if len(coords) < k:
         return None
     return WitnessSet(r.n, coords[:k])
 
 
-def mu_mass_of_rectangle(p: MuParams, r: Rectangle, cap: int | None = None) -> Fraction:
+def mu_mass_of_rectangle(p: MuParams, r: Rectangle) -> Fraction:
     """Exact mu(p) mass of rectangle r."""
     if r.n != p.n:
         raise DimensionMismatchError(f"universe mismatch: rectangle {r.n} vs distribution {p.n}")
-    limit = support_cap() if cap is None else cap
+    limit = support_cap()
     if r.pair_count > limit:
         raise CapExceededError(f"rectangle has {r.pair_count} pairs, cap is {limit}")
     if p.is_empty:
         return Fraction(0)
     mass = Fraction(0)
     unit = p.point_mass()
-    rows = [s for s in r.rows if s.weight == p.m]
-    cols = [s for s in r.cols if s.weight == p.m]
+    rows = [s for s in string_masks(r.rows) if s.bit_count() == p.m]
+    cols = [s for s in string_masks(r.cols) if s.bit_count() == p.m]
     for x in rows:
         for y in cols:
-            if (x.mask & y.mask).bit_count() == p.k:
+            if (x & y).bit_count() == p.k:
                 mass += unit
     return mass
 
@@ -346,9 +365,7 @@ class DecompositionReport:
         return self.lhs == self.rhs
 
 
-def decompose_by_witness(
-    r: Rectangle, k: int, p: MuParams, cap: int | None = None
-) -> DecompositionReport:
+def decompose_by_witness(r: Rectangle, k: int, p: MuParams) -> DecompositionReport:
     """Check mu(p)(r) == sum_I mu(p)(r_I) / (k+1) over all size-k witness sets I."""
     if p.k != k + 1:
         raise ParameterRangeError(
@@ -356,26 +373,15 @@ def decompose_by_witness(
         )
     if r.n != p.n:
         raise DimensionMismatchError(f"universe mismatch: rectangle {r.n} vs distribution {p.n}")
-    lhs = mu_mass_of_rectangle(p, r, cap=cap)
+    lhs = mu_mass_of_rectangle(p, r)
     family: list[tuple[WitnessSet, Rectangle]] = []
     total = Fraction(0)
     for witness in witness_sets(r.n, k):
-        mask = witness.mask
-        sub = Rectangle(
-            r.n,
-            frozenset(s for s in r.rows if s.mask & mask == mask),
-            frozenset(s for s in r.cols if s.mask & mask == mask),
-        )
+        sub = Rectangle(r.n, r.rows & witness.strings, r.cols & witness.strings)
         family.append((witness, sub))
-        total += mu_mass_of_rectangle(p, sub, cap=cap)
+        total += mu_mass_of_rectangle(p, sub)
     rhs = total / (k + 1)
     return DecompositionReport(k=k, params=p, lhs=lhs, rhs=rhs, family=tuple(family))
-
-
-def _subsets(items: list[BitString]) -> Iterator[frozenset[BitString]]:
-    for count in range(len(items) + 1):
-        for combo in combinations(items, count):
-            yield frozenset(combo)
 
 
 def enumerate_rectangles(
@@ -387,6 +393,8 @@ def enumerate_rectangles(
     if not rows and not cols:
         raise ParameterRangeError("cannot infer a universe from empty label sets")
     n = (rows or cols)[0].n
+    if any(s.n != n for s in rows + cols):
+        raise DimensionMismatchError(f"axis labels do not share universe size {n}")
     limit = rectangle_cap() if cap is None else cap
     count = 2 ** len(rows) * 2 ** len(cols)
     if count > limit:
@@ -394,10 +402,11 @@ def enumerate_rectangles(
             f"{count} rectangles exceed the enumeration cap {limit}; "
             "shrink the axes or raise RECTBOUND_RECTANGLE_CAP"
         )
-    for row_set in _subsets(rows):
-        for col_set in _subsets(cols):
+    row_sets, col_sets = [0], [0]
+    for s in rows:
+        row_sets += [r | 1 << s.mask for r in row_sets]
+    for s in cols:
+        col_sets += [c | 1 << s.mask for c in col_sets]
+    for row_set in row_sets:
+        for col_set in col_sets:
             yield Rectangle(n, row_set, col_set)
-
-
-def all_strings(n: int) -> list[BitString]:
-    return [BitString(n, m) for m in range(1 << n)]

@@ -141,12 +141,6 @@ def and_all(n: int) -> TruthTable:
     return TruthTable.from_function(n, lambda x, y: x == full and y == full)
 
 
-def const(n: int, bit: int) -> TruthTable:
-    if bit not in (0, 1):
-        raise ParameterRangeError(f"constant must be 0 or 1, got {bit}")
-    return TruthTable.from_function(n, lambda x, y: bit)
-
-
 def family(name: str, n: int) -> TruthTable:
     table = {
         "NDISJ": ndisj,

@@ -185,7 +185,7 @@ def test_solver_agreement_search_lp_with_hand_upper_bound():
     # the hand solution satisfies every row, so its total bounds the optimum
     for c in lp.constraints:
         cov = sum(
-            (w for rect, w in hand.items() if c.pair.x in rect.rows and c.pair.y in rect.cols),
+            (w for rect, w in hand.items() if rect.contains(c.pair)),
             F(0),
         )
         if c.sense == ">=":
@@ -294,8 +294,8 @@ def test_decomposition_identity_on_seeded_rectangles():
             continue
         side = 1 << n
         pick = lambda: rng.sample(range(side), rng.randint(1, min(12, side)))
-        rows = frozenset(BitString(n, v) for v in pick())
-        cols = frozenset(BitString(n, v) for v in pick())
+        rows = sum(1 << v for v in pick())
+        cols = sum(1 << v for v in pick())
         report = decompose_by_witness(Rectangle(n, rows, cols), k, p)
         assert report.holds, (k, p)
         assert report.lhs == report.rhs

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from rectbound.combinatorics import BitString
 from rectbound.errors import ParameterRangeError
 from rectbound.lp_bounds import build_search_lp, solve_full_enumeration
 from rectbound.protocols import (
@@ -64,9 +63,7 @@ def test_bridge_weights_survive_verification_wrapping():
 def test_bridge_flags_infeasible_weights():
     lp = build_search_lp(2, 1, F(1))
     # a single rectangle missing most cover pairs
-    rect = Rectangle(
-        2, frozenset({BitString(2, 0b01)}), frozenset({BitString(2, 0b01)})
-    )
+    rect = Rectangle(2, 1 << 0b01, 1 << 0b01)
     report = check_weights_against_lp(lp, {rect: F(1)}, cost=0)
     assert not report.feasible
     assert report.max_violation == 1  # five cover rows fully uncovered
@@ -80,9 +77,7 @@ def test_bridge_flags_family_strays():
     proto = trivial_search_kfold(2, 1)
     weights = dict(accepting_rectangle_weights(proto, _accepts_claim))
     # a rectangle holding a disjoint pair is outside the witness family
-    stray = Rectangle(
-        2, frozenset({BitString(2, 0b01)}), frozenset({BitString(2, 0b10)})
-    )
+    stray = Rectangle(2, 1 << 0b01, 1 << 0b10)
     weights[stray] = F(1)
     report = check_weights_against_lp(lp, weights, proto.worst_cost)
     assert not report.family_ok

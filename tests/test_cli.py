@@ -65,6 +65,26 @@ def test_bound_search_both_solvers_agree(capsys):
     assert doc["result"]["agreement_gap"]["value"] <= 1e-9
 
 
+def test_bound_both_solvers_disagreeing_exits_2(capsys, monkeypatch):
+    import dataclasses
+
+    import rectbound.cli
+
+    real = rectbound.cli.solve_constraint_generation
+
+    def shifted(lp):
+        res = real(lp)
+        return dataclasses.replace(res, optimum=res.optimum + 1e-6)
+
+    monkeypatch.setattr(rectbound.cli, "solve_constraint_generation", shifted)
+    code, doc, _ = run_json(
+        capsys, "bound", "--lp", "search", "--n", "2", "--k", "1", "--solver", "both"
+    )
+    assert code == 2
+    assert doc["result"]["exact"]["status"] == doc["result"]["cg"]["status"] == "optimal"
+    assert doc["result"]["agreement_gap"]["value"] == pytest.approx(1e-6, rel=1e-6)
+
+
 def test_bound_flag_conflicts_exit_1(capsys):
     code, out, err = run_cli(
         capsys, "bound", "--lp", "search", "--n", "2", "--k", "1", "--family", "AND"

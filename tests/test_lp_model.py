@@ -1,6 +1,7 @@
 """LP builders: row censuses, senses, families, and the ambiguity variant."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -127,6 +128,36 @@ def test_full_family_contains_everything_nonempty():
     members = FULL_FAMILY.members(1)
     assert len(members) == 9  # (2^2 - 1)^2 nonempty label subsets
     assert FULL_FAMILY.contains(Rectangle.from_bits(["0", "1"], ["1"]))
+
+
+def _nonempty_subsets(masks):
+    return [c for size in range(1, len(masks) + 1) for c in combinations(masks, size)]
+
+
+def _expected_keys(blocks, keep=lambda rows, cols: True):
+    """Sorted (row masks, col masks) of every nonempty rows x cols inside one block."""
+    return sorted(
+        {
+            (rows, cols)
+            for block in blocks
+            for rows in _nonempty_subsets(block)
+            for cols in _nonempty_subsets(block)
+            if keep(rows, cols)
+        }
+    )
+
+
+def test_member_order_matches_itertools():
+    # members() order is the exact simplex's column order, so it fixes the
+    # reported iteration counts and supports.
+    assert [r.key() for r in FULL_FAMILY.members(1)] == _expected_keys([[0, 1]])
+    assert [r.key() for r in FULL_FAMILY.members(2)] == _expected_keys([[0, 1, 2, 3]])
+    # strings marking coordinate 1 (masks 1, 3) or coordinate 2 (masks 2, 3)
+    assert [r.key() for r in witness_family(1).members(2)] == _expected_keys([[1, 3], [2, 3]])
+    meets = lambda rows, cols: all(x & y for x in rows for y in cols)
+    assert [r.key() for r in avoid_disjoint_family().members(2)] == _expected_keys(
+        [[0, 1, 2, 3]], meets
+    )
 
 
 def test_duplicate_rows_rejected():

@@ -68,7 +68,7 @@ def test_exact_weights_are_feasible():
     res = solve_full_enumeration(lp)
     for c in lp.constraints:
         cov = sum(
-            w for rect, w in res.weights.items() if c.pair.x in rect.rows and c.pair.y in rect.cols
+            w for rect, w in res.weights.items() if rect.contains(c.pair)
         )
         if c.sense == ">=":
             assert cov >= c.rhs

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rectbound.combinatorics import BitString, InputPair, MuParams
-from rectbound.errors import CapExceededError, ParameterRangeError
+from rectbound.errors import CapExceededError, DimensionMismatchError, ParameterRangeError
 from rectbound.lp_bounds.model import FULL_FAMILY, RectangleFamily, avoid_disjoint_family, witness_family
 from rectbound.rectangles import (
     Rectangle,
@@ -20,7 +20,9 @@ from rectbound.rectangles import (
     max_weight_rectangle_in_rv,
     mu_mass_of_rectangle,
     rect_weight,
+    string_masks,
     witness_set,
+    witness_sets,
 )
 
 
@@ -134,7 +136,7 @@ def test_oracle_dominates_random_rectangles(rmask, cmask, pyrng):
     xs, ys = w.xs(), w.ys()
     rows = [s for i, s in enumerate(xs) if (rmask >> i) & 1]
     cols = [s for i, s in enumerate(ys) if (cmask >> i) & 1]
-    r = Rectangle(2, frozenset(rows), frozenset(cols))
+    r = Rectangle(2, sum(1 << s.mask for s in rows), sum(1 << s.mask for s in cols))
     assert rect_weight(w, r) <= best
 
 
@@ -207,3 +209,23 @@ def test_enumerate_rectangles_counts_and_cap():
     assert len(rects) == 16  # subsets of a 2x2 grid of labels
     with pytest.raises(CapExceededError):
         list(enumerate_rectangles(xs, xs, cap=8))
+
+
+def test_string_masks_and_witness_strings_match_brute_force():
+    for n in range(5):
+        for members in range(1 << (1 << n)):
+            assert list(string_masks(members)) == [s for s in range(1 << n) if members >> s & 1]
+        for k in range(n + 1):
+            for witness in witness_sets(n, k):
+                marking = [
+                    s for s in range(1 << n) if set(witness.coords) <= set(BitString(n, s).coords())
+                ]
+                assert witness.strings == sum(1 << s for s in marking)
+
+
+def test_rectangle_rejects_sets_outside_the_universe():
+    with pytest.raises(DimensionMismatchError):
+        Rectangle(2, 1 << 4, 1)
+    with pytest.raises(DimensionMismatchError):
+        Rectangle(2, 1, -1)
+    assert Rectangle(2, (1 << 4) - 1, 1).pair_count == 4
