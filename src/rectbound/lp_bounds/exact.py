@@ -2,7 +2,9 @@
 
 Dense tableau, Bland's rule, so the solve terminates without any tolerance
 knobs.  Meant for the small instances used to cross-check the floating-point
-path; nothing here is sparse or clever.
+path.  A pivot updates only the pivot row's nonzero columns; elsewhere the
+dense update `a - f * 0` would leave the entry as it is, so the arithmetic
+and Bland's pivot sequence are those of the dense tableau.
 
 Dual convention for `min c.x  s.t.  A x (sense) b, x >= 0`: the returned row
 multipliers y satisfy `A^T y <= c` componentwise and `y.b == optimum`, with
@@ -35,20 +37,33 @@ class SimplexResult:
     iterations: int
 
 
-def _pivot(tableau, obj, basis, row, col) -> None:
-    piv = tableau[row][col]
-    inv = _ONE / piv
-    prow = [v * inv for v in tableau[row]]
-    tableau[row] = prow
-    for i, trow in enumerate(tableau):
-        if i == row:
-            continue
+def _eliminate(rows, row, col) -> list[tuple[int, Fraction]]:
+    """Scale rows[row] to a 1 in column col and clear col from the other rows.
+
+    Rows are updated in place, which is safe because no row list is shared.
+    Returns the scaled pivot row's nonzeros as (column, value) pairs.
+    """
+    prow = rows[row]
+    inv = _ONE / prow[col]
+    nonzero = []
+    for j, v in enumerate(prow):
+        if v:
+            prow[j] = v = v * inv
+            nonzero.append((j, v))
+    for i, trow in enumerate(rows):
         f = trow[col]
-        if f:
-            tableau[i] = [a - f * b for a, b in zip(trow, prow)]
+        if f and i != row:
+            for j, b in nonzero:
+                trow[j] -= f * b
+    return nonzero
+
+
+def _pivot(tableau, obj, basis, row, col) -> None:
+    nonzero = _eliminate(tableau, row, col)
     f = obj[col]
     if f:
-        obj[:] = [a - f * b for a, b in zip(obj, prow)]
+        for j, b in nonzero:
+            obj[j] -= f * b
     basis[row] = col
 
 
@@ -102,12 +117,7 @@ def _solve_transposed(columns, rhs):
         if pivot_row is None:
             continue
         aug[row], aug[pivot_row] = aug[pivot_row], aug[row]
-        inv = _ONE / aug[row][col]
-        aug[row] = [v * inv for v in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
+        _eliminate(aug, row, col)
         where[col] = row
         row += 1
     y = [_ZERO] * m

@@ -3,8 +3,10 @@
 The max-weight oracle exploits the product structure exactly: for a fixed row
 set A the optimal column set is precisely the columns with positive column-sum
 over A, so sweeping row subsets of the smaller side (Gray-code order, one row
-toggled per step) finds the true maximum.  Weights may be Fractions or floats;
-with Fractions the maximum is exact.
+toggled per step) finds the true maximum.  Weights may be Fractions, ints or
+floats.  Exact weights (ints and Fractions) are swept as Python ints scaled by
+their common denominator, which gives the same exact maximum as a Fraction
+sweep; weights that include a float are swept as given.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .caps import oracle_subset_cap, rectangle_cap, support_cap
@@ -213,6 +216,12 @@ def _max_rectangle(w: WeightMatrix, cap: int | None, avoid_disjoint: bool) -> tu
     from it, which a per-column count of such rows tracks.  The column set is
     built only when the best value improves, so ties keep the row set met
     first in Gray order.
+
+    When every weight is exact (an int or a Fraction), each cell is stored as
+    the int `value * D`, D the lcm of the weights' denominators, and the best
+    sum is divided by D at the end.  Scaling by D > 0 preserves every
+    comparison, so the value, the argmax and the tie rule are those of the
+    Fraction sweep.
     """
     rows = w.xs()
     cols = w.ys()
@@ -227,19 +236,23 @@ def _max_rectangle(w: WeightMatrix, cap: int | None, avoid_disjoint: bool) -> tu
             f"{2 ** len(rows)} row subsets exceed the oracle cap {limit}; "
             "shrink the support or raise RECTBOUND_ORACLE_SUBSET_CAP"
         )
+    exact = all(isinstance(v, (int, Fraction)) for v in w.weights.values())
+    scale = lcm(*(v.denominator for v in w.weights.values())) if exact else 1
+    zero: Weight = 0 if exact else Fraction(0)
     row_index = {s: i for i, s in enumerate(rows)}
     col_index = {s: j for j, s in enumerate(cols)}
     row_cells: list[list[tuple[int, Weight]]] = [[] for _ in rows]
     for pair, value in w.weights.items():
         x, y = (pair.y, pair.x) if transposed else (pair.x, pair.y)
-        row_cells[row_index[x]].append((col_index[y], value))
+        cell = value.numerator * (scale // value.denominator) if exact else value
+        row_cells[row_index[x]].append((col_index[y], cell))
     row_disjoint = [
         [j for j, c in enumerate(cols) if not r.mask & c.mask] if avoid_disjoint else [] for r in rows
     ]
-    col_sums: list[Weight] = [Fraction(0)] * len(cols)
+    col_sums: list[Weight] = [zero] * len(cols)
     blocked = [0] * len(cols)
     row_set = 0
-    best_value: Weight = Fraction(0)
+    best_value: Weight = zero
     best_rows = best_cols = 0
     for step in range(1, 1 << len(rows)):
         # Gray code: toggle the lowest set bit position of `step`.
@@ -255,7 +268,7 @@ def _max_rectangle(w: WeightMatrix, cap: int | None, avoid_disjoint: bool) -> tu
                 col_sums[j] -= v
         for j in row_disjoint[i]:
             blocked[j] += delta
-        value = sum([s for s, b in zip(col_sums, blocked) if not b and s > 0], Fraction(0))
+        value = sum([s for s, b in zip(col_sums, blocked) if not b and s > 0], zero)
         if value > best_value:
             best_value = value
             best_rows = sum(1 << r.mask for p, r in enumerate(rows) if row_set >> p & 1)
@@ -266,6 +279,8 @@ def _max_rectangle(w: WeightMatrix, cap: int | None, avoid_disjoint: bool) -> tu
         return Rectangle.empty(w.n), Fraction(0)
     if transposed:
         best_rows, best_cols = best_cols, best_rows
+    if exact:
+        best_value = Fraction(best_value, scale)
     return Rectangle(w.n, best_rows, best_cols), best_value
 
 

@@ -54,6 +54,15 @@ def test_exact_solver_matches_frozen_value(label, make, expected):
     assert dual_value == expected
 
 
+@pytest.mark.parametrize("name,optimum,pivots", [("IP", F(7, 4), 153), ("DISJ", F(8, 5), 83)])
+def test_exact_simplex_pivot_count_is_pinned(name, optimum, pivots):
+    # Bland's rule makes the pivot sequence a function of the arithmetic
+    # alone; a change to either shows here as a different count.
+    res = solve_full_enumeration(build_smooth_lp(family(name, 2), F(1, 4)))
+    assert res.optimum == optimum
+    assert res.iterations == pivots
+
+
 @pytest.mark.parametrize("label,make,expected", FROZEN, ids=[f[0] for f in FROZEN])
 def test_cg_solver_matches_frozen_value(label, make, expected):
     res = solve_constraint_generation(make())

@@ -127,6 +127,60 @@ def test_oracle_matches_brute_force_on_seeded_matrices():
             assert (witness is None) == rect.is_empty
 
 
+def _oracle_results(w: WeightMatrix) -> list:
+    """Every oracle's answer on w: plain, avoid-disjoint and witness k = 0..n."""
+    results = [max_weight_rectangle(w), max_weight_rectangle_avoiding_disjoint(w)]
+    results += [max_weight_rectangle_in_rv(w, k) for k in range(w.n + 1)]
+    return results
+
+
+def test_exact_and_float_sweeps_pick_the_same_rectangle():
+    # Dyadic weights are exact as floats, so the float sweep makes the same
+    # comparisons as the integer one, ties included.
+    rng = Random(17)
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        shape = _random_matrix(rng, n, rng.randint(1, 5), rng.randint(1, 5))
+        dyadic = WeightMatrix(
+            n, {pair: Fraction(rng.randint(-3, 4), rng.choice((1, 2, 4))) for pair in shape.weights}
+        )
+        as_float = WeightMatrix(n, {pair: float(v) for pair, v in dyadic.items()})
+        assert _oracle_results(dyadic) == _oracle_results(as_float)
+
+
+def test_exact_sweep_with_coprime_denominators_matches_brute_force():
+    rng = Random(23)
+    units = [Fraction(1, 3), Fraction(1, 5), Fraction(1, 7), Fraction(1, 2**61 - 1)]
+    for _ in range(20):
+        n = rng.randint(1, 3)
+        shape = _random_matrix(rng, n, rng.randint(1, 4), rng.randint(1, 4))
+        w = WeightMatrix(n, {pair: rng.randint(-5, 6) * rng.choice(units) for pair in shape.weights})
+        rect, value = max_weight_rectangle(w)
+        assert type(value) is Fraction
+        assert value == _brute_force_max(w)
+        assert rect_weight(w, rect) == value
+        rect, value = max_weight_rectangle_avoiding_disjoint(w)
+        assert value == _brute_force_max(w, avoid_disjoint_family())
+        assert rect_weight(w, rect) == value
+
+
+def test_oracle_value_type_follows_the_weights():
+    pairs = [InputPair.from_bits(x, y) for x in ("01", "11") for y in ("10", "11")]
+    ints = WeightMatrix(2, {p: v for p, v in zip(pairs, (3, -1, 2, 1))})
+    fractions = ints.scale(Fraction(1, 3))
+    floats = WeightMatrix(2, {p: float(v) for p, v in ints.items()})
+    mixed = WeightMatrix(2, {**fractions.weights, pairs[0]: 1.5})
+    assert max_weight_rectangle(ints) == (Rectangle.from_bits(["01", "11"], ["10"]), Fraction(5))
+    assert type(max_weight_rectangle(ints)[1]) is Fraction
+    assert max_weight_rectangle(fractions)[1] == Fraction(5, 3)
+    assert type(max_weight_rectangle(fractions)[1]) is Fraction
+    assert max_weight_rectangle(floats)[1] == 5.0
+    assert type(max_weight_rectangle(floats)[1]) is float
+    # One float weight sends the whole matrix down the float path.
+    assert type(max_weight_rectangle(mixed)[1]) is float
+    assert max_weight_rectangle(mixed)[1] == pytest.approx(1.5 + 2 / 3)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**6 - 1), st.integers(0, 2**6 - 1), st.randoms(use_true_random=False))
 def test_oracle_dominates_random_rectangles(rmask, cmask, pyrng):
