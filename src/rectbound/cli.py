@@ -430,18 +430,13 @@ def cmd_protocol(args) -> tuple[dict, int]:
             raise ParameterRangeError("permute composes a search protocol")
         if args.choose is None:
             raise ParameterRangeError("permute needs --choose")
-        if args.n * args.k > 6 and (args.perm_samples is None or args.seed is None):
-            raise ParameterRangeError(
-                "too many positions to enumerate permutations; pass --perm-samples and --seed"
-            )
-        base_rep = _measure(base, task, args)
+        # Composed first: the library refuses past its permutation limit
+        # before the base is measured.
         proto = reduce_search_from_kfold(
             base, args.n, args.k, args.choose, perm_samples=args.perm_samples, seed=args.seed
         )
+        base_rep = _measure(base, task, args)
         task = TaskSpec("search-choose", args.n, args.k, choose=args.choose)
-        side = 1 << task.input_bits
-        if side * side > exact_protocol_cap():
-            raise ParameterRangeError("permute composition is evaluated exhaustively; shrink n or k")
         promise = [
             (x, y)
             for x, y in enumerate_inputs(task)

@@ -86,12 +86,6 @@ class BitString:
             raise DimensionMismatchError(f"universe mismatch: {self.n} vs {other.n}")
         return (self.mask & other.mask).bit_count()
 
-    def contains_coords(self, coords: Iterable[int]) -> bool:
-        m = 0
-        for c in coords:
-            m |= 1 << (c - 1)
-        return self.mask & m == m
-
     def __str__(self) -> str:
         return self.bits()
 

@@ -30,6 +30,7 @@ from .model import (
     KIND_SMOOTH,
     RectangleFamily,
     _as_fraction,
+    _pow2,
     avoid_disjoint_family,
     witness_family,
 )
@@ -39,15 +40,6 @@ MODE_ORACLE = "oracle"
 MODE_AUTO = "auto"
 
 _EXHAUSTIVE_STEP_LIMIT = 1 << 22
-
-
-def _pow2(exponent: Fraction, what: str) -> Fraction:
-    if exponent.denominator != 1:
-        raise ParameterRangeError(
-            f"{what} must be an integer so the scale stays an exact power of two, got {exponent}"
-        )
-    e = int(exponent)
-    return Fraction(2) ** e
 
 
 @dataclass(frozen=True)

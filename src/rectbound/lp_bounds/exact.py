@@ -9,12 +9,22 @@ and Bland's pivot sequence are those of the dense tableau.
 Dual convention for `min c.x  s.t.  A x (sense) b, x >= 0`: the returned row
 multipliers y satisfy `A^T y <= c` componentwise and `y.b == optimum`, with
 y_i >= 0 on `>=` rows, y_i <= 0 on `<=` rows, free on `==` rows.
+
+The duals are read off the final objective row.  Each normalized row i
+(negated when its rhs is negative) starts the basis on an identity column:
+its slack when that enters with +1, else an artificial.  That column costs 0
+in phase 2 and holds B^-1 e_i in every later tableau, so its reduced cost is
+-(c_B B^-1)_i and `y_i = -row_sign_i * obj[identity_col_i]`.  This holds
+also for a row phase 1 drops as redundant: its artificial stays basic in a
+row no later pivot touches.  `A^T y <= c` and the signs are the nonnegative
+reduced costs of the structural and slack columns; `y.b == c_B B^-1 b`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from ..errors import ConvergenceError, ParameterRangeError
 
@@ -37,33 +47,23 @@ class SimplexResult:
     iterations: int
 
 
-def _eliminate(rows, row, col) -> list[tuple[int, Fraction]]:
-    """Scale rows[row] to a 1 in column col and clear col from the other rows.
+def _pivot(tableau, obj, basis, row, col) -> None:
+    """Scale tableau[row] to a 1 in column col and clear col from every other line.
 
-    Rows are updated in place, which is safe because no row list is shared.
-    Returns the scaled pivot row's nonzeros as (column, value) pairs.
+    Lines are updated in place, which is safe because no line is shared.
     """
-    prow = rows[row]
+    prow = tableau[row]
     inv = _ONE / prow[col]
     nonzero = []
     for j, v in enumerate(prow):
         if v:
             prow[j] = v = v * inv
             nonzero.append((j, v))
-    for i, trow in enumerate(rows):
-        f = trow[col]
-        if f and i != row:
+    for line in chain(tableau, (obj,)):
+        f = line[col]
+        if f and line is not prow:
             for j, b in nonzero:
-                trow[j] -= f * b
-    return nonzero
-
-
-def _pivot(tableau, obj, basis, row, col) -> None:
-    nonzero = _eliminate(tableau, row, col)
-    f = obj[col]
-    if f:
-        for j, b in nonzero:
-            obj[j] -= f * b
+                line[j] -= f * b
     basis[row] = col
 
 
@@ -106,88 +106,51 @@ def _run_phase(tableau, obj, basis, banned, iterations) -> tuple[str, int]:
             raise ConvergenceError(f"simplex exceeded {_MAX_PIVOTS} pivots")
 
 
-def _solve_transposed(columns, rhs):
-    """Solve B^T y = rhs by Gaussian elimination; columns are the rows of B^T."""
-    m = len(rhs)
-    aug = [list(columns[i]) + [rhs[i]] for i in range(m)]
-    where = [-1] * m
-    row = 0
-    for col in range(m):
-        pivot_row = next((r for r in range(row, m) if aug[r][col]), None)
-        if pivot_row is None:
-            continue
-        aug[row], aug[pivot_row] = aug[pivot_row], aug[row]
-        _eliminate(aug, row, col)
-        where[col] = row
-        row += 1
-    y = [_ZERO] * m
-    for col in range(m):
-        if where[col] >= 0:
-            y[col] = aug[where[col]][-1]
-    return y
-
-
 def solve_exact_lp(costs, rows) -> SimplexResult:
     """Minimize costs.x over x >= 0 subject to rows of (coeffs, sense, rhs)."""
     nstruct = len(costs)
     costs = [Fraction(c) for c in costs]
-    m = len(rows)
     for coeffs, sense, _ in rows:
         if len(coeffs) != nstruct:
             raise ParameterRangeError("constraint width does not match the cost vector")
         if sense not in (">=", "<=", "=="):
             raise ParameterRangeError(f"unknown sense {sense!r}")
 
-    # Normalized equations: structural columns, then one slack or surplus per
-    # inequality, then artificials.  Rows with negative rhs are negated first.
+    # Columns: structural, then one slack or surplus per inequality, then the
+    # artificials.  A row with negative rhs is negated first.  Each row starts
+    # the basis on an identity column: its slack when that enters with +1,
+    # otherwise an artificial of its own.
     nslack = sum(1 for _, sense, _ in rows if sense != "==")
     ncols = nstruct + nslack
-    eq_rows: list[list[Fraction]] = []
-    eq_rhs: list[Fraction] = []
-    row_sign: list[int] = []
-    slack_col_of_row: list[int | None] = []
-    slack_at = nstruct
-    for coeffs, sense, rhs in rows:
-        line = [Fraction(v) for v in coeffs] + [_ZERO] * nslack
-        rhs = Fraction(rhs)
-        col = None
-        if sense != "==":
-            col = slack_at
-            line[col] = _ONE if sense == "<=" else -_ONE
-            slack_at += 1
-        if rhs < 0:
-            line = [-v for v in line]
-            rhs = -rhs
-            row_sign.append(-1)
-        else:
-            row_sign.append(1)
-        eq_rows.append(line)
-        eq_rhs.append(rhs)
-        slack_col_of_row.append(col)
-
-    # Initial basis: the slack when it enters with +1, an artificial otherwise.
-    basis: list[int] = []
-    art_cols: set[int] = set()
-    for i in range(m):
-        col = slack_col_of_row[i]
-        if col is not None and eq_rows[i][col] == 1:
-            basis.append(col)
-        else:
-            art = ncols + len(art_cols)
-            art_cols.add(art)
-            basis.append(art)
-    total_cols = ncols + len(art_cols)
     tableau: list[list[Fraction]] = []
-    art_seen = 0
-    for i in range(m):
-        line = eq_rows[i] + [_ZERO] * len(art_cols) + [eq_rhs[i]]
-        if basis[i] >= ncols:
-            line[ncols + art_seen] = _ONE
-            art_seen += 1
+    row_sign: list[int] = []
+    identity_col: list[int] = []
+    slack_at = nstruct
+    art_at = ncols
+    for coeffs, sense, rhs in rows:
+        rhs = Fraction(rhs)
+        sign = -1 if rhs < 0 else 1
+        line = [sign * Fraction(v) for v in coeffs] + [_ZERO] * nslack + [sign * rhs]
+        slack = 0
+        if sense != "==":
+            slack = sign if sense == "<=" else -sign
+            line[slack_at] = Fraction(slack)
+            slack_at += 1
+        if slack == 1:
+            identity_col.append(slack_at - 1)
+        else:
+            identity_col.append(art_at)
+            art_at += 1
         tableau.append(line)
+        row_sign.append(sign)
+    total_cols = art_at
+    art_cols = set(range(ncols, total_cols))
+    for line, col in zip(tableau, identity_col):
+        line[-1:-1] = [_ZERO] * len(art_cols)  # artificials go before the rhs
+        line[col] = _ONE
+    basis = list(identity_col)
 
     iterations = 0
-    kept = list(range(m))
     if art_cols:
         phase1_costs = [_ZERO] * ncols + [_ONE] * len(art_cols)
         obj = _reduced_costs(phase1_costs, tableau, basis, total_cols)
@@ -200,7 +163,8 @@ def solve_exact_lp(costs, rows) -> SimplexResult:
         if infeasibility > 0:
             return SimplexResult(STATUS_INFEASIBLE, None, (), (), iterations)
         # Drive zero-valued artificials out; a row with no real pivot is
-        # redundant and leaves the tableau (its dual is fixed at zero).
+        # redundant and leaves the tableau.  No later pivot could change it:
+        # phase 2 pivots only on structural and slack columns, where it is 0.
         drop: list[int] = []
         for i in range(len(basis)):
             if basis[i] < ncols:
@@ -214,30 +178,21 @@ def solve_exact_lp(costs, rows) -> SimplexResult:
         for i in reversed(drop):
             del tableau[i]
             del basis[i]
-            del kept[i]
 
     phase2_costs = costs + [_ZERO] * (total_cols - nstruct)
     obj = _reduced_costs(phase2_costs, tableau, basis, total_cols)
     status, iterations = _run_phase(tableau, obj, basis, art_cols, iterations)
     if status == STATUS_UNBOUNDED:
         return SimplexResult(STATUS_UNBOUNDED, None, (), (), iterations)
+    if any(bj >= ncols for bj in basis):
+        raise ConvergenceError("artificial column left in the final basis")
 
     x = [_ZERO] * nstruct
     for i, bj in enumerate(basis):
         if bj < nstruct:
             x[bj] = tableau[i][-1]
     objective = sum((costs[j] * x[j] for j in range(nstruct)), _ZERO)
-
-    # Duals from the optimal basis of the surviving normalized rows.
-    columns = []
-    cb = []
-    for i, bj in enumerate(basis):
-        if bj >= ncols:
-            raise ConvergenceError("artificial column left in the final basis")
-        columns.append([eq_rows[kept[r]][bj] for r in range(len(kept))])
-        cb.append(phase2_costs[bj])
-    y_kept = _solve_transposed(columns, cb) if kept else []
-    duals = [_ZERO] * m
-    for pos, i in enumerate(kept):
-        duals[i] = row_sign[i] * y_kept[pos]
-    return SimplexResult(STATUS_OPTIMAL, objective, tuple(x), tuple(duals), iterations)
+    # An identity column costs 0 in phase 2, so its reduced cost is minus the
+    # row's multiplier in c_B B^-1 (see the module docstring).
+    duals = tuple(-sign * obj[col] for sign, col in zip(row_sign, identity_col))
+    return SimplexResult(STATUS_OPTIMAL, objective, tuple(x), duals, iterations)

@@ -66,6 +66,15 @@ def _as_fraction(value, name: str) -> Fraction:
     raise ParameterRangeError(f"{name} must be an exact rational, got {type(value).__name__}")
 
 
+def _pow2(exponent: Fraction, what: str) -> Fraction:
+    """2^exponent, refused unless the exponent is an integer (so it stays exact)."""
+    if exponent.denominator != 1:
+        raise ParameterRangeError(
+            f"{what} must be an integer so 2^({what}) stays an exact rational, got {exponent}"
+        )
+    return Fraction(2) ** int(exponent)
+
+
 @dataclass(frozen=True)
 class RectangleFamily:
     """Descriptor of the rectangle variable family of an LP."""
@@ -326,12 +335,7 @@ def apply_ambiguity_variant(lp: LPInstance, eps_rate, k: int) -> LPInstance:
     rate = _as_fraction(eps_rate, "eps_rate")
     if rate < 0:
         raise ParameterRangeError(f"ambiguity rate must be nonnegative, got {rate}")
-    exponent = rate * k
-    if exponent.denominator != 1:
-        raise ParameterRangeError(
-            f"eps_rate * k must be an integer for an exact rational bound, got {exponent}"
-        )
-    rhs = Fraction(2) ** int(exponent)
+    rhs = _pow2(rate * k, "eps_rate * k")
     new_rows = tuple(
         replace(c, rhs=rhs) if c.klass == CLASS_PARTITION else c for c in lp.constraints
     )

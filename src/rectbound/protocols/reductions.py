@@ -18,7 +18,6 @@ from random import Random
 from ..errors import CapExceededError, ParameterRangeError
 from .core import AnyProtocol, ProgramProtocol, RandomizedProtocol, as_randomized
 from .library import index_bits
-from .tasks import block
 
 _BRANCH_LIMIT = 4096
 _EXACT_PERMUTATION_LIMIT = 6

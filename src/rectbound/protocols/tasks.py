@@ -72,10 +72,6 @@ def block(mask: int, j: int, n: int) -> int:
     return (mask >> (j * n)) & ((1 << n) - 1)
 
 
-def blocks(mask: int, k: int, n: int) -> tuple[int, ...]:
-    return tuple(block(mask, j, n) for j in range(k))
-
-
 def ndisj_truth(task: TaskSpec, x: int, y: int) -> int:
     """k-bit mask, bit j set iff block j of x and y intersect."""
     out = 0
@@ -132,9 +128,9 @@ def classify(task: TaskSpec, x: int, y: int, output) -> Verdict:
     return Verdict.CORRECT
 
 
-def enumerate_inputs(task: TaskSpec, cap: int | None = None) -> Iterator[tuple[int, int]]:
+def enumerate_inputs(task: TaskSpec) -> Iterator[tuple[int, int]]:
     """Every (x, y), y fastest; refuses spaces past the exact-run cap."""
-    limit = exact_protocol_cap() if cap is None else cap
+    limit = exact_protocol_cap()
     side = 1 << task.input_bits
     if side * side > limit:
         raise CapExceededError(

@@ -207,7 +207,7 @@ def rect_weight(w: WeightMatrix, r: Rectangle) -> Weight:
     return total
 
 
-def _max_rectangle(w: WeightMatrix, cap: int | None, avoid_disjoint: bool) -> tuple[Rectangle, Weight]:
+def _max_rectangle(w: WeightMatrix, avoid_disjoint: bool) -> tuple[Rectangle, Weight]:
     """Gray-code sweep over the row subsets of the smaller side.
 
     For a fixed row set the best columns are exactly the admissible ones with
@@ -230,7 +230,7 @@ def _max_rectangle(w: WeightMatrix, cap: int | None, avoid_disjoint: bool) -> tu
     transposed = len(rows) > len(cols)
     if transposed:
         rows, cols = cols, rows
-    limit = oracle_subset_cap() if cap is None else cap
+    limit = oracle_subset_cap()
     if 2 ** len(rows) > limit:
         raise CapExceededError(
             f"{2 ** len(rows)} row subsets exceed the oracle cap {limit}; "
@@ -284,9 +284,9 @@ def _max_rectangle(w: WeightMatrix, cap: int | None, avoid_disjoint: bool) -> tu
     return Rectangle(w.n, best_rows, best_cols), best_value
 
 
-def max_weight_rectangle(w: WeightMatrix, cap: int | None = None) -> tuple[Rectangle, Weight]:
+def max_weight_rectangle(w: WeightMatrix) -> tuple[Rectangle, Weight]:
     """Exact maximum of rect_weight over all rectangles (empty admitted, value 0)."""
-    return _max_rectangle(w, cap, avoid_disjoint=False)
+    return _max_rectangle(w, avoid_disjoint=False)
 
 
 def max_weight_rectangle_in_rv(
@@ -319,7 +319,7 @@ def max_weight_rectangle_avoiding_disjoint(w: WeightMatrix) -> tuple[Rectangle, 
     every member row) is independent of the other columns, so the greedy
     positive-column rule still applies among admissible columns.
     """
-    return _max_rectangle(w, None, avoid_disjoint=True)
+    return _max_rectangle(w, avoid_disjoint=True)
 
 
 def witness_set(r: Rectangle, k: int) -> WitnessSet | None:
@@ -399,9 +399,7 @@ def decompose_by_witness(r: Rectangle, k: int, p: MuParams) -> DecompositionRepo
     return DecompositionReport(k=k, params=p, lhs=lhs, rhs=rhs, family=tuple(family))
 
 
-def enumerate_rectangles(
-    xs: Iterable[BitString], ys: Iterable[BitString], cap: int | None = None
-) -> Iterator[Rectangle]:
+def enumerate_rectangles(xs: Iterable[BitString], ys: Iterable[BitString]) -> Iterator[Rectangle]:
     """Every rectangle over the given axis labels, empty ones included."""
     rows = sorted(set(xs))
     cols = sorted(set(ys))
@@ -410,7 +408,7 @@ def enumerate_rectangles(
     n = (rows or cols)[0].n
     if any(s.n != n for s in rows + cols):
         raise DimensionMismatchError(f"axis labels do not share universe size {n}")
-    limit = rectangle_cap() if cap is None else cap
+    limit = rectangle_cap()
     count = 2 ** len(rows) * 2 ** len(cols)
     if count > limit:
         raise CapExceededError(

@@ -292,6 +292,19 @@ def test_protocol_flag_conflicts(capsys):
     assert code == 1
 
 
+def test_protocol_permute_past_the_permutation_limit_exits_1(capsys):
+    # 7! permutations are past the exact limit and no sample was asked for;
+    # the library's refusal reaches the user as a plain exit 1.
+    code, out, err = run_cli(
+        capsys,
+        "protocol", "--proto", "trivial-search-kfold", "--n", "7", "--k", "1",
+        "--compose", "permute", "--choose", "1",
+    )
+    assert code == 1
+    assert out == ""
+    assert "permutations" in err
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(

@@ -1,8 +1,12 @@
-"""Hand-check LPs for the exact rational simplex."""
+"""Hand-check LPs for the exact rational simplex, and a differential test
+against HiGHS on random small LPs."""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from rectbound.errors import ConvergenceError, ParameterRangeError
 from rectbound.lp_bounds import exact
@@ -103,3 +107,80 @@ def test_phase_one_failure_raises_convergence_error(monkeypatch):
     monkeypatch.setattr(exact, "_run_phase", lambda tableau, obj, basis, banned, it: (STATUS_UNBOUNDED, it))
     with pytest.raises(ConvergenceError):
         solve_exact_lp([F(1)], [([F(1)], ">=", F(2))])
+
+
+_SENSES = st.sampled_from((">=", "<=", "=="))
+
+
+@st.composite
+def _small_lps(draw):
+    """1-4 variables, 1-6 rows, nonnegative costs.
+
+    Up to two rows are copies or sums of others, equations when their sources
+    all are, so phase 1 meets redundant rows and drops them.  The costs stay
+    nonnegative: every LP is then bounded, and HiGHS need not tell an
+    unbounded LP from an infeasible one.
+    """
+    nvars = draw(st.integers(1, 4))
+    row = st.tuples(
+        st.lists(st.integers(-3, 3), min_size=nvars, max_size=nvars),
+        _SENSES,
+        st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+    )
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    for picks in draw(st.lists(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=2), max_size=2)):
+        senses = {rows[i][1] for i in picks}
+        sense = senses.pop() if len(senses) == 1 else draw(_SENSES)
+        coeffs = [sum(rows[i][0][j] for i in picks) for j in range(nvars)]
+        rows.append((coeffs, sense, sum(rows[i][2] for i in picks)))
+    rows = [rows[i] for i in draw(st.permutations(range(len(rows))))]
+    costs = draw(st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars))
+    return costs, rows
+
+
+def _highs(costs, rows):
+    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    for coeffs, sense, rhs in rows:
+        if sense == "==":
+            a_eq.append(coeffs)
+            b_eq.append(float(rhs))
+        else:
+            sign = 1 if sense == "<=" else -1
+            a_ub.append([sign * v for v in coeffs])
+            b_ub.append(sign * float(rhs))
+    return linprog(
+        costs,
+        A_ub=a_ub or None,
+        b_ub=b_ub or None,
+        A_eq=a_eq or None,
+        b_eq=b_eq or None,
+        bounds=(0, None),
+        method="highs",
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_lps())
+def test_exact_simplex_agrees_with_highs_and_its_duals_certify(lp):
+    costs, rows = lp
+    res = solve_exact_lp(costs, rows)
+    ref = _highs(costs, rows)
+    assert ref.status in (0, 2)  # nonnegative costs: optimal or infeasible
+    assert res.status == (STATUS_OPTIMAL if ref.status == 0 else STATUS_INFEASIBLE)
+    if res.status != STATUS_OPTIMAL:
+        return
+    assert abs(float(res.objective) - ref.fun) <= 1e-9
+    # the primal is feasible and attains the optimum, exactly
+    assert all(v >= 0 for v in res.x)
+    assert sum(c * v for c, v in zip(costs, res.x)) == res.objective
+    for coeffs, sense, rhs in rows:
+        lhs = sum(a * v for a, v in zip(coeffs, res.x))
+        assert {"<=": lhs <= rhs, ">=": lhs >= rhs, "==": lhs == rhs}[sense]
+    # the duals certify it, exactly: y.b == optimum, A^T y <= c, signs by sense
+    y = res.duals
+    assert len(y) == len(rows)
+    assert sum(yi * rhs for yi, (_, _, rhs) in zip(y, rows)) == res.objective
+    for j, c in enumerate(costs):
+        assert sum(yi * coeffs[j] for yi, (coeffs, _, _) in zip(y, rows)) <= c
+    for yi, (_, sense, _) in zip(y, rows):
+        assert {"<=": yi <= 0, ">=": yi >= 0, "==": True}[sense]

@@ -176,13 +176,14 @@ def test_task_validation():
         TaskSpec("search-choose", 2, 2)
 
 
-def test_enumerate_inputs_cap():
+def test_enumerate_inputs_cap(monkeypatch):
     task = TaskSpec("ndisj-kfold", 2, 1)
     pairs = list(enumerate_inputs(task))
     assert len(pairs) == 16
     assert pairs[0] == (0, 0) and pairs[-1] == (3, 3)
+    monkeypatch.setenv("RECTBOUND_EXACT_PROTOCOL_CAP", "15")
     with pytest.raises(CapExceededError):
-        list(enumerate_inputs(task, cap=15))
+        list(enumerate_inputs(task))
 
 
 def test_structural_census_counts_unreachable_leaves():

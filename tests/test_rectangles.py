@@ -225,10 +225,11 @@ def test_avoiding_disjoint_oracle_excludes_disjoint_pairs():
         assert value <= plain
 
 
-def test_oracle_subset_cap_enforced():
+def test_oracle_subset_cap_enforced(monkeypatch):
     w = WeightMatrix.from_mu(MuParams(1, 4, 2))
+    monkeypatch.setenv("RECTBOUND_ORACLE_SUBSET_CAP", "4")
     with pytest.raises(CapExceededError):
-        max_weight_rectangle(w, cap=4)
+        max_weight_rectangle(w)
 
 
 def test_witness_set_lex_smallest():
@@ -257,12 +258,13 @@ def test_decomposition_identity_small():
         decompose_by_witness(r, 1, MuParams(1, 5, 2))
 
 
-def test_enumerate_rectangles_counts_and_cap():
+def test_enumerate_rectangles_counts_and_cap(monkeypatch):
     xs = [BitString(1, 0), BitString(1, 1)]
     rects = list(enumerate_rectangles(xs, xs))
     assert len(rects) == 16  # subsets of a 2x2 grid of labels
+    monkeypatch.setenv("RECTBOUND_RECTANGLE_CAP", "8")
     with pytest.raises(CapExceededError):
-        list(enumerate_rectangles(xs, xs, cap=8))
+        list(enumerate_rectangles(xs, xs))
 
 
 def test_string_masks_and_witness_strings_match_brute_force():
