@@ -77,9 +77,9 @@ def solve_full_enumeration(lp: LPInstance) -> LPResult:
     live_cover = covering_columns([pairs[ridx] for ridx in live_rows], [members[j] for j in keep])
     for ridx, cover in zip(live_rows, live_cover):
         c = lp.constraints[ridx]
-        coeffs = [Fraction(0)] * len(keep)
+        coeffs = [0] * len(keep)
         for pos in cover:
-            coeffs[pos] = Fraction(1)
+            coeffs[pos] = 1
         if not cover and c.sense == SENSE_GE and c.rhs > 0:
             return LPResult(
                 status=STATUS_INFEASIBLE,
@@ -94,7 +94,7 @@ def solve_full_enumeration(lp: LPInstance) -> LPResult:
             )
         rows.append((coeffs, c.sense, c.rhs))
 
-    res = solve_exact_lp([Fraction(1)] * len(keep), rows)
+    res = solve_exact_lp([1] * len(keep), rows)
     if res.status != STATUS_OPTIMAL:
         return LPResult(
             status=res.status,

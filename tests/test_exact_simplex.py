@@ -1,7 +1,9 @@
-"""Hand-check LPs for the exact rational simplex, and a differential test
-against HiGHS on random small LPs."""
+"""Hand-check LPs for the exact rational simplex, and differential tests
+against HiGHS on random small LPs, with integer and with rational rows."""
 
 from fractions import Fraction
+from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -179,6 +181,85 @@ def test_exact_simplex_agrees_with_highs_and_its_duals_certify(lp):
     # the duals certify it, exactly: y.b == optimum, A^T y <= c, signs by sense
     y = res.duals
     assert len(y) == len(rows)
+    assert sum(yi * rhs for yi, (_, _, rhs) in zip(y, rows)) == res.objective
+    for j, c in enumerate(costs):
+        assert sum(yi * coeffs[j] for yi, (coeffs, _, _) in zip(y, rows)) <= c
+    for yi, (_, sense, _) in zip(y, rows):
+        assert {"<=": yi <= 0, ">=": yi >= 0, "==": True}[sense]
+
+
+_M61 = 2**61 - 1
+_PIVOT = exact._pivot
+
+
+def _near_integers(low):
+    """k + j/(2^61 - 1) for k in low..3 and j in 0..3."""
+    return st.builds(lambda k, j: Fraction(k * _M61 + j, _M61), st.integers(low, 3), st.integers(0, 3))
+
+
+def _pivot_checking_lines(tableau, obj, basis, row, col):
+    """The pivot, then: every denominator is positive, and every line the
+    pivot eliminated from is in lowest terms."""
+    lines = (*tableau, obj)
+    eliminated = [line for line in lines if line[col] and line is not tableau[row]]
+    _PIVOT(tableau, obj, basis, row, col)
+    assert all(line[-1] > 0 for line in lines)
+    assert all(gcd(*line) == 1 for line in eliminated)
+
+
+@st.composite
+def _rational_lps(draw):
+    """1-3 variables, 1-6 rows of Fractions over 3, 5 and 7, rhs of either sign.
+
+    Up to two rows are sums of others, or their negations with the sense
+    flipped, so phase 1 leaves zero-valued artificials behind and drives them
+    out on negative entries.  Each row is then scaled by k + j/(2^61 - 1), k
+    in 1..3: the feasible set stays that of the rows HiGHS sees, whose floats
+    the factor does not move, while the exact solver sees the prime
+    denominator in every cell.  Costs are k + j/(2^61 - 1), k in 0..3.
+    """
+    nvars = draw(st.integers(1, 3))
+    frac = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 3, 5, 7)))
+    row = st.tuples(
+        st.lists(frac, min_size=nvars, max_size=nvars),
+        _SENSES,
+        st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 3, 5, 7))),
+    )
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    flip = {">=": "<=", "<=": ">=", "==": "=="}
+    for picks in draw(st.lists(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=2), max_size=2)):
+        senses = {rows[i][1] for i in picks}
+        sense = senses.pop() if len(senses) == 1 else draw(_SENSES)
+        coeffs = [sum(rows[i][0][j] for i in picks) for j in range(nvars)]
+        rhs = sum(rows[i][2] for i in picks)
+        if draw(st.booleans()):
+            coeffs, sense, rhs = [-v for v in coeffs], flip[sense], -rhs
+        rows.append((coeffs, sense, rhs))
+    scales = draw(st.lists(_near_integers(1), min_size=len(rows), max_size=len(rows)))
+    rows = [([s * v for v in coeffs], sense, s * rhs) for (coeffs, sense, rhs), s in zip(rows, scales)]
+    rows = [rows[i] for i in draw(st.permutations(range(len(rows))))]
+    return draw(st.lists(_near_integers(0), min_size=nvars, max_size=nvars)), rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rational_lps())
+def test_exact_simplex_on_fractions_and_negative_rhs_agrees_with_highs(lp):
+    costs, rows = lp
+    with mock.patch.object(exact, "_pivot", _pivot_checking_lines):
+        res = solve_exact_lp(costs, rows)
+    ref = _highs([float(c) for c in costs], [([float(v) for v in a], s, b) for a, s, b in rows])
+    assert ref.status in (0, 2)
+    assert res.status == (STATUS_OPTIMAL if ref.status == 0 else STATUS_INFEASIBLE)
+    if res.status != STATUS_OPTIMAL:
+        return
+    assert abs(float(res.objective) - ref.fun) <= 1e-9
+    assert all(type(v) is Fraction for v in (res.objective, *res.x, *res.duals))
+    assert all(v >= 0 for v in res.x)
+    assert sum(c * v for c, v in zip(costs, res.x)) == res.objective
+    for coeffs, sense, rhs in rows:
+        lhs = sum(a * v for a, v in zip(coeffs, res.x))
+        assert {"<=": lhs <= rhs, ">=": lhs >= rhs, "==": lhs == rhs}[sense]
+    y = res.duals
     assert sum(yi * rhs for yi, (_, _, rhs) in zip(y, rows)) == res.objective
     for j, c in enumerate(costs):
         assert sum(yi * coeffs[j] for yi, (coeffs, _, _) in zip(y, rows)) <= c
