@@ -1,50 +1,100 @@
-"""Resource caps guarding the exhaustive code paths.
+"""Every resource limit of the package, and the one refusal past them.
 
-Each cap can be overridden by an environment variable so oversized but
-deliberate runs do not require code edits.
+Exhaustive paths are guarded so a typo cannot wedge the machine.  Four
+limits read an environment override (the RECTBOUND_*_CAP variables) so
+oversized but deliberate runs need no code edit; the other eight are fixed.
+`Limit.check` is the one refusal: past the limit it raises the limit's
+error type, CapExceededError unless the limit says otherwise, with a
+message naming the count, the limit and its override variable.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 
-_ENV_PREFIX = "RECTBOUND_"
-
-# Largest distribution support that enumerate_support will materialize.
-DEFAULT_SUPPORT_CAP = 10**7
-# Largest number of row subsets the max-weight oracle will sweep.
-DEFAULT_ORACLE_SUBSET_CAP = 2**16
-# Largest rectangle count enumerate_rectangles will yield.
-DEFAULT_RECTANGLE_CAP = 2**26
-# Largest input-space x coin-space product for exact protocol analysis.
-DEFAULT_EXACT_PROTOCOL_CAP = 2**22
+from .errors import CapExceededError, ConvergenceError, ParameterRangeError
 
 
-def cap_value(name: str, default: int) -> int:
-    """Resolve a cap, honoring the RECTBOUND_<NAME> environment override."""
-    raw = os.environ.get(_ENV_PREFIX + name)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{_ENV_PREFIX}{name} must be an integer, got {raw!r}") from exc
-    if value <= 0:
-        raise ValueError(f"{_ENV_PREFIX}{name} must be positive, got {value}")
-    return value
+@dataclass(frozen=True)
+class Limit:
+    """A count past which a path refuses, with its optional override variable."""
+
+    default: int
+    env: str | None = None
+    error: type[Exception] = CapExceededError
+
+    @property
+    def value(self) -> int:
+        """The default, or the positive integer in the override variable."""
+        raw = None if self.env is None else os.environ.get(self.env)
+        if raw is None:
+            return self.default
+        try:
+            value = int(raw)
+        except ValueError as exc:
+            raise ParameterRangeError(f"{self.env} must be an integer, got {raw!r}") from exc
+        if value <= 0:
+            raise ParameterRangeError(f"{self.env} must be positive, got {value}")
+        return value
+
+    def fits(self, count: int) -> bool:
+        return count <= self.value
+
+    def check(self, count: int, what: str, hint: str = "") -> None:
+        """Refuse `count` of `what` when it is past the limit."""
+        if count > (limit := self.value):
+            override = f" (override: {self.env})" if self.env else ""
+            hint = f"; {hint}" if hint else ""
+            raise self.error(f"{_show(count)} {what} exceed the limit {_show(limit)}{override}{hint}")
+
+
+def _show(count: int) -> str:
+    """Powers of two from 2^20 up as 2^e, other counts in digits."""
+    if count >= 1 << 20 and count & (count - 1) == 0:
+        return f"2^{count.bit_length() - 1}"
+    return str(count)
+
+
+# Pairs in a distribution support that enumerate_support will materialize;
+# also bounds the pairs of a rectangle whose mass is summed and the string
+# pairs of a scan.
+SUPPORT_PAIRS = Limit(10**7, "RECTBOUND_SUPPORT_CAP")
+# Row subsets the max-weight rectangle oracle will sweep.
+ORACLE_SUBSETS = Limit(2**16, "RECTBOUND_ORACLE_SUBSET_CAP")
+# Rectangles enumerate_rectangles will yield.
+RECTANGLES = Limit(2**26, "RECTBOUND_RECTANGLE_CAP")
+# Input pairs (x, y) that exact protocol analysis and the leaf census run on.
+EXACT_PROTOCOL_INPUTS = Limit(2**22, "RECTBOUND_EXACT_PROTOCOL_CAP")
+# Columns x rows of an exact full-enumeration LP.
+ENUMERATION_CELLS = Limit(2_000_000)
+# Pivots of one exact simplex solve.
+SIMPLEX_PIVOTS = Limit(200_000, error=ConvergenceError)
+# Row x column subsets of one exhaustive certificate sweep.
+EXHAUSTIVE_STEPS = Limit(1 << 22)
+# Size-m strings per side in the sampling-lemma scan.
+SCAN_STRINGS = Limit(4096)
+# Coin branches of a halving composition.
+HALVING_BRANCHES = Limit(4096)
+# Coordinates k*n whose permutations are all enumerated exactly.
+EXACT_PERMUTATION_WIDTH = Limit(6)
+# Branches (permutations x base coin branches) of a permutation mixture.
+MIXTURE_BRANCHES = Limit(32_768)
+# Universe size n of the explicit-tree trivial-ndisj protocol.
+TREE_N = Limit(12, error=ParameterRangeError)
 
 
 def support_cap() -> int:
-    return cap_value("SUPPORT_CAP", DEFAULT_SUPPORT_CAP)
+    return SUPPORT_PAIRS.value
 
 
 def oracle_subset_cap() -> int:
-    return cap_value("ORACLE_SUBSET_CAP", DEFAULT_ORACLE_SUBSET_CAP)
+    return ORACLE_SUBSETS.value
 
 
 def rectangle_cap() -> int:
-    return cap_value("RECTANGLE_CAP", DEFAULT_RECTANGLE_CAP)
+    return RECTANGLES.value
 
 
 def exact_protocol_cap() -> int:
-    return cap_value("EXACT_PROTOCOL_CAP", DEFAULT_EXACT_PROTOCOL_CAP)
+    return EXACT_PROTOCOL_INPUTS.value

@@ -22,9 +22,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from random import Random
 
-from .caps import exact_protocol_cap
 from .combinatorics import MuParams
 from .errors import ParameterRangeError, RectboundError
 from .lp_bounds import (
@@ -52,6 +50,7 @@ from .protocols import (
     cost_profile,
     intersecting_blocks,
     make_verified,
+    measured_inputs,
     reduce_ndisj_to_search,
     reduce_search_from_kfold,
     success_probability,
@@ -67,6 +66,8 @@ MODE_MC = "monte-carlo-ci"
 
 # Largest exact-vs-CG optimum gap `--solver both` accepts.
 _AGREEMENT_TOL = 1e-9
+# A sampled run profiles its bits on this many of its first sampled inputs.
+_BITS_PROBE_SAMPLES = 512
 
 
 class _Parser(argparse.ArgumentParser):
@@ -350,26 +351,6 @@ def _bits_doc(proto, inputs) -> dict:
     }
 
 
-def _probe_inputs(task: TaskSpec, samples: int | None, seed: int | None, limit: int = 512):
-    """Inputs for the bits histogram; sampled when enumeration is too big."""
-    side = 1 << task.input_bits
-    if side * side <= exact_protocol_cap():
-        return list(enumerate_inputs(task))
-    if samples is None or seed is None:
-        raise ParameterRangeError("this input space needs --samples and --seed")
-    rng = Random(seed)
-    return [(rng.randrange(side), rng.randrange(side)) for _ in range(min(samples, limit))]
-
-
-def _measure(proto, task: TaskSpec, args):
-    side = 1 << task.input_bits
-    if side * side <= exact_protocol_cap():
-        return success_probability(proto, task)
-    if args.samples is None or args.seed is None:
-        raise ParameterRangeError("this input space needs --samples and --seed")
-    return success_probability(proto, task, samples=args.samples, seed=args.seed)
-
-
 def cmd_protocol(args) -> tuple[dict, int]:
     if args.proto == "trivial-ndisj":
         if args.k != 1:
@@ -400,12 +381,12 @@ def cmd_protocol(args) -> tuple[dict, int]:
             raise ParameterRangeError("halving composes an intersection protocol")
         if args.s is None:
             raise ParameterRangeError("halving needs --s")
-        base_rep = _measure(base, task, args)
+        base_rep = success_probability(base, task, samples=args.samples, seed=args.seed)
         proto, breakdown = reduce_ndisj_to_search(base, args.n, args.k, args.s)
         task = TaskSpec("search-kfold", args.n, args.k)
         sigma = base_rep.worst
         analytic = sigma ** (args.s + 1)
-        rep = _measure(proto, task, args)
+        rep = success_probability(proto, task, samples=args.samples, seed=args.seed)
         meets = rep.worst >= analytic
         report["compose"] = {
             "kind": "halving",
@@ -435,7 +416,7 @@ def cmd_protocol(args) -> tuple[dict, int]:
         proto = reduce_search_from_kfold(
             base, args.n, args.k, args.choose, perm_samples=args.perm_samples, seed=args.seed
         )
-        base_rep = _measure(base, task, args)
+        base_rep = success_probability(base, task, samples=args.samples, seed=args.seed)
         task = TaskSpec("search-choose", args.n, args.k, choose=args.choose)
         promise = [
             (x, y)
@@ -460,19 +441,20 @@ def cmd_protocol(args) -> tuple[dict, int]:
         }
         if not meets:
             exit_code = 2
-        report["task"] = task.describe()
-        report["worst_cost"] = proto.worst_cost
-        report["success"] = _success_doc(rep)
-        report["bits"] = _bits_doc(proto, promise)
-        return report, exit_code
     else:
         proto = base
-        rep = _measure(proto, task, args)
+        rep = success_probability(proto, task, samples=args.samples, seed=args.seed)
 
+    if args.compose == "permute":
+        probe = promise
+    else:
+        # Fewer draws from the same seed are a prefix of the measured sample.
+        samples = None if args.samples is None else min(args.samples, _BITS_PROBE_SAMPLES)
+        probe, _ = measured_inputs(task, samples, args.seed)
     report["task"] = task.describe()
     report["worst_cost"] = proto.worst_cost
     report["success"] = _success_doc(rep)
-    report["bits"] = _bits_doc(proto, _probe_inputs(task, args.samples, args.seed))
+    report["bits"] = _bits_doc(proto, probe)
     return report, exit_code
 
 

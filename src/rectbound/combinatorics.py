@@ -15,9 +15,8 @@ from itertools import combinations
 from random import Random
 from typing import Iterable, Iterator
 
-from .caps import support_cap
+from .caps import SUPPORT_PAIRS
 from .errors import (
-    CapExceededError,
     DimensionMismatchError,
     ParameterRangeError,
     SupportEmptyError,
@@ -186,9 +185,7 @@ def enumerate_support(p: MuParams) -> list[InputPair]:
     size = p.support_size
     if size == 0:
         return []
-    limit = support_cap()
-    if size > limit:
-        raise CapExceededError(f"support of {p!r} has {size} pairs, cap is {limit}")
+    SUPPORT_PAIRS.check(size, f"support pairs of {p!r}")
     out: list[InputPair] = []
     universe = range(p.n)
     for x_coords in combinations(universe, p.m):

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..combinatorics import InputPair, MuParams
-from ..errors import CapExceededError, ParameterRangeError
+from ..caps import EXHAUSTIVE_STEPS
+from ..errors import ParameterRangeError
 from ..rectangles import Rectangle, WeightMatrix, WitnessSet, witness_set, witness_sets
 from .model import (
     FAMILY_AVOID_DISJOINT,
@@ -38,8 +39,6 @@ from .model import (
 MODE_EXHAUSTIVE = "exhaustive"
 MODE_ORACLE = "oracle"
 MODE_AUTO = "auto"
-
-_EXHAUSTIVE_STEP_LIMIT = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -251,11 +250,8 @@ def _exhaustive_max(cert: DualCertificate):
         return Fraction(0), Rectangle.empty(cert.universe), None
 
     def run_block(bxs, bys, allowed_cols=None):
-        if (1 << len(bxs)) * (1 << len(bys)) > _EXHAUSTIVE_STEP_LIMIT:
-            raise CapExceededError(
-                f"exhaustive sweep over {len(bxs)}x{len(bys)} support strings "
-                "is past the step limit; use the oracle mode"
-            )
+        what = f"exhaustive sweep steps ({len(bxs)}x{len(bys)} support strings)"
+        EXHAUSTIVE_STEPS.check(1 << (len(bxs) + len(bys)), what, "use the oracle mode")
         cell_values = {
             (i, j): w.weights.get(InputPair(x, y), Fraction(0))
             for i, x in enumerate(bxs)
@@ -325,8 +321,7 @@ def verify_dual_certificate(
     sign_ok = _signs_ok(cert)
     w = cert.combined()
     if mode == MODE_AUTO:
-        nx, ny = len(w.xs()), len(w.ys())
-        small = nx + ny <= 0 or (1 << nx) * (1 << ny) <= _EXHAUSTIVE_STEP_LIMIT
+        small = EXHAUSTIVE_STEPS.fits(1 << (len(w.xs()) + len(w.ys())))
         mode = MODE_EXHAUSTIVE if small else MODE_ORACLE
     if mode == MODE_EXHAUSTIVE:
         max_weight, argmax, witness = _exhaustive_max(cert)

@@ -45,13 +45,12 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 
+from ..caps import SIMPLEX_PIVOTS
 from ..errors import ConvergenceError, ParameterRangeError
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_UNBOUNDED = "unbounded"
-
-_MAX_PIVOTS = 200_000
 
 
 @dataclass(frozen=True)
@@ -125,8 +124,7 @@ def _run_phase(tableau, obj, basis, banned, iterations) -> tuple[str, int]:
             return STATUS_UNBOUNDED, iterations
         _pivot(tableau, obj, basis, leaving, entering)
         iterations += 1
-        if iterations > _MAX_PIVOTS:
-            raise ConvergenceError(f"simplex exceeded {_MAX_PIVOTS} pivots")
+        SIMPLEX_PIVOTS.check(iterations, "simplex pivots")
 
 
 def solve_exact_lp(costs, rows) -> SimplexResult:

@@ -22,14 +22,12 @@ from itertools import combinations
 
 import numpy as np
 
-from ..caps import support_cap
+from ..caps import SCAN_STRINGS, SUPPORT_PAIRS
 from ..combinatorics import MuParams
-from ..errors import CapExceededError, ParameterRangeError
+from ..errors import ParameterRangeError
 
 MODE_EXHAUSTIVE = "exhaustive"
 MODE_SAMPLED = "sampled"
-
-_STRING_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -131,8 +129,8 @@ def sampling_lemma_scan(p: MuParams, target_k: int, cfg: ScanConfig | None = Non
 
     masks = _size_m_masks(p.n, p.m)
     count = len(masks)
-    if count > _STRING_LIMIT or count * count > support_cap():
-        raise CapExceededError(f"{count} strings per side is past the scan limit")
+    SCAN_STRINGS.check(count, "strings per side")
+    SUPPORT_PAIRS.check(count * count, "string pairs")
     arr = np.array(masks, dtype=np.int64)
     meets = np.bitwise_count(arr[:, None] & arr[None, :])
     e_base = (meets == 0).astype(np.float64)

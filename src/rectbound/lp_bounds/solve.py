@@ -24,7 +24,8 @@ from typing import Mapping
 import numpy as np
 from scipy.optimize import linprog
 
-from ..errors import CapExceededError, ConvergenceError, ParameterRangeError
+from ..caps import ENUMERATION_CELLS
+from ..errors import ConvergenceError, ParameterRangeError
 from ..rectangles import Rectangle, WeightMatrix, witness_sets
 from .exact import (
     STATUS_INFEASIBLE,
@@ -32,9 +33,8 @@ from .exact import (
     STATUS_UNBOUNDED,
     solve_exact_lp,
 )
-from .model import CLASS_COVER, LPInstance, SENSE_EQ, SENSE_GE, SENSE_LE, covering_columns, max_violation
-
-_ENUMERATION_CELL_LIMIT = 2_000_000
+from .model import CLASS_COVER, FAMILY_WITNESS, LPInstance, SENSE_EQ, SENSE_GE, SENSE_LE
+from .model import covering_columns, max_violation
 
 SOLVER_EXACT = "exact-simplex"
 SOLVER_CG = "highs-constraint-generation"
@@ -60,11 +60,11 @@ class LPResult:
 def solve_full_enumeration(lp: LPInstance) -> LPResult:
     """Exact optimum over the explicitly enumerated rectangle family."""
     members = lp.family.members(lp.n)
-    if len(members) * max(1, len(lp.constraints)) > _ENUMERATION_CELL_LIMIT:
-        raise CapExceededError(
-            f"{len(members)} columns x {len(lp.constraints)} rows is past the "
-            "full-enumeration limit; use constraint generation"
-        )
+    ENUMERATION_CELLS.check(
+        len(members) * max(1, len(lp.constraints)),
+        f"LP cells ({len(members)} columns x {len(lp.constraints)} rows)",
+        "use constraint generation",
+    )
 
     # Presolve: a <= or == row with rhs 0 pins every covering column at zero.
     pinned = [c.rhs == 0 and c.sense in (SENSE_LE, SENSE_EQ) for c in lp.constraints]
@@ -135,7 +135,7 @@ def _seed_columns(lp: LPInstance) -> dict[Rectangle, None]:
         for c in lp.constraints
         if c.klass == CLASS_COVER
     ]
-    if lp.family.kind == "witness":
+    if lp.family.kind == FAMILY_WITNESS:
         witnesses = witness_sets(lp.n, lp.family.k or 0)
         seeds += [Rectangle(lp.n, w.strings, w.strings) for w in witnesses]
     return dict.fromkeys(seeds)

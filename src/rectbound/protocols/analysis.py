@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import sqrt
-from random import Random
 from typing import Callable, Mapping
 
-from ..caps import exact_protocol_cap
-from ..errors import CapExceededError, ParameterRangeError
+from ..caps import EXACT_PROTOCOL_INPUTS
+from ..errors import ParameterRangeError
 from ..rectangles import Rectangle, string_masks
 from .core import (
     ALICE,
@@ -31,7 +30,7 @@ from .core import (
     TreeProtocol,
     as_randomized,
 )
-from .tasks import TaskSpec, Verdict, classify
+from .tasks import TaskSpec, Verdict, classify, measured_inputs
 
 MODE_EXACT = "exact-rational"
 MODE_MONTE_CARLO = "monte-carlo-ci"
@@ -92,22 +91,10 @@ def success_probability(
         raise ParameterRangeError(
             f"protocol inputs are {rand.n_alice}x{rand.n_bob} bits, task needs {task.input_bits}"
         )
-    side = 1 << task.input_bits
-    wilson = None
     if inputs is not None:
-        pairs = list(inputs)
-        mode = MODE_EXACT
-    elif side * side <= exact_protocol_cap():
-        pairs = [(x, y) for x in range(side) for y in range(side)]
-        mode = MODE_EXACT
+        pairs, sampled = list(inputs), False
     else:
-        if samples is None or seed is None:
-            raise CapExceededError(
-                f"{side * side} input pairs exceed the exact cap; pass samples= and seed="
-            )
-        rng = Random(seed)
-        pairs = [(rng.randrange(side), rng.randrange(side)) for _ in range(samples)]
-        mode = MODE_MONTE_CARLO
+        pairs, sampled = measured_inputs(task, samples, seed)
     if not pairs:
         raise ParameterRangeError("no inputs to evaluate")
 
@@ -138,17 +125,15 @@ def success_probability(
         if p_ok == 1:
             perfect += 1
     count = len(pairs)
-    if mode == MODE_MONTE_CARLO:
-        wilson = _wilson(perfect, count, z)
     return SuccessReport(
-        mode=mode,
+        mode=MODE_MONTE_CARLO if sampled else MODE_EXACT,
         worst=worst,
         average=total / count,
         rejected=total_reject / count,
         wrong=total_wrong / count,
         inputs_checked=count,
         worst_input=worst_input,
-        wilson=wilson,
+        wilson=_wilson(perfect, count, z) if sampled else None,
     )
 
 
@@ -187,15 +172,8 @@ class LeafReport:
         return sum(1 for leaf in self.leaves if accept(leaf.output))
 
 
-def _census_cap_check(n_alice: int, n_bob: int) -> None:
-    if 1 << (n_alice + n_bob) > exact_protocol_cap():
-        raise CapExceededError(
-            f"leaf census over 2^{n_alice + n_bob} inputs exceeds the exact cap"
-        )
-
-
 def _structural_census(proto: TreeProtocol) -> LeafReport:
-    _census_cap_check(proto.n_alice, proto.n_bob)
+    EXACT_PROTOCOL_INPUTS.check(1 << (proto.n_alice + proto.n_bob), "input pairs in a leaf census")
     leaves: list[LeafRectangle] = []
 
     def walk(node, xs: int, ys: int, depth: int) -> None:
@@ -234,7 +212,7 @@ def _structural_census(proto: TreeProtocol) -> LeafReport:
 
 
 def _transcript_census(proto: ProgramProtocol) -> LeafReport:
-    _census_cap_check(proto.n_alice, proto.n_bob)
+    EXACT_PROTOCOL_INPUTS.check(1 << (proto.n_alice + proto.n_bob), "input pairs in a leaf census")
     groups: dict[tuple[int, ...], dict] = {}
     consistent = True
     for x in range(1 << proto.n_alice):

@@ -7,11 +7,10 @@ and the k-fold versions exercise the packed block layout end to end.
 
 from __future__ import annotations
 
+from ..caps import TREE_N
 from ..errors import ParameterRangeError
 from .core import ALICE, BOB, Leaf, Node, ProgramProtocol, TreeProtocol
 from .tasks import block
-
-_TREE_MAX_N = 12
 
 
 def index_bits(n: int) -> int:
@@ -28,8 +27,9 @@ def trivial_ndisj(n: int) -> TreeProtocol:
     Every answer node keeps both leaves structurally present even when one
     of them is unreachable, which the leaf census is expected to count.
     """
-    if not 1 <= n <= _TREE_MAX_N:
-        raise ParameterRangeError(f"explicit tree supports 1 <= n <= {_TREE_MAX_N}, got {n}")
+    if n < 1:
+        raise ParameterRangeError(f"explicit tree needs n >= 1, got {n}")
+    TREE_N.check(n, "coordinates in an explicit tree")
 
     def build(depth: int, known_x: int):
         if depth == n:

@@ -15,12 +15,10 @@ from itertools import permutations, product
 from math import factorial
 from random import Random
 
-from ..errors import CapExceededError, ParameterRangeError
+from ..caps import EXACT_PERMUTATION_WIDTH, HALVING_BRANCHES, MIXTURE_BRANCHES
+from ..errors import ParameterRangeError
 from .core import AnyProtocol, ProgramProtocol, RandomizedProtocol, as_randomized
 from .library import index_bits
-
-_BRANCH_LIMIT = 4096
-_EXACT_PERMUTATION_LIMIT = 6
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -89,10 +87,9 @@ def reduce_ndisj_to_search(
             f"base inputs are {rand.n_alice}x{rand.n_bob} bits, expected {width}"
         )
     breakdown = ndisj_to_search_cost(n, k, s, rand.worst_cost)
-    if len(rand.branches) ** (s + 1) > _BRANCH_LIMIT:
-        raise CapExceededError(
-            f"{len(rand.branches)}^{s + 1} coin branches exceed the limit {_BRANCH_LIMIT}"
-        )
+    HALVING_BRANCHES.check(
+        len(rand.branches) ** (s + 1), f"coin branches ({len(rand.branches)}^{s + 1})"
+    )
 
     def make_run(draws):
         def run_fn(x: int, y: int):
@@ -237,14 +234,7 @@ def reduce_search_from_kfold(
         raise ParameterRangeError(
             f"base inputs are {rand.n_alice}x{rand.n_bob} bits, expected {width}"
         )
-    if width <= _EXACT_PERMUTATION_LIMIT:
-        perms = list(permutations(range(width)))
-        perm_prob = Fraction(1, factorial(width))
-    else:
-        if perm_samples is None or seed is None:
-            raise CapExceededError(
-                f"{width}! permutations exceed the exact limit; pass perm_samples= and seed="
-            )
+    if perm_samples is not None and seed is not None and not EXACT_PERMUTATION_WIDTH.fits(width):
         rng = Random(seed)
         perms = []
         for _ in range(perm_samples):
@@ -252,10 +242,15 @@ def reduce_search_from_kfold(
             rng.shuffle(perm)
             perms.append(tuple(perm))
         perm_prob = Fraction(1, perm_samples)
-    if len(perms) * len(rand.branches) > _BRANCH_LIMIT * 8:
-        raise CapExceededError(
-            f"{len(perms)} x {len(rand.branches)} branches exceed the mixture limit"
-        )
+    else:
+        hint = "sample permutations with perm_samples= and seed= (--perm-samples, --seed)"
+        EXACT_PERMUTATION_WIDTH.check(width, "coordinates to permute exactly", hint)
+        perms = list(permutations(range(width)))
+        perm_prob = Fraction(1, factorial(width))
+    MIXTURE_BRANCHES.check(
+        len(perms) * len(rand.branches),
+        f"mixture branches ({len(perms)} permutations x {len(rand.branches)} coin branches)",
+    )
 
     def make_run(perm, det):
         def run_fn(x: int, y: int):

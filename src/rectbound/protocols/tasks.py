@@ -19,10 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from random import Random
 from typing import Iterator
 
-from ..caps import exact_protocol_cap
-from ..errors import CapExceededError, ParameterRangeError
+from ..caps import EXACT_PROTOCOL_INPUTS
+from ..errors import ParameterRangeError
 
 KIND_NDISJ_KFOLD = "ndisj-kfold"
 KIND_SEARCH_KFOLD = "search-kfold"
@@ -130,12 +131,26 @@ def classify(task: TaskSpec, x: int, y: int, output) -> Verdict:
 
 def enumerate_inputs(task: TaskSpec) -> Iterator[tuple[int, int]]:
     """Every (x, y), y fastest; refuses spaces past the exact-run cap."""
-    limit = exact_protocol_cap()
     side = 1 << task.input_bits
-    if side * side > limit:
-        raise CapExceededError(
-            f"{side * side} input pairs exceed the exact enumeration cap {limit}"
-        )
+    hint = "past it, only a seeded sample is measured (samples= and seed=, --samples and --seed)"
+    EXACT_PROTOCOL_INPUTS.check(side * side, "input pairs", hint)
     for x in range(side):
         for y in range(side):
             yield x, y
+
+
+def measured_inputs(
+    task: TaskSpec, samples: int | None = None, seed: int | None = None
+) -> tuple[list[tuple[int, int]], bool]:
+    """The inputs a protocol is measured on, and whether they are a sample.
+
+    Every pair when the input space fits the exact cap.  Past it, `samples`
+    uniform draws (x first, then y) from Random(seed), so fewer samples with
+    the same seed are a prefix of more; without both, the enumeration's
+    refusal.
+    """
+    side = 1 << task.input_bits
+    if samples is None or seed is None or EXACT_PROTOCOL_INPUTS.fits(side * side):
+        return list(enumerate_inputs(task)), False
+    rng = Random(seed)
+    return [(rng.randrange(side), rng.randrange(side)) for _ in range(samples)], True

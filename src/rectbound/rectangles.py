@@ -17,9 +17,9 @@ from itertools import combinations
 from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .caps import oracle_subset_cap, rectangle_cap, support_cap
+from .caps import ORACLE_SUBSETS, RECTANGLES, SUPPORT_PAIRS
 from .combinatorics import BitString, InputPair, MuParams, enumerate_support
-from .errors import CapExceededError, DimensionMismatchError, ParameterRangeError
+from .errors import DimensionMismatchError, ParameterRangeError
 
 Weight = Fraction | float | int
 
@@ -230,12 +230,7 @@ def _max_rectangle(w: WeightMatrix, avoid_disjoint: bool) -> tuple[Rectangle, We
     transposed = len(rows) > len(cols)
     if transposed:
         rows, cols = cols, rows
-    limit = oracle_subset_cap()
-    if 2 ** len(rows) > limit:
-        raise CapExceededError(
-            f"{2 ** len(rows)} row subsets exceed the oracle cap {limit}; "
-            "shrink the support or raise RECTBOUND_ORACLE_SUBSET_CAP"
-        )
+    ORACLE_SUBSETS.check(2 ** len(rows), "oracle row subsets", "shrink the support")
     exact = all(isinstance(v, (int, Fraction)) for v in w.weights.values())
     scale = lcm(*(v.denominator for v in w.weights.values())) if exact else 1
     zero: Weight = 0 if exact else Fraction(0)
@@ -344,9 +339,7 @@ def mu_mass_of_rectangle(p: MuParams, r: Rectangle) -> Fraction:
     """Exact mu(p) mass of rectangle r."""
     if r.n != p.n:
         raise DimensionMismatchError(f"universe mismatch: rectangle {r.n} vs distribution {p.n}")
-    limit = support_cap()
-    if r.pair_count > limit:
-        raise CapExceededError(f"rectangle has {r.pair_count} pairs, cap is {limit}")
+    SUPPORT_PAIRS.check(r.pair_count, "rectangle pairs")
     if p.is_empty:
         return Fraction(0)
     mass = Fraction(0)
@@ -408,13 +401,7 @@ def enumerate_rectangles(xs: Iterable[BitString], ys: Iterable[BitString]) -> It
     n = (rows or cols)[0].n
     if any(s.n != n for s in rows + cols):
         raise DimensionMismatchError(f"axis labels do not share universe size {n}")
-    limit = rectangle_cap()
-    count = 2 ** len(rows) * 2 ** len(cols)
-    if count > limit:
-        raise CapExceededError(
-            f"{count} rectangles exceed the enumeration cap {limit}; "
-            "shrink the axes or raise RECTBOUND_RECTANGLE_CAP"
-        )
+    RECTANGLES.check(2 ** len(rows) * 2 ** len(cols), "rectangles", "shrink the axes")
     row_sets, col_sets = [0], [0]
     for s in rows:
         row_sets += [r | 1 << s.mask for r in row_sets]

@@ -265,6 +265,45 @@ def test_protocol_monte_carlo_mode(capsys):
     assert doc["bits"]["histogram"] == {"18": 400}
 
 
+def test_protocol_sampled_bits_probe_is_the_first_512_draws(capsys, monkeypatch):
+    import rectbound.cli
+    from rectbound.protocols import TaskSpec, measured_inputs
+
+    probed = []
+    profile = rectbound.cli.cost_profile
+
+    def spy(proto, inputs):
+        probed.append(list(inputs))
+        return profile(proto, probed[-1])
+
+    monkeypatch.setattr(rectbound.cli, "cost_profile", spy)
+    code, doc, _ = run_json(
+        capsys,
+        "protocol", "--proto", "trivial-ndisj-kfold",
+        "--n", "8", "--k", "2", "--samples", "600", "--seed", "11",
+    )
+    assert code == 0
+    assert doc["success"]["inputs_checked"] == 600
+    assert doc["success"]["worst_input"] == [59294, 61033]  # the first draw
+    assert doc["bits"]["histogram"] == {"18": 512}
+    sample, sampled = measured_inputs(TaskSpec("ndisj-kfold", 8, 2), 600, 11)
+    assert sampled and probed == [sample[:512]]
+
+
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_malformed_cap_override_is_a_plain_error(capsys, monkeypatch, raw):
+    monkeypatch.setenv("RECTBOUND_SUPPORT_CAP", raw)
+    code, out, err = run_cli(
+        capsys, "certify", "--kind", "search", "--n", "3", "--k", "1", "--m", "1",
+        "--alpha", "1", "--beta", "1/3",
+    )
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.count("rectbound: error:") == 1
+    assert "RECTBOUND_SUPPORT_CAP" in err
+
+
 def test_protocol_mc_requires_seed(capsys):
     code, _, err = run_cli(
         capsys, "protocol", "--proto", "trivial-ndisj-kfold", "--n", "8", "--k", "2"

@@ -26,6 +26,7 @@ from rectbound.protocols import (
     enumerate_inputs,
     intersecting_blocks,
     leaf_rectangle_check,
+    measured_inputs,
     ndisj_truth,
     run_protocol,
     success_probability,
@@ -184,6 +185,19 @@ def test_enumerate_inputs_cap(monkeypatch):
     monkeypatch.setenv("RECTBOUND_EXACT_PROTOCOL_CAP", "15")
     with pytest.raises(CapExceededError):
         list(enumerate_inputs(task))
+
+
+def test_measured_inputs_enumerates_within_the_cap_and_samples_past_it():
+    small = TaskSpec("ndisj-kfold", 2, 1)
+    assert measured_inputs(small, samples=3, seed=1) == (list(enumerate_inputs(small)), False)
+    big = TaskSpec("ndisj-kfold", 6, 2)  # 2^24 pairs, past the exact cap
+    with pytest.raises(CapExceededError, match="--samples and --seed"):
+        measured_inputs(big, samples=5)
+    pairs, sampled = measured_inputs(big, samples=600, seed=11)
+    rng = Random(11)
+    assert sampled
+    assert pairs == [(rng.randrange(4096), rng.randrange(4096)) for _ in range(600)]
+    assert measured_inputs(big, samples=512, seed=11) == (pairs[:512], True)
 
 
 def test_structural_census_counts_unreachable_leaves():
