@@ -2,7 +2,7 @@
 
 Exhaustive paths are guarded so a typo cannot wedge the machine.  Four
 limits read an environment override (the RECTBOUND_*_CAP variables) so
-oversized but deliberate runs need no code edit; the other eight are fixed.
+oversized but deliberate runs need no code edit; the other nine are fixed.
 `Limit.check` is the one refusal: past the limit it raises the limit's
 error type, CapExceededError unless the limit says otherwise, with a
 message naming the count, the limit and its override variable.
@@ -74,6 +74,8 @@ SIMPLEX_PIVOTS = Limit(200_000, error=ConvergenceError)
 EXHAUSTIVE_STEPS = Limit(1 << 22)
 # Size-m strings per side in the sampling-lemma scan.
 SCAN_STRINGS = Limit(4096)
+# Row x column subsets the sampling-lemma scan sweeps; past it, it samples.
+EXHAUSTIVE_SCAN_STEPS = Limit(4096)
 # Coin branches of a halving composition.
 HALVING_BRANCHES = Limit(4096)
 # Coordinates k*n whose permutations are all enumerated exactly.
@@ -82,19 +84,3 @@ EXACT_PERMUTATION_WIDTH = Limit(6)
 MIXTURE_BRANCHES = Limit(32_768)
 # Universe size n of the explicit-tree trivial-ndisj protocol.
 TREE_N = Limit(12, error=ParameterRangeError)
-
-
-def support_cap() -> int:
-    return SUPPORT_PAIRS.value
-
-
-def oracle_subset_cap() -> int:
-    return ORACLE_SUBSETS.value
-
-
-def rectangle_cap() -> int:
-    return RECTANGLES.value
-
-
-def exact_protocol_cap() -> int:
-    return EXACT_PROTOCOL_INPUTS.value

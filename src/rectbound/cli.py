@@ -309,7 +309,6 @@ def cmd_scan(args) -> tuple[str, int]:
         samples=args.samples,
         seed=args.seed,
         densities=densities,
-        exhaustive_limit=args.exhaustive_limit,
     )
     report = sampling_lemma_scan(MuParams(0, args.n, m), args.target_k, cfg)
     return scan_to_csv(report), 0
@@ -501,7 +500,6 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=256)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--densities", default="0.9,0.75,0.5")
-    p.add_argument("--exhaustive-limit", type=int, default=4096)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=cmd_scan)
 

@@ -6,7 +6,6 @@ from .model import (
     CLASS_COVER,
     CLASS_ERROR,
     CLASS_PARTITION,
-    CLASS_ZERO,
     FULL_FAMILY,
     LPInstance,
     PairConstraint,
@@ -34,7 +33,6 @@ __all__ = [
     "CLASS_COVER",
     "CLASS_ERROR",
     "CLASS_PARTITION",
-    "CLASS_ZERO",
     "FULL_FAMILY",
     "LPInstance",
     "PairConstraint",

@@ -6,7 +6,6 @@ Constraint classes:
 * cover      coverage >= rhs   (the pairs the program must hit)
 * partition  coverage <= rhs   (the pairs whose total weight is capped)
 * error      coverage <= rhs   (allowed false mass on 0-pairs)
-* zero       coverage == 0     (optional exclusion rows over the full family)
 
 A pair appears at most once per class.  The variable family is either every
 rectangle, the rectangles admitting a size-k witness, or the rectangles
@@ -38,12 +37,10 @@ from ..truth_tables import TruthTable
 
 SENSE_GE = ">="
 SENSE_LE = "<="
-SENSE_EQ = "=="
 
 CLASS_COVER = "cover"
 CLASS_PARTITION = "partition"
 CLASS_ERROR = "error"
-CLASS_ZERO = "zero"
 
 KIND_SEARCH = "search"
 KIND_LOVASZ = "lovasz"
@@ -155,9 +152,9 @@ class PairConstraint:
     klass: str
 
     def __post_init__(self) -> None:
-        if self.sense not in (SENSE_GE, SENSE_LE, SENSE_EQ):
+        if self.sense not in (SENSE_GE, SENSE_LE):
             raise ParameterRangeError(f"unknown sense {self.sense!r}")
-        if self.klass not in (CLASS_COVER, CLASS_PARTITION, CLASS_ERROR, CLASS_ZERO):
+        if self.klass not in (CLASS_COVER, CLASS_PARTITION, CLASS_ERROR):
             raise ParameterRangeError(f"unknown constraint class {self.klass!r}")
 
     def describe(self) -> str:
@@ -226,12 +223,7 @@ def max_violation(lp: LPInstance, weights: Mapping[Rectangle, object], zero):
     worst = zero
     for c, cover in zip(lp.constraints, covers):
         coverage = sum(values[j] for j in cover)
-        if c.sense == SENSE_GE:
-            gap = c.rhs - coverage
-        elif c.sense == SENSE_LE:
-            gap = coverage - c.rhs
-        else:
-            gap = abs(coverage - c.rhs)
+        gap = c.rhs - coverage if c.sense == SENSE_GE else coverage - c.rhs
         if gap > worst:
             worst = gap
     return worst
@@ -243,32 +235,20 @@ def _all_pairs(n: int) -> Iterator[InputPair]:
             yield InputPair(BitString(n, xm), BitString(n, ym))
 
 
-def build_search_lp(
-    n: int,
-    k: int,
-    sigma,
-    family: RectangleFamily | None = None,
-    include_zero_class: bool = False,
-) -> LPInstance:
+def build_search_lp(n: int, k: int, sigma) -> LPInstance:
     """Cover program for finding a size-k certified intersection.
 
     Pairs meeting in exactly k coordinates must be covered with weight at
     least sigma; pairs meeting in more than k coordinates carry total weight
-    at most 1.  The default variable family is the size-k witness family,
-    over which exclusion rows for pairs meeting in fewer than k coordinates
-    are vacuous; `include_zero_class` re-enables them for full-family
-    cross-checks.
+    at most 1.  The variables are the size-k witness family, whose
+    rectangles hold no pair meeting in fewer than k coordinates, so those
+    pairs get no row.
     """
     if not 0 <= k <= n:
         raise ParameterRangeError(f"need 0 <= k <= n, got k={k}, n={n}")
     sigma_f = _as_fraction(sigma, "sigma")
     if not 0 <= sigma_f <= 1:
         raise ParameterRangeError(f"sigma must lie in [0, 1], got {sigma_f}")
-    fam = witness_family(k) if family is None else family
-    if include_zero_class and fam.kind == FAMILY_WITNESS and (fam.k or 0) >= k:
-        raise ParameterRangeError(
-            "exclusion rows are vacuous over the witness family; use the full family"
-        )
     constraints: list[PairConstraint] = []
     for pair in _all_pairs(n):
         meet = pair.intersection_size
@@ -276,12 +256,10 @@ def build_search_lp(
             constraints.append(PairConstraint(pair, SENSE_GE, sigma_f, CLASS_COVER))
         elif meet > k:
             constraints.append(PairConstraint(pair, SENSE_LE, Fraction(1), CLASS_PARTITION))
-        elif include_zero_class:
-            constraints.append(PairConstraint(pair, SENSE_EQ, Fraction(0), CLASS_ZERO))
     return LPInstance(
         kind=KIND_SEARCH,
         n=n,
-        family=fam,
+        family=witness_family(k),
         constraints=tuple(constraints),
         params={"k": k, "sigma": sigma_f},
     )

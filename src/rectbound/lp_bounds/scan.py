@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ..caps import SCAN_STRINGS, SUPPORT_PAIRS
+from ..caps import EXHAUSTIVE_SCAN_STEPS, SCAN_STRINGS, SUPPORT_PAIRS
 from ..combinatorics import MuParams
 from ..errors import ParameterRangeError
 
@@ -37,7 +37,6 @@ class ScanConfig:
     samples: int = 256
     seed: int = 0
     densities: tuple[float, ...] = (0.9, 0.75, 0.5)
-    exhaustive_limit: int = 4096
 
     def __post_init__(self) -> None:
         # negative exponents are legal: they raise the bar past 1, which is
@@ -48,8 +47,6 @@ class ScanConfig:
             raise ParameterRangeError("samples must be nonnegative")
         if not self.densities or any(not 0 < d <= 1 for d in self.densities):
             raise ParameterRangeError("densities must be probabilities in (0, 1]")
-        if self.exhaustive_limit < 1:
-            raise ParameterRangeError("exhaustive_limit must be positive")
 
 
 @dataclass(frozen=True)
@@ -140,7 +137,7 @@ def sampling_lemma_scan(p: MuParams, target_k: int, cfg: ScanConfig | None = Non
     col_sets = [np.ones(count, dtype=np.float64)]
     labels = ["full"]
     densities = ["full"]
-    if (1 << (2 * count)) <= cfg.exhaustive_limit:
+    if EXHAUSTIVE_SCAN_STEPS.fits(1 << (2 * count)):
         mode = MODE_EXHAUSTIVE
         for smask in range(1, 1 << count):
             s_row = np.array([(smask >> i) & 1 for i in range(count)], dtype=np.float64)

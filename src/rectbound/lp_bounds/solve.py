@@ -11,13 +11,13 @@ Two paths with one result type:
   its unit cost beyond the tolerance.
 
 Duals follow one sign convention everywhere: `>=` rows nonnegative, `<=`
-rows nonpositive, `==` rows free, and the dual objective (rhs times dual,
-summed) equals the optimum.
+rows nonpositive, and the dual objective (rhs times dual, summed) equals the
+optimum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
@@ -33,7 +33,7 @@ from .exact import (
     STATUS_UNBOUNDED,
     solve_exact_lp,
 )
-from .model import CLASS_COVER, FAMILY_WITNESS, LPInstance, SENSE_EQ, SENSE_GE, SENSE_LE
+from .model import CLASS_COVER, FAMILY_WITNESS, LPInstance, SENSE_GE, SENSE_LE
 from .model import covering_columns, max_violation
 
 SOLVER_EXACT = "exact-simplex"
@@ -42,18 +42,21 @@ SOLVER_CG = "highs-constraint-generation"
 ARITH_EXACT = "exact-rational"
 ARITH_FLOAT = "float-tol"
 
+# Column generation stops once no member's dual weight exceeds 1 + CG_TOL.
+CG_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class LPResult:
     status: str
-    optimum: Fraction | float | None
-    weights: Mapping[Rectangle, Fraction | float]
-    duals: tuple
-    residual: Fraction | float | None
     solver: str
     arithmetic: str
     iterations: int
     columns: int
+    optimum: Fraction | float | None = None
+    weights: Mapping[Rectangle, Fraction | float] = field(default_factory=dict)
+    duals: tuple = ()
+    residual: Fraction | float | None = None
     oracle_max: float | None = None
 
 
@@ -66,42 +69,35 @@ def solve_full_enumeration(lp: LPInstance) -> LPResult:
         "use constraint generation",
     )
 
-    # Presolve: a <= or == row with rhs 0 pins every covering column at zero.
-    pinned = [c.rhs == 0 and c.sense in (SENSE_LE, SENSE_EQ) for c in lp.constraints]
-    pairs = [c.pair for c in lp.constraints]
-    banned = {j for pin, cover in zip(pinned, covering_columns(pairs, members)) if pin for j in cover}
+    # Presolve: a <= row with rhs 0 pins every covering column at zero.
+    covers = covering_columns([c.pair for c in lp.constraints], members)
+    pinned = [c.rhs == 0 and c.sense == SENSE_LE for c in lp.constraints]
+    banned = {j for pin, cover in zip(pinned, covers) if pin for j in cover}
     keep = [j for j in range(len(members)) if j not in banned]
+    position = {j: pos for pos, j in enumerate(keep)}
     live_rows = [ridx for ridx, pin in enumerate(pinned) if not pin]
 
     rows = []
-    live_cover = covering_columns([pairs[ridx] for ridx in live_rows], [members[j] for j in keep])
-    for ridx, cover in zip(live_rows, live_cover):
+    for ridx in live_rows:
         c = lp.constraints[ridx]
-        coeffs = [0] * len(keep)
-        for pos in cover:
-            coeffs[pos] = 1
+        cover = [position[j] for j in covers[ridx] if j in position]
         if not cover and c.sense == SENSE_GE and c.rhs > 0:
             return LPResult(
                 status=STATUS_INFEASIBLE,
-                optimum=None,
-                weights={},
-                duals=(),
-                residual=None,
                 solver=SOLVER_EXACT,
                 arithmetic=ARITH_EXACT,
                 iterations=0,
                 columns=len(keep),
             )
+        coeffs = [0] * len(keep)
+        for pos in cover:
+            coeffs[pos] = 1
         rows.append((coeffs, c.sense, c.rhs))
 
     res = solve_exact_lp([1] * len(keep), rows)
     if res.status != STATUS_OPTIMAL:
         return LPResult(
             status=res.status,
-            optimum=None,
-            weights={},
-            duals=(),
-            residual=None,
             solver=SOLVER_EXACT,
             arithmetic=ARITH_EXACT,
             iterations=res.iterations,
@@ -141,25 +137,13 @@ def _seed_columns(lp: LPInstance) -> dict[Rectangle, None]:
     return dict.fromkeys(seeds)
 
 
-def _master_rows(lp: LPInstance, columns: list[Rectangle]):
-    """The master's 0/1 coverage matrix: <= rows (>= rows negated) and == rows."""
-    cover = np.zeros((len(lp.constraints), len(columns)))
-    for ridx, cols in enumerate(covering_columns([c.pair for c in lp.constraints], columns)):
-        cover[ridx, cols] = 1.0
-    ub_rows = [ridx for ridx, c in enumerate(lp.constraints) if c.sense != SENSE_EQ]
-    eq_rows = [ridx for ridx, c in enumerate(lp.constraints) if c.sense == SENSE_EQ]
-    sign = np.array([-1.0 if lp.constraints[ridx].sense == SENSE_GE else 1.0 for ridx in ub_rows])
-    b_ub = sign * np.array([float(lp.constraints[ridx].rhs) for ridx in ub_rows])
-    b_eq = np.array([float(lp.constraints[ridx].rhs) for ridx in eq_rows])
-    return sign[:, None] * cover[ub_rows], b_ub, ub_rows, cover[eq_rows], b_eq, eq_rows
+def solve_constraint_generation(lp: LPInstance, max_iters: int = 1000) -> LPResult:
+    """Float optimum by column generation against the exact rectangle oracle.
 
-
-def solve_constraint_generation(
-    lp: LPInstance,
-    tol: float = 1e-9,
-    max_iters: int = 1000,
-) -> LPResult:
-    """Float optimum by column generation against the exact rectangle oracle."""
+    The master keeps its rows across iterations.  HiGHS takes `<=` rows only,
+    so every row gets a sign once (-1 for `>=`, +1 for `<=`), and each column
+    is covered and signed once, when it enters.
+    """
     if max_iters < 1:
         raise ParameterRangeError("max_iters must be positive")
     columns = _seed_columns(lp)
@@ -167,27 +151,30 @@ def solve_constraint_generation(
         return LPResult(
             status=STATUS_OPTIMAL,
             optimum=0.0,
-            weights={},
             duals=tuple(0.0 for _ in lp.constraints),
             residual=max_violation(lp, {}, 0.0),
             solver=SOLVER_CG,
             arithmetic=ARITH_FLOAT,
             iterations=0,
             columns=0,
-            oracle_max=None,
         )
 
-    res = None
-    duals = [0.0] * len(lp.constraints)
-    oracle_max = None
+    pairs = [c.pair for c in lp.constraints]
+    sign = np.array([-1.0 if c.sense == SENSE_GE else 1.0 for c in lp.constraints])
+    b_ub = sign * np.array([float(c.rhs) for c in lp.constraints])
+
+    def signed_columns(rects: list[Rectangle]) -> list[np.ndarray]:
+        cover = np.zeros((len(rects), len(pairs)))
+        for ridx, cols in enumerate(covering_columns(pairs, rects)):
+            cover[cols, ridx] = 1.0
+        return list(cover * sign)
+
+    master = signed_columns(list(columns))
     for iteration in range(1, max_iters + 1):
-        a_ub, b_ub, ub_rows, a_eq, b_eq, eq_rows = _master_rows(lp, list(columns))
         res = linprog(
-            c=np.ones(len(columns)),
-            A_ub=a_ub if ub_rows else None,
-            b_ub=b_ub if ub_rows else None,
-            A_eq=a_eq if eq_rows else None,
-            b_eq=b_eq if eq_rows else None,
+            c=np.ones(len(master)),
+            A_ub=np.column_stack(master),
+            b_ub=b_ub,
             bounds=(0, None),
             method="highs",
         )
@@ -199,39 +186,28 @@ def solve_constraint_generation(
         if res.status == 3:
             return LPResult(
                 status=STATUS_UNBOUNDED,
-                optimum=None,
-                weights={},
-                duals=(),
-                residual=None,
                 solver=SOLVER_CG,
                 arithmetic=ARITH_FLOAT,
                 iterations=iteration,
                 columns=len(columns),
-                oracle_max=None,
             )
         if res.status != 0:
             raise ConvergenceError(f"HiGHS returned status {res.status}: {res.message}")
 
-        duals = [0.0] * len(lp.constraints)
-        for pos, ridx in enumerate(ub_rows):
-            lam = float(res.ineqlin.marginals[pos])
-            duals[ridx] = -lam if lp.constraints[ridx].sense == SENSE_GE else lam
-        for pos, ridx in enumerate(eq_rows):
-            duals[ridx] = float(res.eqlin.marginals[pos])
-
+        duals = (sign * res.ineqlin.marginals).tolist()
         pair_weight: dict = {}
-        for ridx, c in enumerate(lp.constraints):
-            if duals[ridx]:
-                pair_weight[c.pair] = pair_weight.get(c.pair, 0.0) + duals[ridx]
-        w = WeightMatrix(lp.n, pair_weight)
-        rect, value, _witness = lp.family.separation_oracle(w)
+        for pair, y in zip(pairs, duals):
+            if y:
+                pair_weight[pair] = pair_weight.get(pair, 0.0) + y
+        rect, value, _witness = lp.family.separation_oracle(WeightMatrix(lp.n, pair_weight))
         oracle_max = float(value)
-        if oracle_max <= 1.0 + tol:
+        if oracle_max <= 1.0 + CG_TOL:
             break
         if rect in columns:
             # Float noise: the priced column is already in the master.
             break
         columns[rect] = None
+        master += signed_columns([rect])
     else:
         raise ConvergenceError(f"no convergence after {max_iters} iterations")
 

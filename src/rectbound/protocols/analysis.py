@@ -38,6 +38,9 @@ MODE_MONTE_CARLO = "monte-carlo-ci"
 CENSUS_STRUCTURAL = "structural"
 CENSUS_TRANSCRIPT = "transcript"
 
+# Normal quantile of the two-sided 95% Wilson interval.
+WILSON_Z = 1.96
+
 
 @dataclass(frozen=True)
 class SuccessReport:
@@ -60,9 +63,10 @@ class SuccessReport:
         return out
 
 
-def _wilson(successes: int, trials: int, z: float) -> tuple[float, float]:
+def _wilson(successes: int, trials: int) -> tuple[float, float]:
     if trials == 0:
         return 0.0, 1.0
+    z = WILSON_Z
     phat = successes / trials
     denom = 1 + z * z / trials
     center = phat + z * z / (2 * trials)
@@ -76,14 +80,13 @@ def success_probability(
     inputs=None,
     samples: int | None = None,
     seed: int | None = None,
-    z: float = 1.96,
 ) -> SuccessReport:
     """Exact per-input success, enumerated or sampled over the input space.
 
     Branches are always enumerated exactly, so per-input success is an exact
     rational.  The input side is enumerated when the space fits the cap or
     when an explicit probe list is given; otherwise `samples` and `seed`
-    drive a uniform sample and the Wilson interval covers the probability
+    drive a uniform sample and the 95% Wilson interval covers the probability
     that a uniform input is answered correctly on every branch.
     """
     rand = as_randomized(proto)
@@ -133,7 +136,7 @@ def success_probability(
         wrong=total_wrong / count,
         inputs_checked=count,
         worst_input=worst_input,
-        wilson=_wilson(perfect, count, z) if sampled else None,
+        wilson=_wilson(perfect, count) if sampled else None,
     )
 
 

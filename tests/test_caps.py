@@ -21,6 +21,7 @@ def test_every_limit_keeps_its_value_and_error_type():
         "SIMPLEX_PIVOTS": (200_000, None, ConvergenceError),
         "EXHAUSTIVE_STEPS": (2**22, None, CapExceededError),
         "SCAN_STRINGS": (4096, None, CapExceededError),
+        "EXHAUSTIVE_SCAN_STEPS": (4096, None, CapExceededError),
         "HALVING_BRANCHES": (4096, None, CapExceededError),
         "EXACT_PERMUTATION_WIDTH": (6, None, CapExceededError),
         "MIXTURE_BRANCHES": (32_768, None, CapExceededError),
@@ -29,9 +30,9 @@ def test_every_limit_keeps_its_value_and_error_type():
 
 
 def test_override_is_read_at_each_use(monkeypatch):
-    assert caps.support_cap() == 10**7
+    assert caps.SUPPORT_PAIRS.value == 10**7
     monkeypatch.setenv("RECTBOUND_SUPPORT_CAP", "12")
-    assert caps.support_cap() == 12
+    assert caps.SUPPORT_PAIRS.value == 12
     assert caps.SUPPORT_PAIRS.fits(12) and not caps.SUPPORT_PAIRS.fits(13)
 
 
@@ -39,7 +40,7 @@ def test_override_is_read_at_each_use(monkeypatch):
 def test_malformed_override_is_a_parameter_error(monkeypatch, raw):
     monkeypatch.setenv("RECTBOUND_ORACLE_SUBSET_CAP", raw)
     with pytest.raises(ParameterRangeError, match="RECTBOUND_ORACLE_SUBSET_CAP"):
-        caps.oracle_subset_cap()
+        caps.ORACLE_SUBSETS.value
 
 
 def test_refusal_names_count_limit_and_override(monkeypatch):

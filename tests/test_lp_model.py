@@ -11,7 +11,6 @@ from rectbound.lp_bounds import (
     CLASS_COVER,
     CLASS_ERROR,
     CLASS_PARTITION,
-    CLASS_ZERO,
     FULL_FAMILY,
     LPInstance,
     PairConstraint,
@@ -34,21 +33,11 @@ def test_search_lp_row_census_n2_k1():
     partition = lp.rows_of_class(CLASS_PARTITION)
     assert len(cover) == 6
     assert len(partition) == 1
-    assert len(lp.rows_of_class(CLASS_ZERO)) == 0
     assert all(c.sense == ">=" and c.rhs == 1 for c in cover)
     assert all(c.pair.intersection_size == 1 for c in cover)
     only = partition[0]
     assert only.sense == "<=" and only.rhs == 1
     assert only.pair == InputPair.from_bits("11", "11")
-
-
-def test_search_lp_zero_class_needs_full_family():
-    lp = build_search_lp(2, 1, F(1), family=FULL_FAMILY, include_zero_class=True)
-    zero = lp.rows_of_class(CLASS_ZERO)
-    assert len(zero) == 9  # the disjoint pairs at n = 2
-    assert all(c.sense == "==" and c.rhs == 0 for c in zero)
-    with pytest.raises(ParameterRangeError):
-        build_search_lp(2, 1, F(1), include_zero_class=True)
 
 
 def test_search_lp_parameter_validation():
@@ -171,5 +160,7 @@ def test_pair_constraint_validation():
     pair = InputPair.from_bits("1", "1")
     with pytest.raises(ParameterRangeError):
         PairConstraint(pair, ">", F(1), CLASS_COVER)
+    with pytest.raises(ParameterRangeError):
+        PairConstraint(pair, "==", F(0), CLASS_COVER)
     with pytest.raises(ParameterRangeError):
         PairConstraint(pair, ">=", F(1), "mystery")

@@ -72,6 +72,25 @@ def test_cg_solver_matches_frozen_value(label, make, expected):
     assert res.residual <= 1e-9
 
 
+CG_DUAL_CASES = [
+    *((label, make) for label, make, _ in FROZEN),
+    ("smooth-disj-3", lambda: build_smooth_lp(family("DISJ", 3), F(1, 4))),
+    ("search-3-1-half", lambda: build_search_lp(3, 1, F(1, 2))),
+]
+
+
+@pytest.mark.parametrize("label,make", CG_DUAL_CASES, ids=[c[0] for c in CG_DUAL_CASES])
+def test_cg_duals_keep_the_sign_convention_and_strong_duality(label, make):
+    lp = make()
+    res = solve_constraint_generation(lp)
+    assert res.status == "optimal"
+    assert len(res.duals) == len(lp.constraints)
+    for y, c in zip(res.duals, lp.constraints):
+        assert y >= 0 if c.sense == ">=" else y <= 0, c.describe()
+    dual_value = sum(y * float(c.rhs) for y, c in zip(res.duals, lp.constraints))
+    assert abs(dual_value - res.optimum) <= 1e-9
+
+
 def test_exact_weights_are_feasible():
     lp = build_search_lp(2, 1, F(1))
     res = solve_full_enumeration(lp)

@@ -13,7 +13,7 @@ F = Fraction
 
 def test_exhaustive_scan_row_count():
     # 4 singleton strings -> full row + 15 * 15 subset pairs
-    report = sampling_lemma_scan(MuParams(0, 4, 1), 1, ScanConfig(exhaustive_limit=1 << 8))
+    report = sampling_lemma_scan(MuParams(0, 4, 1), 1)
     assert report.mode == "exhaustive"
     assert len(report.rows) == 226
 
@@ -50,7 +50,7 @@ def test_frozen_sampled_population():
 
 
 def test_counts_match_a_direct_recount():
-    report = sampling_lemma_scan(MuParams(0, 4, 1), 1, ScanConfig(exhaustive_limit=1 << 8))
+    report = sampling_lemma_scan(MuParams(0, 4, 1), 1)
     # singleton strings over 4 coordinates: base pairs are the 12 off-diagonal
     # ones, target pairs the 4 diagonal ones
     full = report.rows[0]
@@ -84,8 +84,6 @@ def test_scan_config_validation():
         ScanConfig(densities=(0.0,))
     with pytest.raises(ParameterRangeError):
         ScanConfig(densities=(1.5,))
-    with pytest.raises(ParameterRangeError):
-        ScanConfig(exhaustive_limit=0)
 
 
 def test_scan_parameter_guards():
@@ -100,9 +98,7 @@ def test_scan_parameter_guards():
 
 
 def test_zero_samples_leaves_only_the_anchor():
-    report = sampling_lemma_scan(
-        MuParams(0, 8, 2), 1, ScanConfig(samples=0, exhaustive_limit=1)
-    )
+    report = sampling_lemma_scan(MuParams(0, 8, 2), 1, ScanConfig(samples=0))
     assert report.mode == "sampled"
     assert len(report.rows) == 1
     assert report.rows[0].label == "full"
