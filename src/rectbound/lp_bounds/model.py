@@ -23,8 +23,8 @@ from ..combinatorics import BitString, InputPair
 from ..errors import KindMismatchError, ParameterRangeError
 from ..rectangles import (
     Rectangle,
+    Weight,
     WeightMatrix,
-    WitnessSet,
     enumerate_rectangles,
     max_weight_rectangle,
     max_weight_rectangle_avoiding_disjoint,
@@ -122,15 +122,21 @@ class RectangleFamily:
         }
         return sorted(out, key=Rectangle.key)
 
-    def separation_oracle(self, w: WeightMatrix) -> tuple[Rectangle, object, WitnessSet | None]:
-        """Exact max-weight member rectangle for the given dual weights."""
-        if self.kind == FAMILY_FULL:
-            rect, value = max_weight_rectangle(w)
-            return rect, value, None
+    def separation_oracle(self, w: WeightMatrix, above: Weight | None = None) -> tuple:
+        """Exact max-weight member rectangle for the given dual weights.
+
+        Returns the rectangle, its value and its witness (None outside the
+        witness family).  Given a threshold `above`, also returns the
+        improving list: every member rectangle the oracle's sweep meets
+        whose value exceeds `above`, with its value, best first.
+        """
         if self.kind == FAMILY_WITNESS:
-            return max_weight_rectangle_in_rv(w, self.k or 0)
-        rect, value = max_weight_rectangle_avoiding_disjoint(w)
-        return rect, value, None
+            return max_weight_rectangle_in_rv(w, self.k or 0, above)
+        if self.kind == FAMILY_FULL:
+            rect, value, *improving = max_weight_rectangle(w, above)
+        else:
+            rect, value, *improving = max_weight_rectangle_avoiding_disjoint(w, above)
+        return (rect, value, None, *improving)
 
 
 FULL_FAMILY = RectangleFamily(FAMILY_FULL)

@@ -8,7 +8,9 @@ Two paths with one result type:
 * `solve_constraint_generation` keeps a small working set of columns, solves
   the float master with HiGHS, prices the rest of the family with the exact
   max-weight rectangle oracle, and stops once no column's dual weight exceeds
-  its unit cost beyond the tolerance.
+  its unit cost beyond the tolerance.  Pricing is multi-column: the oracle's
+  one sweep also yields every rectangle whose dual weight exceeds that bar,
+  and each round adds them, best first, up to one per master row.
 
 Duals follow one sign convention everywhere: `>=` rows nonnegative, `<=`
 rows nonpositive, and the dual objective (rhs times dual, summed) equals the
@@ -143,6 +145,12 @@ def solve_constraint_generation(lp: LPInstance, max_iters: int = 1000) -> LPResu
     The master keeps its rows across iterations.  HiGHS takes `<=` rows only,
     so every row gets a sign once (-1 for `>=`, +1 for `<=`), and each column
     is covered and signed once, when it enters.
+
+    Each round prices the duals at 1 + CG_TOL and adds the oracle's argmax
+    plus the other improving rectangles its sweep met, best first, skipping
+    those already in the master, at most one per constraint row: a basis
+    holds no more columns than the master has rows.  `iterations` counts
+    rounds, one HiGHS solve and one oracle call each.
     """
     if max_iters < 1:
         raise ParameterRangeError("max_iters must be positive")
@@ -199,15 +207,19 @@ def solve_constraint_generation(lp: LPInstance, max_iters: int = 1000) -> LPResu
         for pair, y in zip(pairs, duals):
             if y:
                 pair_weight[pair] = pair_weight.get(pair, 0.0) + y
-        rect, value, _witness = lp.family.separation_oracle(WeightMatrix(lp.n, pair_weight))
+        rect, value, _witness, improving = lp.family.separation_oracle(
+            WeightMatrix(lp.n, pair_weight), 1.0 + CG_TOL
+        )
         oracle_max = float(value)
         if oracle_max <= 1.0 + CG_TOL:
             break
         if rect in columns:
             # Float noise: the priced column is already in the master.
             break
-        columns[rect] = None
-        master += signed_columns([rect])
+        # The argmax leads the improving list; the rest ride along, best first.
+        fresh = [r for r, _ in improving if r not in columns][: len(lp.constraints)]
+        columns.update(dict.fromkeys(fresh))
+        master += signed_columns(fresh)
     else:
         raise ConvergenceError(f"no convergence after {max_iters} iterations")
 

@@ -207,15 +207,21 @@ def rect_weight(w: WeightMatrix, r: Rectangle) -> Weight:
     return total
 
 
-def _max_rectangle(w: WeightMatrix, avoid_disjoint: bool) -> tuple[Rectangle, Weight]:
+def _max_rectangle(w: WeightMatrix, avoid_disjoint: bool, above: Weight | None = None) -> tuple:
     """Gray-code sweep over the row subsets of the smaller side.
 
     For a fixed row set the best columns are exactly the admissible ones with
     positive column sum.  Every column is admissible, unless `avoid_disjoint`
     is set: then a column is admissible only while no member row is disjoint
-    from it, which a per-column count of such rows tracks.  The column set is
-    built only when the best value improves, so ties keep the row set met
+    from it, which a per-column count of such rows tracks.  The argmax moves
+    only when the best value strictly improves, so ties keep the row set met
     first in Gray order.
+
+    Returns the argmax rectangle and its value.  Given a threshold `above`,
+    it also returns the improving list: the rectangle of every row set whose
+    value exceeds `above`, built as the argmax is, with its value, best first
+    (a stable sort, so the argmax leads whenever it exceeds `above`).  A row
+    set's rectangle is built only when it improves on either count.
 
     When every weight is exact (an int or a Fraction), each cell is stored as
     the int `value * D`, D the lcm of the weights' denominators, and the best
@@ -226,14 +232,15 @@ def _max_rectangle(w: WeightMatrix, avoid_disjoint: bool) -> tuple[Rectangle, We
     rows = w.xs()
     cols = w.ys()
     if not rows or not cols:
-        return Rectangle.empty(w.n), Fraction(0)
+        empty = Rectangle.empty(w.n), Fraction(0)
+        return empty if above is None else (*empty, [])
     transposed = len(rows) > len(cols)
     if transposed:
         rows, cols = cols, rows
     ORACLE_SUBSETS.check(2 ** len(rows), "oracle row subsets", "shrink the support")
     exact = all(isinstance(v, (int, Fraction)) for v in w.weights.values())
     scale = lcm(*(v.denominator for v in w.weights.values())) if exact else 1
-    zero: Weight = 0 if exact else Fraction(0)
+    zero: Weight = 0 if exact else 0.0
     row_index = {s: i for i, s in enumerate(rows)}
     col_index = {s: j for j, s in enumerate(cols)}
     row_cells: list[list[tuple[int, Weight]]] = [[] for _ in rows]
@@ -244,6 +251,10 @@ def _max_rectangle(w: WeightMatrix, avoid_disjoint: bool) -> tuple[Rectangle, We
     row_disjoint = [
         [j for j, c in enumerate(cols) if not r.mask & c.mask] if avoid_disjoint else [] for r in rows
     ]
+    row_bits = [1 << r.mask for r in rows]
+    col_bits = [1 << c.mask for c in cols]
+    bar = None if above is None else above * scale
+    found: list[tuple[Weight, int, int]] = []
     col_sums: list[Weight] = [zero] * len(cols)
     blocked = [0] * len(cols)
     row_set = 0
@@ -264,57 +275,77 @@ def _max_rectangle(w: WeightMatrix, avoid_disjoint: bool) -> tuple[Rectangle, We
         for j in row_disjoint[i]:
             blocked[j] += delta
         value = sum([s for s, b in zip(col_sums, blocked) if not b and s > 0], zero)
-        if value > best_value:
-            best_value = value
-            best_rows = sum(1 << r.mask for p, r in enumerate(rows) if row_set >> p & 1)
-            best_cols = sum(
-                1 << c.mask for c, s, b in zip(cols, col_sums, blocked) if not b and s > 0
-            )
-    if best_value <= 0:
-        return Rectangle.empty(w.n), Fraction(0)
-    if transposed:
-        best_rows, best_cols = best_cols, best_rows
-    if exact:
-        best_value = Fraction(best_value, scale)
-    return Rectangle(w.n, best_rows, best_cols), best_value
+        improves = bar is not None and value > bar
+        if improves or value > best_value:
+            set_rows = sum(bit for p, bit in enumerate(row_bits) if row_set >> p & 1)
+            set_cols = sum(bit for bit, s, b in zip(col_bits, col_sums, blocked) if not b and s > 0)
+            if improves:
+                found.append((value, set_rows, set_cols))
+            if value > best_value:
+                best_value, best_rows, best_cols = value, set_rows, set_cols
+    found.sort(key=lambda entry: entry[0], reverse=True)
+
+    def rectangle(value: Weight, set_rows: int, set_cols: int) -> tuple[Rectangle, Weight]:
+        if transposed:
+            set_rows, set_cols = set_cols, set_rows
+        return Rectangle(w.n, set_rows, set_cols), Fraction(value, scale) if exact else value
+
+    if best_value > 0:
+        best = rectangle(best_value, best_rows, best_cols)
+    else:
+        best = Rectangle.empty(w.n), Fraction(0)
+    return best if above is None else (*best, [rectangle(*entry) for entry in found])
 
 
-def max_weight_rectangle(w: WeightMatrix) -> tuple[Rectangle, Weight]:
-    """Exact maximum of rect_weight over all rectangles (empty admitted, value 0)."""
-    return _max_rectangle(w, avoid_disjoint=False)
+def max_weight_rectangle(w: WeightMatrix, above: Weight | None = None) -> tuple:
+    """Exact maximum of rect_weight over all rectangles (empty admitted, value 0).
+
+    Given `above`, also returns the improving list of `_max_rectangle`.
+    """
+    return _max_rectangle(w, False, above)
 
 
-def max_weight_rectangle_in_rv(
-    w: WeightMatrix, k: int
-) -> tuple[Rectangle, Weight, WitnessSet | None]:
+def max_weight_rectangle_in_rv(w: WeightMatrix, k: int, above: Weight | None = None) -> tuple:
     """Exact maximum over rectangles admitting a size-k witness.
 
     Iterates candidate witness sets in lexicographic order; within one witness
     the restriction to rows and columns containing it reduces to the plain
     oracle.  Value 0 with the empty rectangle when no member has positive mass.
+
+    Given `above`, also returns the improving lists of every witness merged,
+    best first, each rectangle once (where it was first found).
     """
     if not 0 <= k <= w.n:
         raise ParameterRangeError(f"witness size must satisfy 0 <= k <= {w.n}, got {k}")
     best: tuple[Rectangle, Weight, WitnessSet | None] = (Rectangle.empty(w.n), Fraction(0), None)
+    improving: dict[Rectangle, Weight] = {}
     for witness in witness_sets(w.n, k):
         m = witness.mask
         restricted = w.restrict(lambda pair: pair.x.mask & m == m and pair.y.mask & m == m)
         if restricted.support_size == 0:
             continue
-        rect, value = max_weight_rectangle(restricted)
+        if above is None:
+            rect, value = max_weight_rectangle(restricted)
+        else:
+            rect, value, found = max_weight_rectangle(restricted, above)
+            for r, v in found:
+                improving.setdefault(r, v)
         if value > best[1]:
             best = (rect, value, witness)
-    return best
+    if above is None:
+        return best
+    return (*best, sorted(improving.items(), key=lambda entry: entry[1], reverse=True))
 
 
-def max_weight_rectangle_avoiding_disjoint(w: WeightMatrix) -> tuple[Rectangle, Weight]:
+def max_weight_rectangle_avoiding_disjoint(w: WeightMatrix, above: Weight | None = None) -> tuple:
     """Exact maximum over rectangles containing no disjoint pair.
 
     For a fixed row set the admissibility of a column (it must intersect
     every member row) is independent of the other columns, so the greedy
-    positive-column rule still applies among admissible columns.
+    positive-column rule still applies among admissible columns.  Given
+    `above`, also returns the improving list of `_max_rectangle`.
     """
-    return _max_rectangle(w, avoid_disjoint=True)
+    return _max_rectangle(w, True, above)
 
 
 def witness_set(r: Rectangle, k: int) -> WitnessSet | None:

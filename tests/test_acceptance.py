@@ -154,7 +154,7 @@ def test_solver_agreement_single_one_table():
 
 
 @pytest.mark.criterion(4, "exact and column-generation optima agree on the pinned instances")
-@pytest.mark.parametrize("name", ["NDISJ", "EQ"])
+@pytest.mark.parametrize("name", FAMILIES)
 @pytest.mark.parametrize("build", [build_lovasz_lp, build_smooth_lp], ids=["plain", "smooth"])
 def test_solver_agreement_two_coordinate_tables(name, build):
     lp = build(family(name, 2), F(0))

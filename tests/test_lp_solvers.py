@@ -91,6 +91,15 @@ def test_cg_duals_keep_the_sign_convention_and_strong_duality(label, make):
     assert abs(dual_value - res.optimum) <= 1e-9
 
 
+def test_cg_search_lp_n4_k1_matches_the_frontier_value():
+    # A float value pinned from single-column CG, close to 485/57 but not
+    # claimed exact: the pricing rule may change the path, not the optimum.
+    res = solve_constraint_generation(build_search_lp(4, 1, F(1)))
+    assert res.status == "optimal"
+    assert abs(res.optimum - 8.508771929824556) <= 1e-9
+    assert res.oracle_max <= 1.0 + 1e-9
+
+
 def test_exact_weights_are_feasible():
     lp = build_search_lp(2, 1, F(1))
     res = solve_full_enumeration(lp)
@@ -100,10 +109,9 @@ def test_exact_weights_are_feasible():
         )
         if c.sense == ">=":
             assert cov >= c.rhs
-        elif c.sense == "<=":
-            assert cov <= c.rhs
         else:
-            assert cov == c.rhs
+            assert c.sense == "<="
+            assert cov <= c.rhs
 
 
 def test_infeasible_instance_detected_both_ways():

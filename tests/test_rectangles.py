@@ -181,6 +181,36 @@ def test_oracle_value_type_follows_the_weights():
     assert max_weight_rectangle(mixed)[1] == pytest.approx(1.5 + 2 / 3)
 
 
+IMPROVING_FAMILIES = [FULL_FAMILY, witness_family(1), avoid_disjoint_family()]
+
+
+@pytest.mark.parametrize("family", IMPROVING_FAMILIES, ids=RectangleFamily.describe)
+def test_improving_list_of_the_oracle_sweep(family):
+    # Float duals on every pair at n=3.  They are dyadic, so every sum is
+    # exact and each value can be compared with rect_weight for equality.
+    rng = Random(31)
+    pairs = [InputPair(BitString(3, x), BitString(3, y)) for x in range(8) for y in range(8)]
+    for _ in range(6):
+        w = WeightMatrix(3, {pair: rng.randint(-48, 32) / 16 for pair in pairs})
+        plain = family.separation_oracle(w)
+        rect, value, _ = plain
+        assert rect_weight(w, rect) == value
+        for above in (0.0, value / 2, 1.0):
+            found = family.separation_oracle(w, above)
+            assert found[:3] == plain
+            improving = found[3]
+            if value > above:
+                assert improving[0] == (rect, value)
+            else:
+                assert improving == []
+            values = [v for _, v in improving]
+            assert values == sorted(values, reverse=True)
+            assert all(v > above and v == rect_weight(w, r) for r, v in improving)
+            rects = [r for r, _ in improving]
+            assert len(set(rects)) == len(rects)
+            assert all(family.contains(r) and not r.is_empty for r in rects)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**6 - 1), st.integers(0, 2**6 - 1), st.randoms(use_true_random=False))
 def test_oracle_dominates_random_rectangles(rmask, cmask, pyrng):
