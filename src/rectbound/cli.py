@@ -48,9 +48,7 @@ from .protocols import (
     TaskSpec,
     choose_success_bound,
     cost_profile,
-    intersecting_blocks,
     make_verified,
-    measured_inputs,
     reduce_ndisj_to_search,
     reduce_search_from_kfold,
     success_probability,
@@ -58,7 +56,6 @@ from .protocols import (
     trivial_ndisj_kfold,
     trivial_search_kfold,
 )
-from .protocols.tasks import enumerate_inputs
 from .rectangles import string_masks
 from .truth_tables import FAMILIES, TruthTable, family
 
@@ -339,8 +336,9 @@ def _success_doc(rep) -> dict:
     return doc
 
 
-def _bits_doc(proto, inputs) -> dict:
-    prof = cost_profile(proto, inputs)
+def _bits_doc(proto, rep) -> dict:
+    first = None if rep.mode == MODE_EXACT else _BITS_PROBE_SAMPLES
+    prof = cost_profile(rep, proto.worst_cost, first)
     return {
         "max_declared": prof.declared,
         "observed_max": prof.observed_max,
@@ -410,22 +408,15 @@ def cmd_protocol(args) -> tuple[dict, int]:
             raise ParameterRangeError("permute composes a search protocol")
         if args.choose is None:
             raise ParameterRangeError("permute needs --choose")
-        # Composed first: the library refuses past its permutation limit
-        # before the base is measured.
+        # The chooser is built and measured first: past the permutation
+        # limit or the exact cap it refuses before the base is measured.
         proto = reduce_search_from_kfold(
             base, args.n, args.k, args.choose, perm_samples=args.perm_samples, seed=args.seed
         )
-        base_rep = success_probability(base, task, samples=args.samples, seed=args.seed)
-        task = TaskSpec("search-choose", args.n, args.k, choose=args.choose)
-        promise = [
-            (x, y)
-            for x, y in enumerate_inputs(task)
-            if intersecting_blocks(task, x, y) >= args.choose
-        ]
-        if not promise:
-            raise ParameterRangeError("no input meets the intersection promise")
+        kfold, task = task, TaskSpec("search-choose", args.n, args.k, choose=args.choose)
+        rep = success_probability(proto, task, samples=args.samples, seed=args.seed)
+        base_rep = success_probability(base, kfold, samples=args.samples, seed=args.seed)
         bound = choose_success_bound(base_rep.worst, args.k, args.choose)
-        rep = success_probability(proto, task, inputs=promise)
         meets = rep.worst >= bound.scaled_outside and rep.worst >= bound.scaled_inside
         report["compose"] = {
             "kind": "permute",
@@ -435,7 +426,7 @@ def cmd_protocol(args) -> tuple[dict, int]:
             "base_success_worst": _exact(base_rep.worst),
             "bound_outside": _exact(bound.scaled_outside),
             "bound_inside": _exact(bound.scaled_inside),
-            "promise_inputs": len(promise),
+            "promise_inputs": rep.inputs_checked,
             "meets_bound": bool(meets),
         }
         if not meets:
@@ -444,16 +435,10 @@ def cmd_protocol(args) -> tuple[dict, int]:
         proto = base
         rep = success_probability(proto, task, samples=args.samples, seed=args.seed)
 
-    if args.compose == "permute":
-        probe = promise
-    else:
-        # Fewer draws from the same seed are a prefix of the measured sample.
-        samples = None if args.samples is None else min(args.samples, _BITS_PROBE_SAMPLES)
-        probe, _ = measured_inputs(task, samples, args.seed)
     report["task"] = task.describe()
     report["worst_cost"] = proto.worst_cost
     report["success"] = _success_doc(rep)
-    report["bits"] = _bits_doc(proto, probe)
+    report["bits"] = _bits_doc(proto, rep)
     return report, exit_code
 
 

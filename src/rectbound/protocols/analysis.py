@@ -14,6 +14,8 @@ actually happen, grouped by transcript.
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import sqrt
@@ -51,6 +53,9 @@ class SuccessReport:
     wrong: Fraction
     inputs_checked: int
     worst_input: tuple[int, int]
+    # Each input's shortest and longest branch transcript, in input order.
+    shortest: array = field(repr=False)
+    longest: array = field(repr=False)
     wilson: tuple[float, float] | None = None
 
     def describe(self) -> str:
@@ -87,7 +92,8 @@ def success_probability(
     rational.  The input side is enumerated when the space fits the cap or
     when an explicit probe list is given; otherwise `samples` and `seed`
     drive a uniform sample and the 95% Wilson interval covers the probability
-    that a uniform input is answered correctly on every branch.
+    that a uniform input is answered correctly on every branch.  The same
+    runs record each input's transcript lengths for `cost_profile`.
     """
     rand = as_randomized(proto)
     if rand.n_alice != task.input_bits or rand.n_bob != task.input_bits:
@@ -101,18 +107,17 @@ def success_probability(
     if not pairs:
         raise ParameterRangeError("no inputs to evaluate")
 
-    worst = None
-    worst_input = pairs[0]
-    total = Fraction(0)
-    total_reject = Fraction(0)
-    total_wrong = Fraction(0)
+    worst, worst_input = None, pairs[0]
+    total = total_reject = total_wrong = Fraction(0)
     perfect = 0
+    shortest, longest = array("I"), array("I")
     for x, y in pairs:
-        p_ok = Fraction(0)
-        p_reject = Fraction(0)
-        p_wrong = Fraction(0)
+        p_ok = p_reject = p_wrong = Fraction(0)
+        costs = []
         for prob, det in rand.branches:
-            verdict = classify(task, x, y, det.run(x, y).output)
+            run = det.run(x, y)
+            costs.append(run.cost)
+            verdict = classify(task, x, y, run.output)
             if verdict is Verdict.CORRECT:
                 p_ok += prob
             elif verdict is Verdict.REJECT:
@@ -127,6 +132,8 @@ def success_probability(
         total_wrong += p_wrong
         if p_ok == 1:
             perfect += 1
+        shortest.append(min(costs))
+        longest.append(max(costs))
     count = len(pairs)
     return SuccessReport(
         mode=MODE_MONTE_CARLO if sampled else MODE_EXACT,
@@ -136,6 +143,8 @@ def success_probability(
         wrong=total_wrong / count,
         inputs_checked=count,
         worst_input=worst_input,
+        shortest=shortest,
+        longest=longest,
         wilson=_wilson(perfect, count) if sampled else None,
     )
 
@@ -316,22 +325,16 @@ class CostProfile:
     histogram: Mapping[int, int] = field(default_factory=dict)
 
 
-def cost_profile(proto: AnyProtocol, inputs) -> CostProfile:
-    """Observed transcript lengths across the given inputs and all branches."""
-    rand = as_randomized(proto)
-    seen: list[int] = []
-    hist: dict[int, int] = {}
-    for x, y in inputs:
-        per_input = [det.run(x, y).cost for _, det in rand.branches]
-        seen.extend(per_input)
-        worst = max(per_input)
-        hist[worst] = hist.get(worst, 0) + 1
-    if not seen:
+def cost_profile(report: SuccessReport, declared: int, first: int | None = None) -> CostProfile:
+    """The transcript lengths a success pass recorded, over its first inputs (default all)."""
+    shortest, longest = report.shortest[:first], report.longest[:first]
+    if not longest:
         raise ParameterRangeError("no inputs to profile")
+    low, high = min(shortest), max(longest)
     return CostProfile(
-        declared=rand.worst_cost,
-        observed_max=max(seen),
-        observed_min=min(seen),
-        uniform=min(seen) == max(seen),
-        histogram=dict(sorted(hist.items())),
+        declared=declared,
+        observed_max=high,
+        observed_min=low,
+        uniform=low == high,
+        histogram=dict(sorted(Counter(longest).items())),
     )

@@ -222,7 +222,10 @@ def reduce_search_from_kfold(
     shared coins and the unscrambling is local.
 
     All (k n)! permutations are enumerated exactly up to k*n = 6; beyond
-    that pass perm_samples and seed for a uniform sample.
+    that pass perm_samples and seed for a uniform sample.  The chooser's
+    success is measured on its whole promise, never on a sample, so it can
+    be measured only up to k*n = 11: 2^(2kn) input pairs must fit
+    EXACT_PROTOCOL_INPUTS (2^22).
     """
     if n < 1 or k < 1 or not 1 <= choose <= k:
         raise ParameterRangeError(

@@ -130,13 +130,20 @@ def classify(task: TaskSpec, x: int, y: int, output) -> Verdict:
 
 
 def enumerate_inputs(task: TaskSpec) -> Iterator[tuple[int, int]]:
-    """Every (x, y), y fastest; refuses spaces past the exact-run cap."""
+    """Every (x, y), y fastest; refuses spaces past the exact-run cap.
+
+    search-choose yields only its promise, the pairs where at least `choose`
+    blocks intersect (outside it no output is correct), and is never sampled.
+    """
     side = 1 << task.input_bits
-    hint = "past it, only a seeded sample is measured (samples= and seed=, --samples and --seed)"
+    choose = task.choose if task.kind == KIND_SEARCH_CHOOSE else 0
+    sampling = "past it, only a seeded sample is measured (samples= and seed=, --samples and --seed)"
+    hint = "search-choose is measured on its promise, never sampled" if choose else sampling
     EXACT_PROTOCOL_INPUTS.check(side * side, "input pairs", hint)
     for x in range(side):
         for y in range(side):
-            yield x, y
+            if not choose or intersecting_blocks(task, x, y) >= choose:
+                yield x, y
 
 
 def measured_inputs(
@@ -144,13 +151,14 @@ def measured_inputs(
 ) -> tuple[list[tuple[int, int]], bool]:
     """The inputs a protocol is measured on, and whether they are a sample.
 
-    Every pair when the input space fits the exact cap.  Past it, `samples`
-    uniform draws (x first, then y) from Random(seed), so fewer samples with
-    the same seed are a prefix of more; without both, the enumeration's
-    refusal.
+    Every pair when the input space fits the exact cap, and always for
+    search-choose.  Past it, `samples` uniform draws (x first, then y) from
+    Random(seed), so fewer samples with the same seed are a prefix of more;
+    without both, the enumeration's refusal.
     """
     side = 1 << task.input_bits
-    if samples is None or seed is None or EXACT_PROTOCOL_INPUTS.fits(side * side):
+    exact = samples is None or seed is None or EXACT_PROTOCOL_INPUTS.fits(side * side)
+    if exact or task.kind == KIND_SEARCH_CHOOSE:
         return list(enumerate_inputs(task)), False
     rng = Random(seed)
     return [(rng.randrange(side), rng.randrange(side)) for _ in range(samples)], True

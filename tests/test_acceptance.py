@@ -47,9 +47,7 @@ from rectbound.protocols import (
     check_weights_against_lp,
     choose_success_bound,
     cost_profile,
-    enumerate_inputs,
     index_bits,
-    intersecting_blocks,
     make_verified,
     reduce_ndisj_to_search,
     reduce_search_from_kfold,
@@ -376,7 +374,7 @@ def test_halving_composition_bits_and_success(k, s):
     rng = Random(31 + s + 10 * k)
     side = 1 << task.input_bits
     probes = [(rng.randrange(side), rng.randrange(side)) for _ in range(128)]
-    profile = cost_profile(reduced, probes)
+    profile = cost_profile(success_probability(reduced, task, inputs=probes), reduced.worst_cost)
     assert profile.uniform  # padded rounds spend the same bits on every input
     assert profile.observed_max == want
     assert profile.histogram == {want: 128}
@@ -393,10 +391,8 @@ def test_choose_composition_meets_the_analytic_bound():
     reduced = reduce_search_from_kfold(base, n, k, choose)
     assert len(reduced.branches) == 2  # both orderings of the two positions
     task = TaskSpec("search-choose", n, k, choose=choose)
-    promise = [
-        (x, y) for x, y in enumerate_inputs(kfold) if intersecting_blocks(kfold, x, y) >= choose
-    ]
-    report = success_probability(reduced, task, inputs=promise)
+    report = success_probability(reduced, task)  # the promise: 7 pairs meet in a block
+    assert report.inputs_checked == 7
 
     bound = choose_success_bound(sigma, k, choose)
     assert bound.alpha == 2

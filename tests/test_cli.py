@@ -1,5 +1,7 @@
 """End-to-end runs of the command line, in process via main()."""
 
+import dataclasses
+import hashlib
 import json
 import shlex
 from pathlib import Path
@@ -265,18 +267,12 @@ def test_protocol_monte_carlo_mode(capsys):
     assert doc["bits"]["histogram"] == {"18": 400}
 
 
-def test_protocol_sampled_bits_probe_is_the_first_512_draws(capsys, monkeypatch):
-    import rectbound.cli
-    from rectbound.protocols import TaskSpec, measured_inputs
+def _sampled_bits_run(capsys, proto):
+    """A 600-draw seed-11 run's bits doc, checked against the profile of the
+    first 512 draws; also the profile of the last 512, for comparison."""
+    from rectbound.cli import _bits_doc
+    from rectbound.protocols import TaskSpec, measured_inputs, success_probability
 
-    probed = []
-    profile = rectbound.cli.cost_profile
-
-    def spy(proto, inputs):
-        probed.append(list(inputs))
-        return profile(proto, probed[-1])
-
-    monkeypatch.setattr(rectbound.cli, "cost_profile", spy)
     code, doc, _ = run_json(
         capsys,
         "protocol", "--proto", "trivial-ndisj-kfold",
@@ -285,9 +281,63 @@ def test_protocol_sampled_bits_probe_is_the_first_512_draws(capsys, monkeypatch)
     assert code == 0
     assert doc["success"]["inputs_checked"] == 600
     assert doc["success"]["worst_input"] == [59294, 61033]  # the first draw
-    assert doc["bits"]["histogram"] == {"18": 512}
-    sample, sampled = measured_inputs(TaskSpec("ndisj-kfold", 8, 2), 600, 11)
-    assert sampled and probed == [sample[:512]]
+    assert sum(doc["bits"]["histogram"].values()) == 512
+    task = TaskSpec("ndisj-kfold", 8, 2)
+    sample, sampled = measured_inputs(task, 600, 11)
+    assert sampled
+
+    def bits(inputs):
+        return _bits_doc(proto, success_probability(proto, task, inputs=inputs))
+
+    assert doc["bits"] == bits(sample[:512])
+    return doc["bits"], bits(sample[88:])
+
+
+def test_protocol_sampled_bits_probe_is_the_first_512_draws(capsys):
+    from rectbound.protocols import trivial_ndisj_kfold
+
+    doc_bits, _ = _sampled_bits_run(capsys, trivial_ndisj_kfold(8, 2))
+    assert doc_bits["histogram"] == {"18": 512}
+
+
+def test_protocol_sampled_bits_probe_tells_the_first_512_draws_from_others(capsys, monkeypatch):
+    import rectbound.cli
+    from rectbound.protocols import trivial_ndisj_kfold
+
+    # Transcripts cut to 10 + (x + y) % 7 bits, so lengths vary by input.
+    real = trivial_ndisj_kfold(8, 2)
+
+    def run_fn(x, y):
+        output, transcript = real.run_fn(x, y)
+        return output, transcript[: 10 + (x + y) % 7]
+
+    proto = dataclasses.replace(real, run_fn=run_fn)
+    monkeypatch.setattr(rectbound.cli, "trivial_ndisj_kfold", lambda n, k: proto)
+    doc_bits, last_512 = _sampled_bits_run(capsys, proto)
+    assert doc_bits["uniform"] is False
+    assert doc_bits != last_512
+
+
+def test_protocol_runs_each_input_and_branch_once(capsys, monkeypatch):
+    import rectbound.cli
+    from rectbound.protocols import trivial_ndisj_kfold
+
+    calls = []
+    real = trivial_ndisj_kfold(2, 2)
+
+    def counted(x, y):
+        calls.append((x, y))
+        return real.run_fn(x, y)
+
+    proto = dataclasses.replace(real, run_fn=counted)
+    monkeypatch.setattr(rectbound.cli, "trivial_ndisj_kfold", lambda n, k: proto)
+    code, doc, _ = run_json(capsys, "protocol", "--proto", "trivial-ndisj-kfold", "--n", "2", "--k", "2")
+    assert code == 0
+    assert doc["success"]["mode"] == "exact-rational"
+    assert doc["bits"]["histogram"] == {"6": 256}
+    # 256 inputs x 1 branch, each run once for both success and bits
+    assert len(calls) == doc["success"]["inputs_checked"] == 256
+    assert len(set(calls)) == 256
 
 
 @pytest.mark.parametrize("raw", ["abc", "0"])
@@ -342,6 +392,31 @@ def test_protocol_permute_past_the_permutation_limit_exits_1(capsys):
     assert code == 1
     assert out == ""
     assert "permutations" in err
+
+
+def test_protocol_permute_past_the_exact_cap_refuses_before_measuring(capsys, monkeypatch):
+    # k*n = 12: the chooser's promise has 2^24 pairs, past the exact cap, and
+    # search-choose is never sampled, so nothing is measured at all.
+    import rectbound.cli
+
+    completed = []
+    real = rectbound.cli.success_probability
+
+    def spy(*args, **kwargs):
+        completed.append(real(*args, **kwargs))
+        return completed[-1]
+
+    monkeypatch.setattr(rectbound.cli, "success_probability", spy)
+    code, out, err = run_cli(
+        capsys,
+        "protocol", "--proto", "trivial-search-kfold", "--n", "12", "--k", "1",
+        "--compose", "permute", "--choose", "1", "--perm-samples", "3", "--seed", "2",
+        "--samples", "50",
+    )
+    assert code == 1
+    assert out == ""
+    assert completed == []
+    assert "2^24 input pairs" in err and "never sampled" in err
 
 
 def test_out_flag_writes_file(capsys, tmp_path):
@@ -401,11 +476,32 @@ def _readme_cli_lines():
     return [line for line in block.splitlines() if line.startswith("rectbound ")]
 
 
+# SHA-256 of the stdout of each README `rectbound protocol` line.  Protocol
+# reports are exact or seeded, so any change to these bytes is a change in
+# what a protocol run reports.
+_PROTOCOL_STDOUT_SHA256 = {
+    "rectbound protocol --proto trivial-ndisj --n 3":
+        "803527f6bb8a65f7c255ef548ff14e3a0a88d76f216bd0c1d319eefda4de9e61",
+    "rectbound protocol --proto trivial-ndisj-kfold --n 8 --k 1 --compose halving --s 2":
+        "b526f52629027a8a6173a6baee2bfa1bc8631ee0f39003a4a4a59cff63a59742",
+    "rectbound protocol --proto trivial-search-kfold --n 2 --k 2 --compose permute --choose 1":
+        "648b2a6f27d020553cde695999c4db1ffaec955a26071b936eebe091b3c3ff19",
+    "rectbound protocol --proto trivial-ndisj-kfold --n 8 --k 2 --compose halving --s 0"
+    " --samples 400 --seed 11":
+        "fbf1575aac16bba6e9ed0137ee09bde4ba45d7a1660bf3499e83dcdd682ee3bc",
+}
+
+
 def test_readme_cli_examples_exit_0(capsys, tmp_path, monkeypatch):
     # The block's lines run in order: a later line may read an earlier one's file.
     monkeypatch.chdir(tmp_path)
     lines = _readme_cli_lines()
     assert lines
+    protocol_lines = [line for line in lines if line.startswith("rectbound protocol ")]
+    assert sorted(protocol_lines) == sorted(_PROTOCOL_STDOUT_SHA256)
     for line in lines:
-        code, _, err = run_cli(capsys, *shlex.split(line)[1:])
+        code, out, err = run_cli(capsys, *shlex.split(line)[1:])
         assert code == 0, f"{line!r} exited {code}: {err}"
+        if line in _PROTOCOL_STDOUT_SHA256:
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            assert digest == _PROTOCOL_STDOUT_SHA256[line], f"{line!r} stdout changed"

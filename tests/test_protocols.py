@@ -200,6 +200,25 @@ def test_measured_inputs_enumerates_within_the_cap_and_samples_past_it():
     assert measured_inputs(big, samples=512, seed=11) == (pairs[:512], True)
 
 
+def test_search_choose_is_measured_on_its_promise(monkeypatch):
+    task = TaskSpec("search-choose", 2, 2, choose=1)
+    kfold = TaskSpec("search-kfold", 2, 2)
+    promise = [(x, y) for x, y in enumerate_inputs(kfold) if intersecting_blocks(kfold, x, y) >= 1]
+    assert len(promise) == 175
+    assert list(enumerate_inputs(task)) == promise
+    # never sampled, whatever samples and seed say
+    assert measured_inputs(task, samples=5, seed=1) == (promise, False)
+    both = TaskSpec("search-choose", 2, 2, choose=2)
+    assert [(x, y) for x, y in enumerate_inputs(both)] == [
+        (x, y) for x, y in promise if intersecting_blocks(kfold, x, y) == 2
+    ]
+    monkeypatch.setenv("RECTBOUND_EXACT_PROTOCOL_CAP", "255")  # the space has 256 pairs
+    with pytest.raises(CapExceededError, match="never sampled"):
+        measured_inputs(task, samples=5, seed=1)
+    pairs, sampled = measured_inputs(kfold, samples=5, seed=1)
+    assert sampled and len(pairs) == 5
+
+
 def test_structural_census_counts_unreachable_leaves():
     report = leaf_rectangle_check(trivial_ndisj(1))
     assert report.mode == "structural"
@@ -311,10 +330,43 @@ def test_success_probability_size_mismatch():
 
 def test_cost_profile_histogram():
     proto = trivial_ndisj(2)
-    prof = cost_profile(proto, [(x, y) for x in range(4) for y in range(4)])
+    rep = success_probability(
+        proto, TaskSpec("ndisj-kfold", 2, 1), inputs=[(x, y) for x in range(4) for y in range(4)]
+    )
+    assert list(rep.shortest) == list(rep.longest) == [3] * 16
+    prof = cost_profile(rep, proto.worst_cost)
     assert prof.declared == 3
     assert prof.observed_max == prof.observed_min == 3
     assert prof.uniform
     assert prof.histogram == {3: 16}
+    assert cost_profile(rep, proto.worst_cost, first=5).histogram == {3: 5}
     with pytest.raises(ParameterRangeError):
-        cost_profile(proto, [])
+        cost_profile(rep, proto.worst_cost, first=0)
+
+
+def test_cost_profile_of_a_mixture_whose_branches_differ_in_length():
+    mix = RandomizedProtocol(((F(1, 2), constant_protocol(2, 2, 0)), (F(1, 2), trivial_ndisj(2))))
+    rep = success_probability(mix, TaskSpec("ndisj-kfold", 2, 1))
+    assert list(rep.shortest) == [0] * 16
+    assert list(rep.longest) == [3] * 16
+    prof = cost_profile(rep, mix.worst_cost)
+    assert prof.declared == 3
+    assert prof.observed_min == 0
+    assert prof.observed_max == 3
+    assert prof.uniform is False
+    assert prof.histogram == {3: 16}  # every input's longest branch, not its shortest
+
+
+def test_cost_profile_histogram_counts_each_inputs_longest_branch():
+    # A branch that stops after x's low bit on odd x: lengths vary by input.
+    def short_on_odd_x(x, y):
+        return (1 if x & y else 0), ((x & 1,) if x & 1 else (0, 0, 0))
+
+    cut = ProgramProtocol(2, 2, short_on_odd_x, worst_cost=3)
+    mix = RandomizedProtocol(((F(1, 2), cut), (F(1, 2), constant_protocol(2, 2, 0))))
+    rep = success_probability(mix, TaskSpec("ndisj-kfold", 2, 1))
+    assert list(rep.longest) == [3 if x % 2 == 0 else 1 for x in range(4) for y in range(4)]
+    prof = cost_profile(rep, mix.worst_cost)
+    assert (prof.observed_min, prof.observed_max, prof.uniform) == (0, 3, False)
+    assert prof.histogram == {1: 8, 3: 8}
+    assert cost_profile(rep, mix.worst_cost, first=4).histogram == {3: 4}  # x = 0 only

@@ -13,8 +13,6 @@ from rectbound.protocols import (
     Verdict,
     choose_success_bound,
     classify,
-    enumerate_inputs,
-    intersecting_blocks,
     make_verified,
     ndisj_to_search_cost,
     reduce_ndisj_to_search,
@@ -184,11 +182,8 @@ def test_permutation_reduction_exact():
     reduced = reduce_search_from_kfold(base, n, k, choose)
     assert len(reduced.branches) == 24  # 4! permutations, one base branch
     task = TaskSpec("search-choose", n, k, choose=choose)
-    kfold = TaskSpec("search-kfold", n, k)
-    promise = [
-        (x, y) for x, y in enumerate_inputs(kfold) if intersecting_blocks(kfold, x, y) >= choose
-    ]
-    report = success_probability(reduced, task, inputs=promise)
+    report = success_probability(reduced, task)  # the promise: 175 pairs meet in a block
+    assert report.inputs_checked == 175
     bound = choose_success_bound(F(1), k, choose)
     assert report.wrong == 0
     assert report.worst >= bound.scaled_outside
