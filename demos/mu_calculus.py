@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from rectbound import (
     MuParams,
+    bits,
     check_lemma4,
     enumerate_support,
     identity_sides,
@@ -29,7 +30,7 @@ def show_support(p: MuParams) -> None:
     for pair in enumerate_support(p):
         q = mu_prob(p, pair)
         total += q
-        print(f"  x={pair.x.bits()}  y={pair.y.bits()}  prob={q}")
+        print(f"  x={bits(pair.x, p.n)}  y={bits(pair.y, p.n)}  prob={q}")
     print(f"  sum = {total}")
     assert total == 1
 

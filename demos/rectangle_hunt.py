@@ -12,11 +12,11 @@ from fractions import Fraction
 from random import Random
 
 from rectbound import (
-    BitString,
     InputPair,
     MuParams,
     Rectangle,
     WeightMatrix,
+    bits,
     decompose_by_witness,
     enumerate_rectangles,
     max_weight_rectangle,
@@ -31,7 +31,7 @@ def random_matrix(rng: Random, n: int) -> WeightMatrix:
     entries = {}
     for x in range(side):
         for y in range(side):
-            entries[InputPair(BitString(n, x), BitString(n, y))] = Fraction(
+            entries[InputPair(x, y)] = Fraction(
                 rng.randint(-5, 8), rng.randint(1, 3)
             )
     return WeightMatrix(n, entries)
@@ -44,15 +44,15 @@ def main() -> None:
     print(f"random weight matrix on {1 << n}x{1 << n} input pairs, entries in [-5, 8]/d")
 
     best_rect, best_val = max_weight_rectangle(w)
-    rows = sorted(BitString(n, s).bits() for s in string_masks(best_rect.rows))
-    cols = sorted(BitString(n, s).bits() for s in string_masks(best_rect.cols))
+    rows = sorted(bits(s, n) for s in string_masks(best_rect.rows))
+    cols = sorted(bits(s, n) for s in string_masks(best_rect.cols))
     print(f"oracle best rectangle: rows={rows}")
     print(f"                       cols={cols}")
     print(f"oracle best weight:    {best_val}")
 
     brute = Fraction(0)
     count = 0
-    for rect in enumerate_rectangles(w.xs(), w.ys()):
+    for rect in enumerate_rectangles(n, w.xs(), w.ys()):
         count += 1
         v = rect_weight(w, rect)
         if v > brute:

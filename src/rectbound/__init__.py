@@ -18,15 +18,16 @@ from __future__ import annotations
 
 from . import caps
 from .combinatorics import (
-    BitString,
     InputPair,
     MuParams,
     binom,
+    bits,
     check_lemma4,
     enumerate_support,
     identity_sides,
     intersection_ratio,
     mu_prob,
+    parse_bits,
     remove_coords,
     sample_mu,
     valid_mu_params,
@@ -60,15 +61,16 @@ from .truth_tables import FAMILIES, TruthTable, family
 
 __all__ = [
     "caps",
-    "BitString",
     "InputPair",
     "MuParams",
     "binom",
+    "bits",
     "check_lemma4",
     "enumerate_support",
     "identity_sides",
     "intersection_ratio",
     "mu_prob",
+    "parse_bits",
     "remove_coords",
     "sample_mu",
     "valid_mu_params",

@@ -45,6 +45,7 @@ from .lp_bounds.scan import ScanConfig
 from .lp_bounds.solve import ARITH_EXACT, ARITH_FLOAT, LPResult
 from .protocols import (
     MODE_EXACT,
+    MODE_MONTE_CARLO,
     TaskSpec,
     choose_success_bound,
     cost_profile,
@@ -58,8 +59,6 @@ from .protocols import (
 )
 from .rectangles import string_masks
 from .truth_tables import FAMILIES, TruthTable, family
-
-MODE_MC = "monte-carlo-ci"
 
 # Largest exact-vs-CG optimum gap `--solver both` accepts.
 _AGREEMENT_TOL = 1e-9
@@ -92,7 +91,7 @@ def _float(value) -> dict:
 
 
 def _mc(value: float, ci: tuple[float, float] | None = None) -> dict:
-    doc = {"mode": MODE_MC, "value": float(value)}
+    doc = {"mode": MODE_MONTE_CARLO, "value": float(value)}
     if ci is not None:
         doc["ci95"] = [ci[0], ci[1]]
     return doc
@@ -122,12 +121,8 @@ def _result_doc(res: LPResult) -> dict:
         "columns": res.columns,
     }
     if res.status == "optimal":
-        if res.arithmetic == ARITH_EXACT:
-            doc["optimum"] = _exact(res.optimum)
-            opt = float(res.optimum)
-        else:
-            doc["optimum"] = _float(res.optimum)
-            opt = float(res.optimum)
+        opt = float(res.optimum)
+        doc["optimum"] = _exact(res.optimum) if res.arithmetic == ARITH_EXACT else _float(opt)
         doc["log2_optimum"] = _float(math.log2(opt)) if opt > 0 else None
         doc["residual"] = _float(res.residual)
         if res.oracle_max is not None:
@@ -317,7 +312,6 @@ def cmd_scan(args) -> tuple[str, int]:
 def _success_doc(rep) -> dict:
     if rep.mode == MODE_EXACT:
         doc = {
-            "mode": ARITH_EXACT,
             "worst": _exact(rep.worst),
             "average": _exact(rep.average),
             "rejected": _exact(rep.rejected),
@@ -325,12 +319,12 @@ def _success_doc(rep) -> dict:
         }
     else:
         doc = {
-            "mode": MODE_MC,
             "worst": _mc(float(rep.worst)),
             "average": _mc(float(rep.average), rep.wilson),
             "rejected": _mc(float(rep.rejected)),
             "wrong": _mc(float(rep.wrong)),
         }
+    doc["mode"] = rep.mode
     doc["inputs_checked"] = rep.inputs_checked
     doc["worst_input"] = list(rep.worst_input)
     return doc

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from random import Random
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .caps import SUPPORT_PAIRS
 from .errors import (
@@ -30,92 +31,47 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@dataclass(frozen=True, order=True)
-class BitString:
-    """An n-bit string identified with the subset of {1..n} it marks.
+def bits(mask: int, n: int) -> str:
+    """The display string of an n-bit mask: character j is bit j, coordinate j+1."""
+    return "".join("1" if mask >> j & 1 else "0" for j in range(n))
 
-    Bit j of `mask` is coordinate j+1, i.e. the j-th character (from the
-    left) of the display string: ``BitString.from_bits("10")`` marks
-    coordinate 1 only.
+
+def parse_bits(text: str) -> int:
+    """The mask of a display string: ``parse_bits("10")`` marks coordinate 1 only."""
+    mask = 0
+    for j, ch in enumerate(text):
+        if ch == "1":
+            mask |= 1 << j
+        elif ch != "0":
+            raise ParameterRangeError(f"bit strings may contain only 0/1, got {text!r}")
+    return mask
+
+
+class InputPair(NamedTuple):
+    """One joint input: the masks x and y of two subsets of one universe.
+
+    Bit j of a mask is coordinate j+1.  A plain ``(x, y)`` tuple equals, and
+    hashes like, the same pair, which is how the protocol layer holds it.
     """
 
-    n: int
-    mask: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ParameterRangeError(f"universe size must be nonnegative, got {self.n}")
-        if not 0 <= self.mask < (1 << self.n):
-            raise ParameterRangeError(f"mask {self.mask} out of range for n={self.n}")
-
-    @classmethod
-    def from_bits(cls, bits: str) -> BitString:
-        mask = 0
-        for j, ch in enumerate(bits):
-            if ch == "1":
-                mask |= 1 << j
-            elif ch != "0":
-                raise ParameterRangeError(f"bit strings may contain only 0/1, got {bits!r}")
-        return cls(len(bits), mask)
-
-    @classmethod
-    def from_coords(cls, n: int, coords: Iterable[int]) -> BitString:
-        """Build from 1-based coordinates."""
-        mask = 0
-        for c in coords:
-            if not 1 <= c <= n:
-                raise ParameterRangeError(f"coordinate {c} outside 1..{n}")
-            mask |= 1 << (c - 1)
-        return cls(n, mask)
-
-    def bits(self) -> str:
-        return "".join("1" if (self.mask >> j) & 1 else "0" for j in range(self.n))
-
-    def coords(self) -> tuple[int, ...]:
-        """Marked coordinates, 1-based, ascending."""
-        return tuple(j + 1 for j in range(self.n) if (self.mask >> j) & 1)
-
-    @property
-    def weight(self) -> int:
-        """Number of marked coordinates."""
-        return self.mask.bit_count()
-
-    def intersection_size(self, other: BitString) -> int:
-        if self.n != other.n:
-            raise DimensionMismatchError(f"universe mismatch: {self.n} vs {other.n}")
-        return (self.mask & other.mask).bit_count()
-
-    def __str__(self) -> str:
-        return self.bits()
-
-
-@dataclass(frozen=True, order=True)
-class InputPair:
-    """One joint input (x, y) over a shared universe."""
-
-    x: BitString
-    y: BitString
-
-    def __post_init__(self) -> None:
-        if self.x.n != self.y.n:
-            raise DimensionMismatchError(
-                f"pair sides live in different universes: {self.x.n} vs {self.y.n}"
-            )
+    x: int
+    y: int
 
     @classmethod
     def from_bits(cls, x_bits: str, y_bits: str) -> InputPair:
-        return cls(BitString.from_bits(x_bits), BitString.from_bits(y_bits))
+        if len(x_bits) != len(y_bits):
+            raise DimensionMismatchError(
+                f"pair sides live in different universes: {len(x_bits)} vs {len(y_bits)}"
+            )
+        return cls(parse_bits(x_bits), parse_bits(y_bits))
 
-    @property
-    def n(self) -> int:
-        return self.x.n
+    def fits(self, n: int) -> bool:
+        """Both sides are subsets of an n-element universe."""
+        return not (self.x >> n or self.y >> n)
 
     @property
     def intersection_size(self) -> int:
-        return (self.x.mask & self.y.mask).bit_count()
-
-    def __str__(self) -> str:
-        return f"({self.x.bits()},{self.y.bits()})"
+        return (self.x & self.y).bit_count()
 
 
 @dataclass(frozen=True, order=True)
@@ -135,7 +91,7 @@ class MuParams:
         if self.n < 0 or not 0 <= self.m <= self.n or self.k < 0:
             raise ParameterRangeError(f"invalid distribution parameters {self!r}")
 
-    @property
+    @cached_property
     def support_size(self) -> int:
         if self.k > self.m or self.m - self.k > self.n - self.m:
             return 0
@@ -157,16 +113,12 @@ class MuParams:
 
 def mu_prob(p: MuParams, pair: InputPair) -> Fraction:
     """Exact probability of `pair` under mu(p.k, p.n, p.m)."""
-    if pair.n != p.n:
-        raise DimensionMismatchError(f"pair universe {pair.n} does not match n={p.n}")
-    p.validate()
-    if (
-        pair.x.weight != p.m
-        or pair.y.weight != p.m
-        or pair.intersection_size != p.k
-    ):
+    if not pair.fits(p.n):
+        raise DimensionMismatchError(f"pair {pair} does not fit universe size {p.n}")
+    mass = p.point_mass()
+    if pair.x.bit_count() != p.m or pair.y.bit_count() != p.m or pair.intersection_size != p.k:
         return Fraction(0)
-    return Fraction(1, p.support_size)
+    return mass
 
 
 def _mask(coords: Iterable[int]) -> int:
@@ -196,7 +148,7 @@ def enumerate_support(p: MuParams) -> list[InputPair]:
             shared_mask = _mask(shared)
             for outside in combinations(rest_pool, p.m - p.k):
                 y_mask = shared_mask | _mask(outside)
-                out.append(InputPair(BitString(p.n, x_mask), BitString(p.n, y_mask)))
+                out.append(InputPair(x_mask, y_mask))
     if len(out) != size:
         raise AssertionError(f"support enumeration produced {len(out)} pairs, expected {size}")
     return out
@@ -210,10 +162,7 @@ def sample_mu(p: MuParams, rng: Random) -> InputPair:
     x_set = set(x_coords)
     complement = [c for c in range(p.n) if c not in x_set]
     outside = rng.sample(complement, p.m - p.k)
-    return InputPair(
-        BitString(p.n, _mask(x_coords)),
-        BitString(p.n, _mask(shared) | _mask(outside)),
-    )
+    return InputPair(_mask(x_coords), _mask(shared) | _mask(outside))
 
 
 LIFTING_IDENTITIES = ("I", "II", "III", "IV")
@@ -262,18 +211,11 @@ def identity_sides(identity: str, p: MuParams) -> IdentitySides:
     return IdentitySides(lhs=lhs, rhs=rhs, factor=factor, removed=k)
 
 
-def remove_coords(s: BitString, removed: tuple[int, ...]) -> BitString:
+def remove_coords(mask: int, removed: tuple[int, ...]) -> int:
     """Delete 0-based coordinates from the universe, compacting the rest."""
-    mask = 0
-    pos = 0
-    removed_set = set(removed)
-    for j in range(s.n):
-        if j in removed_set:
-            continue
-        if (s.mask >> j) & 1:
-            mask |= 1 << pos
-        pos += 1
-    return BitString(s.n - len(removed), mask)
+    for j in sorted(set(removed), reverse=True):
+        mask = mask & ((1 << j) - 1) | mask >> (j + 1) << j
+    return mask
 
 
 @dataclass(frozen=True)
@@ -308,9 +250,10 @@ def check_lemma4(identity: str, p: MuParams) -> IdentityReport:
         )
     max_diff = Fraction(0)
     count = 0
+    n = sides.lhs.n
     for pair in enumerate_support(sides.lhs):
-        shared = pair.x.mask & pair.y.mask
-        shared_coords = tuple(j for j in range(pair.n) if (shared >> j) & 1)
+        shared = pair.x & pair.y
+        shared_coords = tuple(j for j in range(n) if (shared >> j) & 1)
         removed = shared_coords[: sides.removed]
         reduced = InputPair(remove_coords(pair.x, removed), remove_coords(pair.y, removed))
         lhs_value = mu_prob(sides.lhs, pair)

@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..combinatorics import InputPair, MuParams
+from ..combinatorics import InputPair, MuParams, bits
 from ..caps import EXHAUSTIVE_STEPS
 from ..errors import ParameterRangeError
 from ..rectangles import Rectangle, WeightMatrix, WitnessSet, witness_set, witness_sets
@@ -262,8 +262,8 @@ def _exhaustive_max(cert: DualCertificate):
         )
         rect = Rectangle(
             cert.universe,
-            sum(1 << x.mask for i, x in enumerate(bxs) if rmask >> i & 1),
-            sum(1 << y.mask for j, y in enumerate(bys) if cmask >> j & 1),
+            sum(1 << x for i, x in enumerate(bxs) if rmask >> i & 1),
+            sum(1 << y for j, y in enumerate(bys) if cmask >> j & 1),
         )
         return val, rect
 
@@ -274,8 +274,8 @@ def _exhaustive_max(cert: DualCertificate):
     if fam.kind == FAMILY_WITNESS:
         for witness in witness_sets(cert.universe, fam.k or 0):
             mask = witness.mask
-            bxs = [s for s in xs if s.mask & mask == mask]
-            bys = [s for s in ys if s.mask & mask == mask]
+            bxs = [s for s in xs if s & mask == mask]
+            bys = [s for s in ys if s & mask == mask]
             if not bxs or not bys:
                 continue
             val, rect = run_block(bxs, bys)
@@ -284,7 +284,7 @@ def _exhaustive_max(cert: DualCertificate):
                 best_witness = witness
     elif fam.kind == FAMILY_AVOID_DISJOINT:
         disjoint = [
-            sum(1 << j for j, y in enumerate(ys) if x.mask & y.mask == 0) for x in xs
+            sum(1 << j for j, y in enumerate(ys) if x & y == 0) for x in xs
         ]
 
         def allowed_cols(row_set):
@@ -349,7 +349,7 @@ def _frac_str(value: Fraction | None) -> str | None:
 
 def _matrix_records(w: WeightMatrix) -> list[list[str]]:
     rows = [
-        [pair.x.bits(), pair.y.bits(), str(Fraction(value))]
+        [bits(pair.x, w.n), bits(pair.y, w.n), str(Fraction(value))]
         for pair, value in w.items()
     ]
     rows.sort(key=lambda rec: (rec[0], rec[1]))

@@ -19,7 +19,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Iterator, Mapping, Sequence
 
-from ..combinatorics import BitString, InputPair
+from ..combinatorics import InputPair
 from ..errors import KindMismatchError, ParameterRangeError
 from ..rectangles import (
     Rectangle,
@@ -113,11 +113,11 @@ class RectangleFamily:
             string_sets = [witness.strings for witness in witness_sets(n, self.k or 0)]
         else:
             string_sets = [(1 << (1 << n)) - 1]
-        labels = [[BitString(n, s) for s in string_masks(strings)] for strings in string_sets]
+        labels = [list(string_masks(strings)) for strings in string_sets]
         out = {
             rect
             for members in labels
-            for rect in enumerate_rectangles(members, members)
+            for rect in enumerate_rectangles(n, members, members)
             if not rect.is_empty and self.contains(rect)
         }
         return sorted(out, key=Rectangle.key)
@@ -180,7 +180,7 @@ class LPInstance:
     def __post_init__(self) -> None:
         seen: set[tuple[InputPair, str]] = set()
         for c in self.constraints:
-            if c.pair.n != self.n:
+            if not c.pair.fits(self.n):
                 raise ParameterRangeError(f"constraint pair {c.pair} outside universe size {self.n}")
             key = (c.pair, c.klass)
             if key in seen:
@@ -212,7 +212,7 @@ def covering_columns(pairs: Sequence[InputPair], rects: Sequence[Rectangle]) -> 
             col_bits[s] = col_bits.get(s, 0) | bit
     out = []
     for pair in pairs:
-        both = row_bits.get(pair.x.mask, 0) & col_bits.get(pair.y.mask, 0)
+        both = row_bits.get(pair.x, 0) & col_bits.get(pair.y, 0)
         cover = []
         while both:
             low = both & -both
@@ -238,7 +238,7 @@ def max_violation(lp: LPInstance, weights: Mapping[Rectangle, object], zero):
 def _all_pairs(n: int) -> Iterator[InputPair]:
     for xm in range(1 << n):
         for ym in range(1 << n):
-            yield InputPair(BitString(n, xm), BitString(n, ym))
+            yield InputPair(xm, ym)
 
 
 def build_search_lp(n: int, k: int, sigma) -> LPInstance:

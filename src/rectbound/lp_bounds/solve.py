@@ -129,7 +129,7 @@ def _seed_columns(lp: LPInstance) -> dict[Rectangle, None]:
     rectangle of all strings marking each witness on both sides.
     """
     seeds = [
-        Rectangle(lp.n, 1 << c.pair.x.mask, 1 << c.pair.y.mask)
+        Rectangle(lp.n, 1 << c.pair.x, 1 << c.pair.y)
         for c in lp.constraints
         if c.klass == CLASS_COVER
     ]

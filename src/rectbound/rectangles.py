@@ -18,7 +18,7 @@ from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .caps import ORACLE_SUBSETS, RECTANGLES, SUPPORT_PAIRS
-from .combinatorics import BitString, InputPair, MuParams, enumerate_support
+from .combinatorics import InputPair, MuParams, bits, enumerate_support, parse_bits
 from .errors import DimensionMismatchError, ParameterRangeError
 
 Weight = Fraction | float | int
@@ -53,17 +53,16 @@ class Rectangle:
 
     @classmethod
     def from_bits(cls, rows: Iterable[str], cols: Iterable[str], n: int | None = None) -> Rectangle:
-        row_strings = [BitString.from_bits(r) for r in rows]
-        col_strings = [BitString.from_bits(c) for c in cols]
+        row_strings, col_strings = list(rows), list(cols)
         if n is None:
             if not row_strings and not col_strings:
                 raise ParameterRangeError("empty rectangle needs an explicit universe size")
-            n = (row_strings or col_strings)[0].n
+            n = len((row_strings or col_strings)[0])
         for s in row_strings + col_strings:
-            if s.n != n:
+            if len(s) != n:
                 raise DimensionMismatchError(f"member {s} does not live in universe size {n}")
-        row_set = sum(1 << s.mask for s in set(row_strings))
-        col_set = sum(1 << s.mask for s in set(col_strings))
+        row_set = sum(1 << m for m in {parse_bits(s) for s in row_strings})
+        col_set = sum(1 << m for m in {parse_bits(s) for s in col_strings})
         return cls(n, row_set, col_set)
 
     @classmethod
@@ -84,20 +83,20 @@ class Rectangle:
         return self.rows.bit_count() * self.cols.bit_count()
 
     def contains(self, pair: InputPair) -> bool:
-        return bool(self.rows >> pair.x.mask & 1 and self.cols >> pair.y.mask & 1)
+        return bool(self.rows >> pair.x & 1 and self.cols >> pair.y & 1)
 
     def pairs(self) -> Iterator[InputPair]:
         for x in string_masks(self.rows):
             for y in string_masks(self.cols):
-                yield InputPair(BitString(self.n, x), BitString(self.n, y))
+                yield InputPair(x, y)
 
     def key(self) -> tuple:
         """Deterministic sort key: the member masks of each side, ascending."""
         return (tuple(string_masks(self.rows)), tuple(string_masks(self.cols)))
 
     def describe(self) -> str:
-        rows = ",".join(BitString(self.n, s).bits() for s in string_masks(self.rows)) or "-"
-        cols = ",".join(BitString(self.n, s).bits() for s in string_masks(self.cols)) or "-"
+        rows = ",".join(bits(s, self.n) for s in string_masks(self.rows)) or "-"
+        cols = ",".join(bits(s, self.n) for s in string_masks(self.cols)) or "-"
         return f"{{{rows}}}x{{{cols}}}"
 
 
@@ -147,12 +146,16 @@ class WeightMatrix:
 
     def __post_init__(self) -> None:
         for pair in self.weights:
-            if pair.n != self.n:
+            if not pair.fits(self.n):
                 raise DimensionMismatchError(f"pair {pair} does not live in universe size {self.n}")
 
     @classmethod
     def from_entries(cls, n: int, entries: Iterable[tuple[str, str, Weight]]) -> WeightMatrix:
-        weights = {InputPair.from_bits(x, y): w for x, y, w in entries}
+        weights = {}
+        for x, y, w in entries:
+            if len(x) != n:
+                raise DimensionMismatchError(f"entry {x!r} does not live in universe size {n}")
+            weights[InputPair.from_bits(x, y)] = w
         return cls(n, weights)
 
     @classmethod
@@ -171,10 +174,10 @@ class WeightMatrix:
     def support_size(self) -> int:
         return len(self.weights)
 
-    def xs(self) -> list[BitString]:
+    def xs(self) -> list[int]:
         return sorted({pair.x for pair in self.weights})
 
-    def ys(self) -> list[BitString]:
+    def ys(self) -> list[int]:
         return sorted({pair.y for pair in self.weights})
 
     def total(self) -> Weight:
@@ -249,10 +252,10 @@ def _max_rectangle(w: WeightMatrix, avoid_disjoint: bool, above: Weight | None =
         cell = value.numerator * (scale // value.denominator) if exact else value
         row_cells[row_index[x]].append((col_index[y], cell))
     row_disjoint = [
-        [j for j, c in enumerate(cols) if not r.mask & c.mask] if avoid_disjoint else [] for r in rows
+        [j for j, c in enumerate(cols) if not r & c] if avoid_disjoint else [] for r in rows
     ]
-    row_bits = [1 << r.mask for r in rows]
-    col_bits = [1 << c.mask for c in cols]
+    row_bits = [1 << r for r in rows]
+    col_bits = [1 << c for c in cols]
     bar = None if above is None else above * scale
     found: list[tuple[Weight, int, int]] = []
     col_sums: list[Weight] = [zero] * len(cols)
@@ -321,7 +324,7 @@ def max_weight_rectangle_in_rv(w: WeightMatrix, k: int, above: Weight | None = N
     improving: dict[Rectangle, Weight] = {}
     for witness in witness_sets(w.n, k):
         m = witness.mask
-        restricted = w.restrict(lambda pair: pair.x.mask & m == m and pair.y.mask & m == m)
+        restricted = w.restrict(lambda pair: pair.x & m == m and pair.y & m == m)
         if restricted.support_size == 0:
             continue
         if above is None:
@@ -423,21 +426,16 @@ def decompose_by_witness(r: Rectangle, k: int, p: MuParams) -> DecompositionRepo
     return DecompositionReport(k=k, params=p, lhs=lhs, rhs=rhs, family=tuple(family))
 
 
-def enumerate_rectangles(xs: Iterable[BitString], ys: Iterable[BitString]) -> Iterator[Rectangle]:
-    """Every rectangle over the given axis labels, empty ones included."""
+def enumerate_rectangles(n: int, xs: Iterable[int], ys: Iterable[int]) -> Iterator[Rectangle]:
+    """Every rectangle over the given axis masks of universe size n, empty ones included."""
     rows = sorted(set(xs))
     cols = sorted(set(ys))
-    if not rows and not cols:
-        raise ParameterRangeError("cannot infer a universe from empty label sets")
-    n = (rows or cols)[0].n
-    if any(s.n != n for s in rows + cols):
-        raise DimensionMismatchError(f"axis labels do not share universe size {n}")
     RECTANGLES.check(2 ** len(rows) * 2 ** len(cols), "rectangles", "shrink the axes")
     row_sets, col_sets = [0], [0]
     for s in rows:
-        row_sets += [r | 1 << s.mask for r in row_sets]
+        row_sets += [r | 1 << s for r in row_sets]
     for s in cols:
-        col_sets += [c | 1 << s.mask for c in col_sets]
+        col_sets += [c | 1 << s for c in col_sets]
     for row_set in row_sets:
         for col_set in col_sets:
             yield Rectangle(n, row_set, col_set)

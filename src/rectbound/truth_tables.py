@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .combinatorics import BitString, InputPair
+from .combinatorics import InputPair, parse_bits
 from .errors import ParameterRangeError
 
 FAMILIES = ("NDISJ", "DISJ", "EQ", "IP", "AND")
@@ -46,18 +46,13 @@ class TruthTable:
             rows.append(row)
         return cls(n, tuple(rows))
 
-    def value(self, x: int | BitString, y: int | BitString) -> int:
-        xm = x.mask if isinstance(x, BitString) else x
-        ym = y.mask if isinstance(y, BitString) else y
-        return (self.rows[xm] >> ym) & 1
+    def value(self, x: int, y: int) -> int:
+        return (self.rows[x] >> y) & 1
 
     def pairs(self) -> Iterator[tuple[InputPair, int]]:
         for xm in range(1 << self.n):
             for ym in range(1 << self.n):
-                yield (
-                    InputPair(BitString(self.n, xm), BitString(self.n, ym)),
-                    (self.rows[xm] >> ym) & 1,
-                )
+                yield InputPair(xm, ym), (self.rows[xm] >> ym) & 1
 
     def ones(self) -> Iterator[InputPair]:
         for pair, v in self.pairs():
@@ -112,7 +107,7 @@ class TruthTable:
 
 def _lex_index_to_mask(index: int, n: int) -> int:
     """The index-th n-bit string in lexicographic order, as a mask."""
-    return BitString.from_bits(format(index, f"0{n}b") if n else "").mask
+    return parse_bits(format(index, f"0{n}b") if n else "")
 
 
 def ndisj(n: int) -> TruthTable:

@@ -15,7 +15,6 @@ from random import Random
 import pytest
 
 from rectbound.combinatorics import (
-    BitString,
     InputPair,
     MuParams,
     binom,
@@ -115,9 +114,7 @@ def _seeded_matrix(rng: Random, n: int, rows: int, cols: int) -> WeightMatrix:
     entries = {}
     for x in xs:
         for y in ys:
-            entries[InputPair(BitString(n, x), BitString(n, y))] = F(
-                rng.randint(-9, 9), rng.randint(1, 5)
-            )
+            entries[InputPair(x, y)] = F(rng.randint(-9, 9), rng.randint(1, 5))
     return WeightMatrix(n, entries)
 
 
@@ -130,7 +127,7 @@ def test_oracle_equals_exhaustive_on_200_matrices():
         w = _seeded_matrix(rng, n, rng.randint(1, 5), rng.randint(1, 5))
         _, oracle_best = max_weight_rectangle(w)
         brute = F(0)
-        for rect in enumerate_rectangles(w.xs(), w.ys()):
+        for rect in enumerate_rectangles(n, w.xs(), w.ys()):
             value = rect_weight(w, rect)
             if value > brute:
                 brute = value

@@ -458,6 +458,32 @@ def test_empty_certificate_is_trivially_feasible(capsys, tmp_path):
     assert doc["verification"]["feasible"] is True
 
 
+def test_certificate_file_with_malformed_strings_exits_1(capsys, tmp_path):
+    # Certificate files are outside input: strings of the wrong length or
+    # alphabet are refused, even where the digits would parse to masks that
+    # fit the universe.
+    saved = tmp_path / "cert.json"
+    code, _, _ = run_cli(
+        capsys,
+        "certify", "--kind", "search",
+        "--n", "4", "--k", "1", "--m", "1", "--alpha", "1", "--beta", "1/4",
+        "--save", str(saved),
+    )
+    assert code == 0
+    base = json.loads(saved.read_text())
+    assert base["universe"] == 5 and len(base["phi"][0][0]) == 5
+    x, y, _ = base["phi"][0]
+    for bad in ([x[:4], y[:4]], [x, "10020"]):
+        doc = json.loads(saved.read_text())
+        doc["phi"][0][:2] = bad
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "certify", "--certificate", str(broken))
+        assert code == 1, bad
+        assert out == ""
+        assert "error" in err
+
+
 def test_no_subcommand_exits_1(capsys):
     code, out, err = run_cli(capsys)
     assert code == 1
@@ -476,10 +502,18 @@ def _readme_cli_lines():
     return [line for line in block.splitlines() if line.startswith("rectbound ")]
 
 
-# SHA-256 of the stdout of each README `rectbound protocol` line.  Protocol
-# reports are exact or seeded, so any change to these bytes is a change in
-# what a protocol run reports.
-_PROTOCOL_STDOUT_SHA256 = {
+# SHA-256 of the stdout of each README line whose report is exact or seeded,
+# and of the files the lines write.  Any change to these bytes is a change in
+# what a run reports; cert.json is where the bit-string format shows.
+_STDOUT_SHA256 = {
+    "rectbound bound --lp lovasz --family AND --n 1":
+        "30474cc5e3b96ff67064b5213d7ba7b64fd5885ff58d5a93a635176af1367476",
+    "rectbound certify --kind search --n 3 --k 1 --m 1 --alpha 1 --beta 1/3 --save cert.json":
+        "2c0cc1592cc1f7915c4274ae8c9582c77cb1895a71fc2868c7f90b7e04c59d64",
+    "rectbound certify --certificate cert.json":
+        "2c0cc1592cc1f7915c4274ae8c9582c77cb1895a71fc2868c7f90b7e04c59d64",
+    "rectbound scan --n 8 --samples 1000 --seed 7 --out scan.csv":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "rectbound protocol --proto trivial-ndisj --n 3":
         "803527f6bb8a65f7c255ef548ff14e3a0a88d76f216bd0c1d319eefda4de9e61",
     "rectbound protocol --proto trivial-ndisj-kfold --n 8 --k 1 --compose halving --s 2":
@@ -490,18 +524,28 @@ _PROTOCOL_STDOUT_SHA256 = {
     " --samples 400 --seed 11":
         "fbf1575aac16bba6e9ed0137ee09bde4ba45d7a1660bf3499e83dcdd682ee3bc",
 }
+# The column-generation figures of these lines are HiGHS floats.
+_UNPINNED_LINES = {
+    "rectbound bound --lp smooth --family NDISJ --n 2 --solver both",
+    "rectbound bound --lp search --n 2 --k 1 --sigma 1 --solver both",
+}
+_FILE_SHA256 = {
+    "cert.json": "1d7241771b5c45eb44c70df9f79af3647081a7dd965b75f992ae3f18b8426cca",
+    "scan.csv": "e258f7edc0fda851ce4675f6a4c9f59d03838f9dcce2270e226db4972a0c28ed",
+}
 
 
 def test_readme_cli_examples_exit_0(capsys, tmp_path, monkeypatch):
     # The block's lines run in order: a later line may read an earlier one's file.
     monkeypatch.chdir(tmp_path)
     lines = _readme_cli_lines()
-    assert lines
-    protocol_lines = [line for line in lines if line.startswith("rectbound protocol ")]
-    assert sorted(protocol_lines) == sorted(_PROTOCOL_STDOUT_SHA256)
+    assert sorted(lines) == sorted([*_STDOUT_SHA256, *_UNPINNED_LINES])
     for line in lines:
         code, out, err = run_cli(capsys, *shlex.split(line)[1:])
         assert code == 0, f"{line!r} exited {code}: {err}"
-        if line in _PROTOCOL_STDOUT_SHA256:
+        if line in _STDOUT_SHA256:
             digest = hashlib.sha256(out.encode()).hexdigest()
-            assert digest == _PROTOCOL_STDOUT_SHA256[line], f"{line!r} stdout changed"
+            assert digest == _STDOUT_SHA256[line], f"{line!r} stdout changed"
+    for name, expected in _FILE_SHA256.items():
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest == expected, f"{name} changed"

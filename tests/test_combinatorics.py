@@ -8,20 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rectbound.combinatorics import (
-    BitString,
     InputPair,
     MuParams,
     binom,
+    bits,
     check_lemma4,
     enumerate_support,
     identity_sides,
     intersection_ratio,
     mu_prob,
+    parse_bits,
     remove_coords,
     sample_mu,
     valid_mu_params,
 )
-from rectbound.errors import ParameterRangeError, SupportEmptyError
+from rectbound.errors import DimensionMismatchError, ParameterRangeError, SupportEmptyError
 
 
 def test_binom_matches_hand_values():
@@ -36,25 +37,30 @@ def test_binom_matches_hand_values():
 
 
 def test_bitstring_coordinates_are_one_based_low_bits():
-    s = BitString.from_coords(4, (1, 3))
-    assert s.mask == 0b101
-    assert s.coords() == (1, 3)
-    assert s.weight == 2
-    assert BitString.from_bits("110").coords() == (1, 2)
-    assert BitString(3, 0b011).bits() == "110"
+    assert parse_bits("1010") == 0b101  # coordinates 1 and 3
+    assert parse_bits("110") == 0b011
+    assert bits(0b011, 3) == "110"
+    assert bits(0, 0) == "" and parse_bits("") == 0
+    for n in range(5):
+        assert [parse_bits(bits(mask, n)) for mask in range(1 << n)] == list(range(1 << n))
 
 
 def test_bitstring_rejects_out_of_range():
     with pytest.raises(ParameterRangeError):
-        BitString(2, 0b100)
-    with pytest.raises(ParameterRangeError):
-        BitString.from_coords(2, (3,))
+        parse_bits("102")
+    with pytest.raises(DimensionMismatchError):
+        InputPair.from_bits("10", "1")
+    with pytest.raises(DimensionMismatchError):
+        mu_prob(MuParams(1, 4, 2), InputPair(0b10011, 0b00101))  # x marks coordinate 5
+    with pytest.raises(DimensionMismatchError):
+        mu_prob(MuParams(1, 4, 2), InputPair(0b0011, -1))
 
 
 def test_input_pair_intersection():
     p = InputPair.from_bits("1100", "0110")
+    assert p == (0b0011, 0b0110) and hash(p) == hash((0b0011, 0b0110))
     assert p.intersection_size == 1
-    assert p.n == 4
+    assert p.fits(3) and not p.fits(2)
 
 
 def test_support_size_closed_form():
@@ -105,7 +111,8 @@ def test_sample_mu_lands_in_support():
     p = MuParams(2, 7, 3)
     for _ in range(40):
         pair = sample_mu(p, rng)
-        assert pair.x.weight == 3 and pair.y.weight == 3
+        assert pair.x.bit_count() == 3 and pair.y.bit_count() == 3
+        assert pair.fits(7)
         assert pair.intersection_size == 2
         assert mu_prob(p, pair) == p.point_mass()
 
@@ -136,10 +143,18 @@ def test_identity_sides_rejects_unknown_label():
 
 
 def test_remove_coords_compacts_universe():
-    s = BitString.from_bits("10110")
-    out = remove_coords(s, (0, 3))
-    assert out.n == 3
-    assert out.bits() == "010"
+    out = remove_coords(parse_bits("10110"), (0, 3))
+    assert bits(out, 3) == "010" and out < 1 << 3
+    assert remove_coords(parse_bits("10110"), (3, 0, 3)) == out
+    # Against deleting the characters of the display string.
+    for n in range(6):
+        for removed in ((), (0,), (n - 1,), (1, n - 2), tuple(range(0, n, 2))):
+            if any(not 0 <= j < n for j in removed):
+                continue
+            for mask in range(1 << n):
+                kept = "".join(c for j, c in enumerate(bits(mask, n)) if j not in removed)
+                assert bits(remove_coords(mask, removed), len(kept)) == kept
+                assert remove_coords(mask, removed) >> len(kept) == 0
 
 
 def test_check_lemma4_exact_on_a_small_case():

@@ -156,6 +156,12 @@ def test_duplicate_rows_rejected():
         LPInstance("search", 1, witness_family(1), (row, row), {})
 
 
+def test_rows_outside_the_universe_rejected():
+    wide = PairConstraint(InputPair.from_bits("01", "11"), ">=", F(1), CLASS_COVER)
+    with pytest.raises(ParameterRangeError):
+        LPInstance("search", 1, witness_family(1), (wide,), {})
+
+
 def test_pair_constraint_validation():
     pair = InputPair.from_bits("1", "1")
     with pytest.raises(ParameterRangeError):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rectbound.combinatorics import BitString, InputPair, MuParams
+from rectbound.combinatorics import InputPair, MuParams
 from rectbound.errors import CapExceededError, DimensionMismatchError, ParameterRangeError
 from rectbound.lp_bounds.model import FULL_FAMILY, RectangleFamily, avoid_disjoint_family, witness_family
 from rectbound.rectangles import (
@@ -33,18 +33,13 @@ def _random_matrix(rng: Random, n: int, rows: int, cols: int) -> WeightMatrix:
     ys = rng.sample(range(side), min(cols, side))
     for x in xs:
         for y in ys:
-            entries.append(
-                (
-                    InputPair(BitString(n, x), BitString(n, y)),
-                    Fraction(rng.randint(-6, 9), rng.randint(1, 4)),
-                )
-            )
+            entries.append((InputPair(x, y), Fraction(rng.randint(-6, 9), rng.randint(1, 4))))
     return WeightMatrix(n, dict(entries))
 
 
 def _brute_force_max(w: WeightMatrix, family: RectangleFamily = FULL_FAMILY) -> Fraction:
     best = Fraction(0)  # the empty rectangle is always available
-    for rect in enumerate_rectangles(w.xs(), w.ys()):
+    for rect in enumerate_rectangles(w.n, w.xs(), w.ys()):
         if not family.contains(rect):
             continue
         value = rect_weight(w, rect)
@@ -189,7 +184,7 @@ def test_improving_list_of_the_oracle_sweep(family):
     # Float duals on every pair at n=3.  They are dyadic, so every sum is
     # exact and each value can be compared with rect_weight for equality.
     rng = Random(31)
-    pairs = [InputPair(BitString(3, x), BitString(3, y)) for x in range(8) for y in range(8)]
+    pairs = [InputPair(x, y) for x in range(8) for y in range(8)]
     for _ in range(6):
         w = WeightMatrix(3, {pair: rng.randint(-48, 32) / 16 for pair in pairs})
         plain = family.separation_oracle(w)
@@ -220,7 +215,7 @@ def test_oracle_dominates_random_rectangles(rmask, cmask, pyrng):
     xs, ys = w.xs(), w.ys()
     rows = [s for i, s in enumerate(xs) if (rmask >> i) & 1]
     cols = [s for i, s in enumerate(ys) if (cmask >> i) & 1]
-    r = Rectangle(2, sum(1 << s.mask for s in rows), sum(1 << s.mask for s in cols))
+    r = Rectangle(2, sum(1 << s for s in rows), sum(1 << s for s in cols))
     assert rect_weight(w, r) <= best
 
 
@@ -230,9 +225,9 @@ def test_in_rv_oracle_returns_valid_witness():
     rect, value, wit = max_weight_rectangle_in_rv(w, 1)
     assert value > 0
     assert wit is not None and len(wit.coords) == 1
-    c = wit.coords[0]
+    bit = 1 << (wit.coords[0] - 1)
     for pair in rect.pairs():
-        assert c in pair.x.coords() and c in pair.y.coords()
+        assert pair.x & bit and pair.y & bit
 
 
 def test_in_rv_maximum_never_exceeds_plain_maximum():
@@ -289,12 +284,16 @@ def test_decomposition_identity_small():
 
 
 def test_enumerate_rectangles_counts_and_cap(monkeypatch):
-    xs = [BitString(1, 0), BitString(1, 1)]
-    rects = list(enumerate_rectangles(xs, xs))
+    xs = [0b0, 0b1]
+    rects = list(enumerate_rectangles(1, xs, xs))
     assert len(rects) == 16  # subsets of a 2x2 grid of labels
+    assert len(set(rects)) == 16 and all(r.n == 1 for r in rects)
+    assert list(enumerate_rectangles(2, [], [])) == [Rectangle.empty(2)]
+    with pytest.raises(DimensionMismatchError):
+        list(enumerate_rectangles(1, [0b10], xs))  # label outside a 1-element universe
     monkeypatch.setenv("RECTBOUND_RECTANGLE_CAP", "8")
     with pytest.raises(CapExceededError):
-        list(enumerate_rectangles(xs, xs))
+        list(enumerate_rectangles(1, xs, xs))
 
 
 def test_string_masks_and_witness_strings_match_brute_force():
@@ -304,9 +303,21 @@ def test_string_masks_and_witness_strings_match_brute_force():
         for k in range(n + 1):
             for witness in witness_sets(n, k):
                 marking = [
-                    s for s in range(1 << n) if set(witness.coords) <= set(BitString(n, s).coords())
+                    s for s in range(1 << n) if all(s >> (c - 1) & 1 for c in witness.coords)
                 ]
                 assert witness.strings == sum(1 << s for s in marking)
+
+
+def test_weight_matrix_rejects_pairs_outside_the_universe():
+    with pytest.raises(DimensionMismatchError):
+        WeightMatrix(2, {InputPair(4, 0): 1})
+    with pytest.raises(DimensionMismatchError):
+        WeightMatrix(2, {InputPair(0, -1): 1})
+    with pytest.raises(DimensionMismatchError):
+        WeightMatrix.from_entries(3, [("10", "10", 1)])
+    with pytest.raises(ParameterRangeError):
+        WeightMatrix.from_entries(2, [("10", "1x", 1)])
+    assert WeightMatrix(2, {InputPair(3, 0): 1}).xs() == [3]
 
 
 def test_rectangle_rejects_sets_outside_the_universe():
