@@ -18,7 +18,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import sqrt
+from math import lcm, sqrt
 from typing import Callable, Mapping
 
 from ..caps import EXACT_PROTOCOL_INPUTS
@@ -93,7 +93,9 @@ def success_probability(
     when an explicit probe list is given; otherwise `samples` and `seed`
     drive a uniform sample and the 95% Wilson interval covers the probability
     that a uniform input is answered correctly on every branch.  The same
-    runs record each input's transcript lengths for `cost_profile`.
+    runs record each input's transcript lengths for `cost_profile`.  Branch
+    probabilities are summed as integers over their lcm denominator, and
+    Fractions are built once, for the report.
     """
     rand = as_randomized(proto)
     if rand.n_alice != task.input_bits or rand.n_bob != task.input_bits:
@@ -107,40 +109,42 @@ def success_probability(
     if not pairs:
         raise ParameterRangeError("no inputs to evaluate")
 
+    denom = lcm(*(prob.denominator for prob, _ in rand.branches))
+    weighted = [(prob.numerator * (denom // prob.denominator), det) for prob, det in rand.branches]
     worst, worst_input = None, pairs[0]
-    total = total_reject = total_wrong = Fraction(0)
+    total = total_reject = total_wrong = 0
     perfect = 0
     shortest, longest = array("I"), array("I")
     for x, y in pairs:
-        p_ok = p_reject = p_wrong = Fraction(0)
+        p_ok = p_reject = p_wrong = 0
         costs = []
-        for prob, det in rand.branches:
+        for weight, det in weighted:
             run = det.run(x, y)
             costs.append(run.cost)
             verdict = classify(task, x, y, run.output)
             if verdict is Verdict.CORRECT:
-                p_ok += prob
+                p_ok += weight
             elif verdict is Verdict.REJECT:
-                p_reject += prob
+                p_reject += weight
             else:
-                p_wrong += prob
+                p_wrong += weight
         if worst is None or p_ok < worst:
             worst = p_ok
             worst_input = (x, y)
         total += p_ok
         total_reject += p_reject
         total_wrong += p_wrong
-        if p_ok == 1:
+        if p_ok == denom:
             perfect += 1
         shortest.append(min(costs))
         longest.append(max(costs))
     count = len(pairs)
     return SuccessReport(
         mode=MODE_MONTE_CARLO if sampled else MODE_EXACT,
-        worst=worst,
-        average=total / count,
-        rejected=total_reject / count,
-        wrong=total_wrong / count,
+        worst=Fraction(worst, denom),
+        average=Fraction(total, denom * count),
+        rejected=Fraction(total_reject, denom * count),
+        wrong=Fraction(total_wrong, denom * count),
         inputs_checked=count,
         worst_input=worst_input,
         shortest=shortest,

@@ -1,5 +1,6 @@
 """Distribution layer: point masses, supports, lifting identities."""
 
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rectbound import combinatorics
 from rectbound.combinatorics import (
+    LIFTING_IDENTITIES,
     InputPair,
     MuParams,
     binom,
@@ -89,6 +92,24 @@ def test_mu_prob_is_point_mass_on_support_zero_off():
     assert mu_prob(p, off) == 0
 
 
+def test_contains_tests_sizes_and_refuses_pairs_outside_the_universe():
+    p = MuParams(1, 4, 2)
+    assert p.contains(0b0011, 0b0101)
+    assert not p.contains(0b0011, 0b1100)  # meet 0
+    assert not p.contains(0b0111, 0b0101)  # |x| = 3
+    for x, y in ((0b10011, 0b00101), (0b0011, -1)):
+        with pytest.raises(DimensionMismatchError):
+            p.contains(x, y)
+    assert [pair for pair in enumerate_support(p) if p.contains(*pair)] == enumerate_support(p)
+    assert sum(p.contains(x, y) for x in range(16) for y in range(16)) == p.support_size
+
+
+def test_point_mass_is_built_once_per_instance():
+    p = MuParams(1, 4, 2)
+    assert p.point_mass() is p.point_mass()
+    assert MuParams(1, 4, 2).point_mass() == p.point_mass()
+
+
 def test_enumerate_support_is_deterministic():
     p = MuParams(1, 5, 2)
     assert list(enumerate_support(p)) == list(enumerate_support(p))
@@ -163,6 +184,63 @@ def test_check_lemma4_exact_on_a_small_case():
         assert rep.holds
         assert rep.max_abs_diff == 0
         assert rep.pairs_checked == rep.lhs_params.support_size
+
+
+def test_check_lemma4_reports_a_doubled_factor(monkeypatch):
+    real = combinatorics.identity_sides
+    monkeypatch.setattr(
+        combinatorics, "identity_sides", lambda name, p: replace(real(name, p), factor=2 * real(name, p).factor)
+    )
+    for name in LIFTING_IDENTITIES:
+        sides = real(name, MuParams(1, 4, 2))
+        left, right = sides.lhs.support_size, sides.rhs.support_size
+        rep = check_lemma4(name, MuParams(1, 4, 2))
+        assert rep.pairs_checked == left
+        assert rep.max_abs_diff == abs(Fraction(1, left) - 2 * sides.factor / right)
+        assert not rep.holds
+
+
+def test_check_lemma4_reports_pairs_outside_the_right_side(monkeypatch):
+    real = combinatorics.identity_sides
+
+    def wrong_meet(name, p):
+        sides = real(name, p)
+        rhs = sides.rhs
+        wrong = MuParams(rhs.k + 1 if rhs.k < rhs.m else rhs.k - 1, rhs.n, rhs.m)
+        assert not wrong.is_empty
+        return replace(sides, rhs=wrong)
+
+    monkeypatch.setattr(combinatorics, "identity_sides", wrong_meet)
+    for name in LIFTING_IDENTITIES:
+        rep = check_lemma4(name, MuParams(1, 4, 2))
+        left = rep.lhs_params.support_size
+        assert rep.pairs_checked == left
+        assert rep.max_abs_diff == Fraction(1, left)
+
+
+def test_check_lemma4_refuses_a_reduced_pair_outside_the_right_universe(monkeypatch):
+    real = combinatorics.identity_sides
+    # Identity III deletes k coordinates into a universe k smaller; deleting none overflows it.
+    monkeypatch.setattr(combinatorics, "identity_sides", lambda name, p: replace(real(name, p), removed=0))
+    with pytest.raises(DimensionMismatchError):
+        check_lemma4("III", MuParams(1, 4, 2))
+
+
+def test_check_lemma4_enumerates_its_support_once(monkeypatch):
+    # The benchmark's per-layer pair counts read these calls and lengths.
+    real = combinatorics.enumerate_support
+    lengths = []
+
+    def counting(p):
+        out = real(p)
+        lengths.append(len(out))
+        return out
+
+    monkeypatch.setattr(combinatorics, "enumerate_support", counting)
+    for name in LIFTING_IDENTITIES:
+        lengths.clear()
+        rep = check_lemma4(name, MuParams(1, 5, 2))
+        assert lengths == [rep.pairs_checked] == [rep.lhs_params.support_size]
 
 
 def test_check_lemma4_out_of_range():

@@ -19,6 +19,7 @@ from rectbound.protocols import (
     TaskSpec,
     TreeProtocol,
     Verdict,
+    analysis,
     as_randomized,
     classify,
     constant_protocol,
@@ -299,6 +300,78 @@ def test_success_probability_mixture_is_exact_per_input():
     assert report.worst == F(3, 4)
     assert report.rejected == F(1, 4)
     assert report.wrong == 0
+
+
+def _disagreeing_mixture(task):
+    """Three branches, 1/3, 1/4 and 5/12, that are right, wrong or silent on different inputs."""
+    bits = task.input_bits
+
+    def parity_of_x(x, y):  # right on even x, wrong on odd x
+        truth = ndisj_truth(task, x, y)
+        return (truth if x % 2 == 0 else truth ^ 1), (x & 1,)
+
+    def silent_on_y(x, y):  # rejects when 3 divides y
+        return (None if y % 3 == 0 else ndisj_truth(task, x, y)), (y % 3 == 0,)
+
+    def bit_two(x, y):  # right when bit 2 of x ^ y is set, else answers 0
+        hit = (x ^ y) >> 2 & 1
+        return (ndisj_truth(task, x, y) if hit else 0), (hit,)
+
+    return RandomizedProtocol(
+        tuple(
+            (prob, ProgramProtocol(bits, bits, fn, worst_cost=1))
+            for prob, fn in ((F(1, 3), parity_of_x), (F(1, 4), silent_on_y), (F(5, 12), bit_two))
+        )
+    )
+
+
+def _fraction_reference(mix, task, pairs):
+    """The success figures by a plain Fraction loop, and the count of inputs right on every branch."""
+    worst = worst_input = None
+    total = {verdict: F(0) for verdict in Verdict}
+    perfect = 0
+    for x, y in pairs:
+        mass = {verdict: F(0) for verdict in Verdict}
+        for prob, det in mix.branches:
+            mass[classify(task, x, y, det.run(x, y).output)] += prob
+        if worst is None or mass[Verdict.CORRECT] < worst:
+            worst, worst_input = mass[Verdict.CORRECT], (x, y)
+        for verdict in Verdict:
+            total[verdict] += mass[verdict]
+        perfect += mass[Verdict.CORRECT] == 1
+    count = len(pairs)
+    return {
+        "worst": worst,
+        "worst_input": worst_input,
+        "average": total[Verdict.CORRECT] / count,
+        "rejected": total[Verdict.REJECT] / count,
+        "wrong": total[Verdict.WRONG] / count,
+    }, perfect
+
+
+def test_success_probability_integer_sums_match_a_fraction_loop():
+    task = TaskSpec("ndisj-kfold", 3, 1)
+    mix = _disagreeing_mixture(task)
+    report = success_probability(mix, task)
+    want, _ = _fraction_reference(mix, task, [(x, y) for x in range(8) for y in range(8)])
+    got = {name: getattr(report, name) for name in want}
+    assert got == want
+    # The branches disagree: the figures are neither all 0 nor all 1.
+    assert report.worst < report.average < 1 and report.rejected > 0 and report.wrong > 0
+    assert report.worst_input != (0, 0)
+    assert report.inputs_checked == 64
+
+
+def test_success_probability_sampled_integer_sums_and_perfect_count_match_a_fraction_loop():
+    task = TaskSpec("ndisj-kfold", 6, 2)  # 2^24 pairs: sampled
+    mix = _disagreeing_mixture(task)
+    report = success_probability(mix, task, samples=300, seed=4)
+    pairs, sampled = measured_inputs(task, 300, 4)
+    assert sampled and report.mode == "monte-carlo-ci"
+    want, perfect = _fraction_reference(mix, task, pairs)
+    assert {name: getattr(report, name) for name in want} == want
+    assert 0 < perfect < len(pairs)
+    assert report.wilson == analysis._wilson(perfect, len(pairs))
 
 
 def test_success_probability_sampling_contract():
