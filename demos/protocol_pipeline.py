@@ -42,7 +42,7 @@ def main() -> None:
     task = TaskSpec("search-kfold", 2, 2)
     # a protocol that always claims coordinate 1 in every block, silently
     liar = ProgramProtocol(
-        n_alice=4, n_bob=4, run_fn=lambda x, y: ((1, 1), ()), worst_cost=0, label="liar"
+        n_alice=4, n_bob=4, run_fn=lambda x, y: ((1, 1), 0, 0), worst_cost=0, label="liar"
     )
     raw = success_probability(liar, task)
     ver = success_probability(make_verified(liar, task, "explicit"), task)

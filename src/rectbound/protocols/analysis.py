@@ -31,6 +31,7 @@ from .core import (
     ProgramProtocol,
     TreeProtocol,
     as_randomized,
+    unpack_transcript,
 )
 from .tasks import TaskSpec, Verdict, classify, measured_inputs
 
@@ -120,7 +121,7 @@ def success_probability(
         costs = []
         for weight, det in weighted:
             run = det.run(x, y)
-            costs.append(run.cost)
+            costs.append(run.length)
             verdict = classify(task, x, y, run.output)
             if verdict is Verdict.CORRECT:
                 p_ok += weight
@@ -229,13 +230,13 @@ def _structural_census(proto: TreeProtocol) -> LeafReport:
 
 def _transcript_census(proto: ProgramProtocol) -> LeafReport:
     EXACT_PROTOCOL_INPUTS.check(1 << (proto.n_alice + proto.n_bob), "input pairs in a leaf census")
-    groups: dict[tuple[int, ...], dict] = {}
+    groups: dict[tuple[int, int], dict] = {}
     consistent = True
     for x in range(1 << proto.n_alice):
         for y in range(1 << proto.n_bob):
             res = proto.run(x, y)
             g = groups.setdefault(
-                res.transcript, {"output": res.output, "xs": 0, "ys": 0, "pairs": 0}
+                (res.bits, res.length), {"output": res.output, "xs": 0, "ys": 0, "pairs": 0}
             )
             if g["output"] != res.output:
                 consistent = False
@@ -244,11 +245,12 @@ def _transcript_census(proto: ProgramProtocol) -> LeafReport:
             g["pairs"] += 1
     leaves = []
     product_ok = consistent
-    for transcript in sorted(groups):
-        g = groups[transcript]
+    # Leaves in lexicographic order of the spoken bits, first bit first.
+    for bits, length in sorted(groups, key=lambda key: unpack_transcript(*key)):
+        g = groups[bits, length]
         if g["pairs"] != g["xs"].bit_count() * g["ys"].bit_count():
             product_ok = False
-        leaves.append(LeafRectangle(g["output"], g["xs"], g["ys"], len(transcript)))
+        leaves.append(LeafRectangle(g["output"], g["xs"], g["ys"], length))
     return LeafReport(
         mode=CENSUS_TRANSCRIPT,
         n_alice=proto.n_alice,

@@ -3,7 +3,8 @@
 Inputs are plain bit masks: Alice holds x over `n_alice` coordinates, Bob
 holds y over `n_bob`, bit j marking coordinate j + 1 as in the rest of the
 package.  A protocol run produces an output and the transcript of exchanged
-bits; its cost is the transcript length.
+bits, packed like the inputs: an int `bits` whose bit t is the t-th bit
+spoken (LSB first) and a `length`.  Its cost is the length.
 
 Two deterministic representations:
 
@@ -11,7 +12,7 @@ Two deterministic representations:
   message function of that speaker's input alone, and the spoken bit picks
   the child.  Everything about it can be inspected, counted, and serialized.
 * `ProgramProtocol` is a closure that replays the conversation and returns
-  (output, transcript).  Compositions and k-fold constructions live here,
+  (output, bits, length).  Compositions and k-fold constructions live here,
   where the explicit tree would be exponentially large.
 
 Public coins are a `RandomizedProtocol`: finitely many deterministic
@@ -52,14 +53,24 @@ class Node:
                 raise MalformedTreeError(f"child of unsupported type {type(child).__name__}")
 
 
+def unpack_transcript(bits: int, length: int) -> tuple[int, ...]:
+    """The spoken bits of a packed transcript, first bit first."""
+    return tuple((bits >> t) & 1 for t in range(length))
+
+
 @dataclass(frozen=True)
 class RunResult:
     output: object
-    transcript: tuple[int, ...]
+    bits: int
+    length: int
 
     @property
     def cost(self) -> int:
-        return len(self.transcript)
+        return self.length
+
+    @property
+    def transcript(self) -> tuple[int, ...]:
+        return unpack_transcript(self.bits, self.length)
 
 
 def _check_input(n_alice: int, n_bob: int, x: int, y: int) -> None:
@@ -77,16 +88,17 @@ class TreeProtocol:
 
     def run(self, x: int, y: int) -> RunResult:
         _check_input(self.n_alice, self.n_bob, x, y)
-        transcript: list[int] = []
+        bits = length = 0
         current = self.root
         while isinstance(current, Node):
             held = x if current.owner == ALICE else y
             bit = current.message(held)
             if bit not in (0, 1):
                 raise MalformedTreeError(f"message produced {bit!r} instead of a bit")
-            transcript.append(bit)
+            bits |= bit << length
+            length += 1
             current = current.children[bit]
-        return RunResult(current.value, tuple(transcript))
+        return RunResult(current.value, bits, length)
 
     @property
     def worst_cost(self) -> int:
@@ -120,30 +132,32 @@ class TreeProtocol:
 class ProgramProtocol:
     """A protocol given by its conversation replay function.
 
-    `run_fn(x, y)` returns (output, transcript).  The output must be a
+    `run_fn(x, y)` returns (output, bits, length): the transcript packed LSB
+    first, bit t of `bits` being the t-th bit spoken.  The output must be a
     function of the transcript so that both parties know it; the library
     constructions keep that property, closures supplied from outside are
-    trusted.  Runs past `worst_cost` raise, runs under it are fine.
+    trusted.  Bits set at or past `length`, negative `bits` and runs past
+    `worst_cost` raise; runs under it are fine.
     """
 
     n_alice: int
     n_bob: int
-    run_fn: Callable[[int, int], tuple[object, tuple[int, ...]]] = field(repr=False)
+    run_fn: Callable[[int, int], tuple[object, int, int]] = field(repr=False)
     worst_cost: int
     label: str = ""
 
     def run(self, x: int, y: int) -> RunResult:
         _check_input(self.n_alice, self.n_bob, x, y)
-        output, transcript = self.run_fn(x, y)
-        transcript = tuple(transcript)
-        if any(bit not in (0, 1) for bit in transcript):
-            raise ProtocolContractError(f"non-bit transcript entry in {self.label or 'program'}")
-        if len(transcript) > self.worst_cost:
+        output, bits, length = self.run_fn(x, y)
+        if length < 0 or bits < 0 or bits >> length:
             raise ProtocolContractError(
-                f"{self.label or 'program'} used {len(transcript)} bits, "
-                f"declared at most {self.worst_cost}"
+                f"{self.label or 'program'} returned bits {bits} outside its length {length}"
             )
-        return RunResult(output, transcript)
+        if length > self.worst_cost:
+            raise ProtocolContractError(
+                f"{self.label or 'program'} used {length} bits, declared at most {self.worst_cost}"
+            )
+        return RunResult(output, bits, length)
 
 
 DeterministicProtocol = Union[TreeProtocol, ProgramProtocol]

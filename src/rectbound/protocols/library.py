@@ -57,13 +57,11 @@ def trivial_ndisj_kfold(n: int, k: int) -> ProgramProtocol:
     width = n * k
 
     def run_fn(x: int, y: int):
-        transcript = [(x >> i) & 1 for i in range(width)]
         answers = 0
         for j in range(k):
-            bit = 1 if block(x, j, n) & block(y, j, n) else 0
-            answers |= bit << j
-            transcript.append(bit)
-        return answers, tuple(transcript)
+            if block(x, j, n) & block(y, j, n):
+                answers |= 1 << j
+        return answers, x | answers << width, width + k
 
     return ProgramProtocol(
         n_alice=width,
@@ -86,20 +84,18 @@ def trivial_search_kfold(n: int, k: int) -> ProgramProtocol:
     idx_bits = index_bits(n)
 
     def run_fn(x: int, y: int):
-        transcript = [(x >> i) & 1 for i in range(width)]
+        bits, length = x, width
         out = []
         for j in range(k):
             meet = block(x, j, n) & block(y, j, n)
             if meet:
                 lowest = (meet & -meet).bit_length() - 1
-                transcript.append(1)
-                transcript.extend((lowest >> t) & 1 for t in range(idx_bits))
+                bits |= (1 | lowest << 1) << length  # validity bit, then the index
                 out.append(lowest + 1)
             else:
-                transcript.append(0)
-                transcript.extend(0 for _ in range(idx_bits))
                 out.append(0)
-        return tuple(out), tuple(transcript)
+            length += 1 + idx_bits
+        return tuple(out), bits, length
 
     return ProgramProtocol(
         n_alice=width,

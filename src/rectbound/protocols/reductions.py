@@ -93,54 +93,40 @@ def reduce_ndisj_to_search(
 
     def make_run(draws):
         def run_fn(x: int, y: int):
-            transcript: list[int] = []
             res = draws[0].run(x, y)
-            transcript.extend(res.transcript)
+            bits, length = res.bits, res.length
             live = res.output if isinstance(res.output, int) else 0
-            windows = [list(range(n)) for _ in range(k)]
+            # Block j's window is the interval of `size` positions from bit `lo`.
+            windows = [(j * n, n) for j in range(k)]
             for t in range(1, s + 1):
-                lefts = [w[: _ceil_div(len(w), 2)] for w in windows]
                 mask = 0
-                for j, left in enumerate(lefts):
-                    for pos in left:
-                        mask |= 1 << (j * n + pos)
+                for lo, size in windows:
+                    mask |= ((1 << ((size + 1) >> 1)) - 1) << lo  # the left half, ceiling split
                 res = draws[t].run(x & mask, y & mask)
                 answers = res.output if isinstance(res.output, int) else 0
-                transcript.extend(res.transcript)
-                for j in range(k):
-                    bit = (answers >> j) & 1
-                    transcript.append(bit)
-                    windows[j] = lefts[j] if bit else windows[j][len(lefts[j]):]
+                bits |= (res.bits | (answers & ((1 << k) - 1)) << res.length) << length
+                length += res.length + k
+                for j, (lo, size) in enumerate(windows):
+                    half = (size + 1) >> 1
+                    windows[j] = (lo, half) if (answers >> j) & 1 else (lo + half, size - half)
             wsize = breakdown.window
-            shared: list[list[int]] = []
-            for j in range(k):
-                w = windows[j]
-                sent = []
-                for i in range(wsize):
-                    bit = (x >> (j * n + w[i])) & 1 if i < len(w) else 0
-                    sent.append(bit)
-                    transcript.append(bit)
-                shared.append(
-                    [
-                        i
-                        for i in range(len(w))
-                        if sent[i] and (y >> (j * n + w[i])) & 1
-                    ]
-                )
+            dumps = [(lo, (x >> lo) & ((1 << size) - 1)) for lo, size in windows]
+            for _, sent in dumps:
+                bits |= sent << length  # zero-padded to wsize
+                length += wsize
             idx_width = index_bits(wsize)
             out = []
-            for j in range(k):
-                found = bool(shared[j])
-                idx = shared[j][0] if found else 0
-                transcript.append(1 if found else 0)
-                transcript.extend((idx >> t) & 1 for t in range(idx_width))
-                if not (live >> j) & 1:
-                    out.append(0)
-                elif found:
-                    out.append(windows[j][idx] + 1)
-                else:
-                    out.append(0)
-            return tuple(out), tuple(transcript)
+            for j, (lo, sent) in enumerate(dumps):
+                shared = sent & (y >> lo)
+                claim = 0
+                if shared:
+                    idx = (shared & -shared).bit_length() - 1
+                    bits |= (1 | idx << 1) << length  # validity bit, then the index
+                    if (live >> j) & 1:
+                        claim = lo - j * n + idx + 1
+                length += 1 + idx_width
+                out.append(claim)
+            return tuple(out), bits, length
 
         return run_fn
 
@@ -266,8 +252,8 @@ def reduce_search_from_kfold(
                         claims.append((original // n, original % n + 1))
             if len(claims) >= choose:
                 claims.sort()
-                return tuple(claims[:choose]), res.transcript
-            return 0, res.transcript
+                return tuple(claims[:choose]), res.bits, res.length
+            return 0, res.bits, res.length
 
         return run_fn
 

@@ -80,16 +80,18 @@ def make_verified(
 
     def run_fn(x: int, y: int):
         res = base.run(x, y)
-        transcript = list(res.transcript)
+        bits, length = res.bits, res.length
         claims = _slot_claims(task, res.output)
         alice_bits = [_membership(task, x, claim) for claim in claims]
         bob_bits = [_membership(task, y, claim) for claim in claims]
         if mode == VERIFY_EXPLICIT:
-            transcript.extend(alice_bits)
-            transcript.extend(bob_bits)
+            for bit in alice_bits + bob_bits:
+                bits |= bit << length
+                length += 1
         a_ok = 1 if all(alice_bits) else 0
         b_ok = 1 if all(bob_bits) else 0
-        transcript.extend((a_ok, b_ok))
+        bits |= (a_ok | b_ok << 1) << length
+        length += 2
 
         output = res.output
         if output is not None and output != 0:
@@ -104,7 +106,7 @@ def make_verified(
                     output = None
             elif not (a_ok and b_ok):
                 output = None
-        return output, tuple(transcript)
+        return output, bits, length
 
     return ProgramProtocol(
         n_alice=base.n_alice,

@@ -327,7 +327,7 @@ def _always_claims_first(n: int, k: int) -> ProgramProtocol:
     return ProgramProtocol(
         n_alice=width,
         n_bob=width,
-        run_fn=lambda x, y: (tuple(1 for _ in range(k)), ()),
+        run_fn=lambda x, y: (tuple(1 for _ in range(k)), 0, 0),
         worst_cost=0,
         label="always-claims",
     )

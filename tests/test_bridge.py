@@ -98,7 +98,7 @@ def test_accepting_weights_need_square_inputs():
     from rectbound.protocols import ProgramProtocol
 
     lopsided = ProgramProtocol(
-        n_alice=2, n_bob=1, run_fn=lambda x, y: (0, ()), worst_cost=0, label="lopsided"
+        n_alice=2, n_bob=1, run_fn=lambda x, y: (0, 0, 0), worst_cost=0, label="lopsided"
     )
     with pytest.raises(ParameterRangeError):
         accepting_rectangle_weights(lopsided, _accepts_claim)

@@ -308,8 +308,9 @@ def test_protocol_sampled_bits_probe_tells_the_first_512_draws_from_others(capsy
     real = trivial_ndisj_kfold(8, 2)
 
     def run_fn(x, y):
-        output, transcript = real.run_fn(x, y)
-        return output, transcript[: 10 + (x + y) % 7]
+        output, bits, length = real.run_fn(x, y)
+        cut = min(length, 10 + (x + y) % 7)
+        return output, bits & ((1 << cut) - 1), cut
 
     proto = dataclasses.replace(real, run_fn=run_fn)
     monkeypatch.setattr(rectbound.cli, "trivial_ndisj_kfold", lambda n, k: proto)

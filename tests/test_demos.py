@@ -10,10 +10,16 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-# protocol_pipeline.py is left out: it takes about 8 s, more than the other
-# five together, and test_bridge, test_verify_reductions and the acceptance
-# tests already call every library function it shows.
-DEMOS = ["rectangle_hunt.py", "certificate_tour.py", "mu_calculus.py", "lp_gallery.py", "mass_scan.py"]
+# protocol_pipeline.py holds the only ProgramProtocol closure written outside
+# the package and its tests, so it runs here too.
+DEMOS = [
+    "rectangle_hunt.py",
+    "certificate_tour.py",
+    "mu_calculus.py",
+    "lp_gallery.py",
+    "mass_scan.py",
+    "protocol_pipeline.py",
+]
 
 
 @pytest.mark.parametrize("demo", DEMOS)

@@ -87,15 +87,21 @@ def test_malformed_trees_rejected():
 
 def test_program_contract_enforced():
     lying = ProgramProtocol(
-        n_alice=1, n_bob=1, run_fn=lambda x, y: (0, (0, 0, 0)), worst_cost=2, label="liar"
+        n_alice=1, n_bob=1, run_fn=lambda x, y: (0, 0, 3), worst_cost=2, label="liar"
     )
     with pytest.raises(ProtocolContractError):
         lying.run(0, 0)
-    nonbit = ProgramProtocol(
-        n_alice=1, n_bob=1, run_fn=lambda x, y: (0, (2,)), worst_cost=2, label="nonbit"
-    )
-    with pytest.raises(ProtocolContractError):
-        nonbit.run(0, 0)
+    # bits set at the length, past it, beyond an empty transcript, and negative bits
+    for bits, length in ((0b100, 2), (0b1000, 2), (1, 0), (-1, 2)):
+        loose = ProgramProtocol(
+            n_alice=1,
+            n_bob=1,
+            run_fn=lambda x, y, b=bits, n=length: (0, b, n),
+            worst_cost=2,
+            label="loose",
+        )
+        with pytest.raises(ProtocolContractError):
+            loose.run(0, 0)
 
 
 def test_randomized_validation():
@@ -308,14 +314,14 @@ def _disagreeing_mixture(task):
 
     def parity_of_x(x, y):  # right on even x, wrong on odd x
         truth = ndisj_truth(task, x, y)
-        return (truth if x % 2 == 0 else truth ^ 1), (x & 1,)
+        return (truth if x % 2 == 0 else truth ^ 1), x & 1, 1
 
     def silent_on_y(x, y):  # rejects when 3 divides y
-        return (None if y % 3 == 0 else ndisj_truth(task, x, y)), (y % 3 == 0,)
+        return (None if y % 3 == 0 else ndisj_truth(task, x, y)), int(y % 3 == 0), 1
 
     def bit_two(x, y):  # right when bit 2 of x ^ y is set, else answers 0
         hit = (x ^ y) >> 2 & 1
-        return (ndisj_truth(task, x, y) if hit else 0), (hit,)
+        return (ndisj_truth(task, x, y) if hit else 0), hit, 1
 
     return RandomizedProtocol(
         tuple(
@@ -433,7 +439,7 @@ def test_cost_profile_of_a_mixture_whose_branches_differ_in_length():
 def test_cost_profile_histogram_counts_each_inputs_longest_branch():
     # A branch that stops after x's low bit on odd x: lengths vary by input.
     def short_on_odd_x(x, y):
-        return (1 if x & y else 0), ((x & 1,) if x & 1 else (0, 0, 0))
+        return (1 if x & y else 0), x & 1, (1 if x & 1 else 3)
 
     cut = ProgramProtocol(2, 2, short_on_odd_x, worst_cost=3)
     mix = RandomizedProtocol(((F(1, 2), cut), (F(1, 2), constant_protocol(2, 2, 0))))

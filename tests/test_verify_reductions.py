@@ -31,7 +31,7 @@ def _liar(n: int, k: int) -> ProgramProtocol:
     return ProgramProtocol(
         n_alice=width,
         n_bob=width,
-        run_fn=lambda x, y: (tuple(1 for _ in range(k)), ()),
+        run_fn=lambda x, y: (tuple(1 for _ in range(k)), 0, 0),
         worst_cost=0,
         label="liar",
     )
