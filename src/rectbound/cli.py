@@ -6,8 +6,9 @@ timing is the one nondeterministic item and stays on stderr.  Every
 number in a JSON report carries a mode tag naming the arithmetic that
 produced it, and exact rationals travel as 'p/q' strings.
 
-Exit status: 0 on success; 2 when an LP comes back infeasible, the exact
-and column-generation optima of `--solver both` differ by more than
+Exit status: 0 on success; 2 when an LP comes back without an optimum
+(infeasible, unbounded, or column generation stalled), the exact and
+column-generation optima of `--solver both` differ by more than
 1e-9, a certificate fails verification, or a measured success rate lands
 below the bound it was compared against; 1 for bad flags, cap hits, and
 parameter errors.
@@ -125,8 +126,8 @@ def _result_doc(res: LPResult) -> dict:
         doc["optimum"] = _exact(res.optimum) if res.arithmetic == ARITH_EXACT else _float(opt)
         doc["log2_optimum"] = _float(math.log2(opt)) if opt > 0 else None
         doc["residual"] = _float(res.residual)
-        if res.oracle_max is not None:
-            doc["oracle_max"] = _float(res.oracle_max)
+    if res.oracle_max is not None:
+        doc["oracle_max"] = _float(res.oracle_max)
     return doc
 
 

@@ -8,11 +8,13 @@ from fractions import Fraction
 
 import pytest
 
+from rectbound.cli import main
 from rectbound.errors import ConvergenceError, ParameterRangeError
 from rectbound.lp_bounds import (
     CLASS_COVER,
     LPInstance,
     PairConstraint,
+    RectangleFamily,
     apply_ambiguity_variant,
     build_lovasz_lp,
     build_search_lp,
@@ -22,6 +24,8 @@ from rectbound.lp_bounds import (
     witness_family,
 )
 from rectbound.combinatorics import InputPair
+from rectbound.lp_bounds import solve
+from rectbound.rectangles import Rectangle
 from rectbound.truth_tables import family
 
 F = Fraction
@@ -40,6 +44,25 @@ FROZEN = [
         F(2),
     ),
 ]
+
+
+# The CG tests run on the persistent HiGHS master, and again with
+# `_highspy._core` made unavailable, on the linprog master older scipy runs.
+CG_MASTERS = ("highs", "linprog")
+
+
+def on_each_master(cases):
+    """Each case once per CG master; the HiGHS runs keep the case's own id."""
+    return [
+        pytest.param(*case, master, id=case[0] if master == "highs" else f"{case[0]}-{master}")
+        for master in CG_MASTERS
+        for case in cases
+    ]
+
+
+def use_master(monkeypatch, master):
+    if master == "linprog":
+        monkeypatch.setattr(solve, "_Highs", None)
 
 
 @pytest.mark.parametrize("label,make,expected", FROZEN, ids=[f[0] for f in FROZEN])
@@ -63,8 +86,9 @@ def test_exact_simplex_pivot_count_is_pinned(name, optimum, pivots):
     assert res.iterations == pivots
 
 
-@pytest.mark.parametrize("label,make,expected", FROZEN, ids=[f[0] for f in FROZEN])
-def test_cg_solver_matches_frozen_value(label, make, expected):
+@pytest.mark.parametrize("label,make,expected,master", on_each_master(FROZEN))
+def test_cg_solver_matches_frozen_value(label, make, expected, master, monkeypatch):
+    use_master(monkeypatch, master)
     res = solve_constraint_generation(make())
     assert res.status == "optimal"
     assert res.optimum == pytest.approx(float(expected), abs=1e-9)
@@ -79,8 +103,9 @@ CG_DUAL_CASES = [
 ]
 
 
-@pytest.mark.parametrize("label,make", CG_DUAL_CASES, ids=[c[0] for c in CG_DUAL_CASES])
-def test_cg_duals_keep_the_sign_convention_and_strong_duality(label, make):
+@pytest.mark.parametrize("label,make,master", on_each_master(CG_DUAL_CASES))
+def test_cg_duals_keep_the_sign_convention_and_strong_duality(label, make, master, monkeypatch):
+    use_master(monkeypatch, master)
     lp = make()
     res = solve_constraint_generation(lp)
     assert res.status == "optimal"
@@ -91,7 +116,9 @@ def test_cg_duals_keep_the_sign_convention_and_strong_duality(label, make):
     assert abs(dual_value - res.optimum) <= 1e-9
 
 
-def test_cg_search_lp_n4_k1_matches_the_frontier_value():
+@pytest.mark.parametrize("master", CG_MASTERS)
+def test_cg_search_lp_n4_k1_matches_the_frontier_value(master, monkeypatch):
+    use_master(monkeypatch, master)
     # A float value pinned from single-column CG, close to 485/57 but not
     # claimed exact: the pricing rule may change the path, not the optimum.
     res = solve_constraint_generation(build_search_lp(4, 1, F(1)))
@@ -114,7 +141,8 @@ def test_exact_weights_are_feasible():
             assert cov <= c.rhs
 
 
-def test_infeasible_instance_detected_both_ways():
+@pytest.mark.parametrize("master", CG_MASTERS)
+def test_infeasible_instance_detected_both_ways(master, monkeypatch):
     # two rows on the same pair that no weight assignment satisfies
     pair = InputPair.from_bits("1", "1")
     rows = (
@@ -125,6 +153,7 @@ def test_infeasible_instance_detected_both_ways():
     exact = solve_full_enumeration(lp)
     assert exact.status == "infeasible"
     assert exact.optimum is None
+    use_master(monkeypatch, master)
     with pytest.raises(ConvergenceError):
         solve_constraint_generation(lp)
 
@@ -140,3 +169,66 @@ def test_cg_reports_oracle_certificate():
     # final oracle sweep found nothing above the duals' bar
     assert res.oracle_max is not None
     assert res.oracle_max <= 1.0 + 1e-9
+
+
+def test_cg_grows_one_highs_model_by_the_fresh_columns_only(monkeypatch):
+    built, appended = [], []
+
+    class Counting(solve._Highs):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+        def addCols(self, count, *rest):
+            appended.append(count)
+            return super().addCols(count, *rest)
+
+    monkeypatch.setattr(solve, "_Highs", Counting)
+    res = solve_constraint_generation(build_smooth_lp(family("DISJ", 3), F(1, 4)))
+    assert res.status == "optimal"
+    assert len(built) == 1
+    # The seed columns, then one batch per round but the last; no column twice.
+    assert len(appended) == res.iterations
+    assert sum(appended) == res.columns == built[0].getNumCol()
+
+
+MASTER_AGREEMENT_CASES = [
+    *(
+        (f"{kind}-{name.lower()}-3", lambda build=build, name=name: build(family(name, 3), F(1, 4)))
+        for kind, build in (("smooth", build_smooth_lp), ("lovasz", build_lovasz_lp))
+        for name in ("IP", "DISJ", "NDISJ", "EQ")
+    ),
+    ("search-3-1", lambda: build_search_lp(3, 1, F(1))),
+    ("search-3-1-half", lambda: build_search_lp(3, 1, F(1, 2))),
+]
+
+
+@pytest.mark.parametrize(
+    "label,make", MASTER_AGREEMENT_CASES, ids=[c[0] for c in MASTER_AGREEMENT_CASES]
+)
+def test_warm_and_linprog_masters_reach_the_same_optimum(label, make, monkeypatch):
+    lp = make()
+    warm = solve_constraint_generation(lp)
+    use_master(monkeypatch, "linprog")
+    cold = solve_constraint_generation(lp)
+    assert warm.status == cold.status == "optimal"
+    assert abs(warm.optimum - cold.optimum) <= 1e-9
+    assert max(warm.oracle_max, cold.oracle_max) <= 1.0 + 1e-9
+
+
+def test_cg_stalls_when_the_priced_column_is_already_in_the_master(monkeypatch, capsys):
+    lp = build_search_lp(2, 1, F(1))
+    cover = next(c for c in lp.constraints if c.klass == CLASS_COVER)
+    in_master = Rectangle(lp.n, 1 << cover.pair.x, 1 << cover.pair.y)
+    value = 1.0 + 1e-6
+
+    def stale_oracle(self, w, above=None):
+        return in_master, value, None, [(in_master, value)]
+
+    monkeypatch.setattr(RectangleFamily, "separation_oracle", stale_oracle)
+    res = solve_constraint_generation(lp)
+    assert res.status == "stalled"
+    assert (res.iterations, res.oracle_max) == (1, value)
+    assert res.columns > 0
+    assert main(["bound", "--lp", "search", "--n", "2", "--k", "1", "--solver", "cg"]) == 2
+    assert '"status": "stalled"' in capsys.readouterr().out
