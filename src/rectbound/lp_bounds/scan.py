@@ -8,9 +8,10 @@ equal-size sets.  Rows flag the combinations the theory rules out for large
 rectangles: base mass above the bar 2^(-gamma n) with a target/base ratio
 below 2/3.  `slack` softens the same comparison additively by 2^(-delta n).
 
-Counting is exact.  Membership matrices are 0/1 floats and every matmul
-entry is an integer far below 2^53, so the float pipeline commits no
-rounding and a fixed seed reproduces the report byte for byte.
+Counting is exact.  The meet matrices are 0/1 floats and the membership
+rows are bools, which the matmul promotes to float64; every matmul entry is
+an integer far below 2^53, so the float pipeline commits no rounding and a
+fixed seed reproduces the report byte for byte.
 """
 
 from __future__ import annotations
@@ -133,18 +134,18 @@ def sampling_lemma_scan(p: MuParams, target_k: int, cfg: ScanConfig | None = Non
     e_base = (meets == 0).astype(np.float64)
     e_target = (meets == target_k).astype(np.float64)
 
-    row_sets = [np.ones(count, dtype=np.float64)]
-    col_sets = [np.ones(count, dtype=np.float64)]
+    row_sets = [np.ones(count, dtype=bool)]
+    col_sets = [np.ones(count, dtype=bool)]
     labels = ["full"]
     densities = ["full"]
     if EXHAUSTIVE_SCAN_STEPS.fits(1 << (2 * count)):
         mode = MODE_EXHAUSTIVE
         for smask in range(1, 1 << count):
-            s_row = np.array([(smask >> i) & 1 for i in range(count)], dtype=np.float64)
+            s_row = np.array([(smask >> i) & 1 for i in range(count)], dtype=bool)
             for cmask in range(1, 1 << count):
                 row_sets.append(s_row)
                 col_sets.append(
-                    np.array([(cmask >> j) & 1 for j in range(count)], dtype=np.float64)
+                    np.array([(cmask >> j) & 1 for j in range(count)], dtype=bool)
                 )
                 labels.append(f"exh-{smask}-{cmask}")
                 densities.append("exhaustive")
@@ -153,8 +154,8 @@ def sampling_lemma_scan(p: MuParams, target_k: int, cfg: ScanConfig | None = Non
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
         for i in range(cfg.samples):
             d = cfg.densities[i % len(cfg.densities)]
-            row_sets.append((rng.random(count) < d).astype(np.float64))
-            col_sets.append((rng.random(count) < d).astype(np.float64))
+            row_sets.append(rng.random(count) < d)
+            col_sets.append(rng.random(count) < d)
             labels.append(f"sample-{i:05d}")
             densities.append(repr(d))
 

@@ -16,9 +16,7 @@ The column-generation master is one HiGHS model per
 `solve_constraint_generation` call, built from scipy's private
 `scipy.optimize._highspy._core` (scipy 1.15 and later).  Its rows enter once
 with native bounds, each round appends only the fresh columns, and HiGHS
-re-optimises from the previous basis.  Where that module does not import,
-the same loop re-solves the whole master cold with `linprog` every round;
-nothing else differs between the two.
+re-optimises from the previous basis.
 
 Duals follow one sign convention everywhere: `>=` rows nonnegative, `<=`
 rows nonpositive, and the dual objective (rhs times dual, summed) equals the
@@ -32,29 +30,20 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
-
-try:
-    from scipy.optimize._highspy._core import (
-        HighsModelStatus,
-        HighsStatus,
-        _Highs,
-        kHighsInf,
-        simplex_constants,
-    )
-except ImportError:  # scipy < 1.15: the linprog master runs instead
-    _Highs = None
+from scipy.optimize import linprog  # noqa: F401  not called; perfbench binds a span to it
+from scipy.optimize._highspy._core import (
+    HighsModelStatus,
+    HighsStatus,
+    _Highs,
+    kHighsInf,
+    simplex_constants,
+)
 
 from ..caps import ENUMERATION_CELLS
 from ..combinatorics import InputPair
 from ..errors import ConvergenceError, ParameterRangeError
 from ..rectangles import Rectangle, WeightMatrix, witness_sets
-from .exact import (
-    STATUS_INFEASIBLE,
-    STATUS_OPTIMAL,
-    STATUS_UNBOUNDED,
-    solve_exact_lp,
-)
+from .exact import STATUS_INFEASIBLE, STATUS_OPTIMAL, solve_exact_lp
 from .model import CLASS_COVER, FAMILY_WITNESS, LPInstance, SENSE_GE, SENSE_LE
 from .model import covering_columns, max_violation
 
@@ -164,10 +153,9 @@ def _seed_columns(lp: LPInstance) -> dict[Rectangle, None]:
 
 
 class _MasterSolution(NamedTuple):
-    status: str
-    x: Sequence[float] = ()
-    duals: Sequence[float] = ()
-    objective: float = 0.0
+    x: Sequence[float]
+    duals: Sequence[float]
+    objective: float
 
 
 def _cover_block(pairs: list[InputPair], rects: list[Rectangle]) -> np.ndarray:
@@ -229,52 +217,25 @@ class _HighsMaster:
             raise ConvergenceError("HiGHS refused the master's new columns")
 
     def solve(self) -> _MasterSolution:
+        """The optimal master; any other outcome raises ConvergenceError.
+
+        The master minimises a sum of nonnegative unit-cost columns, so its
+        optimum is at least 0 and an unbounded status means HiGHS failed.
+        """
         self.model.run()
         status = self.model.getModelStatus()
-        if status == HighsModelStatus.kOptimal:
-            solution = self.model.getSolution()
-            objective = self.model.getInfo().objective_function_value
-            return _MasterSolution(STATUS_OPTIMAL, solution.col_value, solution.row_dual, objective)
         if status == HighsModelStatus.kInfeasible:
-            return _MasterSolution(STATUS_INFEASIBLE)
-        if status == HighsModelStatus.kUnbounded:
-            return _MasterSolution(STATUS_UNBOUNDED)
-        raise ConvergenceError(
-            f"HiGHS returned model status {self.model.modelStatusToString(status)}"
-        )
-
-
-class _LinprogMaster:
-    """The master re-solved cold by `linprog` each round.
-
-    `linprog` takes `<=` rows only, so every row gets a sign once (-1 for
-    `>=`, +1 for `<=`), and each column is signed once, when it enters.
-    """
-
-    def __init__(self, constraints) -> None:
-        self.sign = np.array([-1.0 if c.sense == SENSE_GE else 1.0 for c in constraints])
-        self.b_ub = self.sign * np.array([float(c.rhs) for c in constraints])
-        self.columns: list[np.ndarray] = []
-
-    def add(self, cover: np.ndarray) -> None:
-        self.columns += list(cover * self.sign)
-
-    def solve(self) -> _MasterSolution:
-        res = linprog(
-            c=np.ones(len(self.columns)),
-            A_ub=np.column_stack(self.columns),
-            b_ub=self.b_ub,
-            bounds=(0, None),
-            method="highs",
-        )
-        if res.status == 0:
-            duals = self.sign * res.ineqlin.marginals
-            return _MasterSolution(STATUS_OPTIMAL, res.x, duals.tolist(), float(res.fun))
-        if res.status == 2:
-            return _MasterSolution(STATUS_INFEASIBLE)
-        if res.status == 3:
-            return _MasterSolution(STATUS_UNBOUNDED)
-        raise ConvergenceError(f"HiGHS returned status {res.status}: {res.message}")
+            raise ConvergenceError(
+                "constraint-generation master is infeasible; the seed columns "
+                "cannot satisfy the cover rows"
+            )
+        if status != HighsModelStatus.kOptimal:
+            raise ConvergenceError(
+                f"HiGHS returned model status {self.model.modelStatusToString(status)}"
+            )
+        solution = self.model.getSolution()
+        objective = self.model.getInfo().objective_function_value
+        return _MasterSolution(solution.col_value, solution.row_dual, objective)
 
 
 def solve_constraint_generation(lp: LPInstance, max_iters: int = 1000) -> LPResult:
@@ -307,24 +268,10 @@ def solve_constraint_generation(lp: LPInstance, max_iters: int = 1000) -> LPResu
         )
 
     pairs = [c.pair for c in lp.constraints]
-    master = (_LinprogMaster if _Highs is None else _HighsMaster)(lp.constraints)
+    master = _HighsMaster(lp.constraints)
     master.add(_cover_block(pairs, list(columns)))
     for iteration in range(1, max_iters + 1):
         solution = master.solve()
-        if solution.status == STATUS_INFEASIBLE:
-            raise ConvergenceError(
-                "constraint-generation master is infeasible; the seed columns "
-                "cannot satisfy the cover rows"
-            )
-        if solution.status == STATUS_UNBOUNDED:
-            return LPResult(
-                status=STATUS_UNBOUNDED,
-                solver=SOLVER_CG,
-                arithmetic=ARITH_FLOAT,
-                iterations=iteration,
-                columns=len(columns),
-            )
-
         pair_weight: dict = {}
         for pair, y in zip(pairs, solution.duals):
             if y:

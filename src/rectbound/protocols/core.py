@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from ..errors import MalformedTreeError, ParameterRangeError, ProtocolContractError
 
@@ -58,8 +58,7 @@ def unpack_transcript(bits: int, length: int) -> tuple[int, ...]:
     return tuple((bits >> t) & 1 for t in range(length))
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     output: object
     bits: int
     length: int

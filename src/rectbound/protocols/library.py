@@ -58,8 +58,9 @@ def trivial_ndisj_kfold(n: int, k: int) -> ProgramProtocol:
 
     def run_fn(x: int, y: int):
         answers = 0
+        meet = x & y
         for j in range(k):
-            if block(x, j, n) & block(y, j, n):
+            if block(meet, j, n):
                 answers |= 1 << j
         return answers, x | answers << width, width + k
 
@@ -85,9 +86,10 @@ def trivial_search_kfold(n: int, k: int) -> ProgramProtocol:
 
     def run_fn(x: int, y: int):
         bits, length = x, width
+        shared = x & y
         out = []
         for j in range(k):
-            meet = block(x, j, n) & block(y, j, n)
+            meet = block(shared, j, n)
             if meet:
                 lowest = (meet & -meet).bit_length() - 1
                 bits |= (1 | lowest << 1) << length  # validity bit, then the index

@@ -76,8 +76,9 @@ def block(mask: int, j: int, n: int) -> int:
 def ndisj_truth(task: TaskSpec, x: int, y: int) -> int:
     """k-bit mask, bit j set iff block j of x and y intersect."""
     out = 0
+    meet = x & y
     for j in range(task.k):
-        if block(x, j, task.n) & block(y, j, task.n):
+        if block(meet, j, task.n):
             out |= 1 << j
     return out
 
@@ -89,8 +90,7 @@ def intersecting_blocks(task: TaskSpec, x: int, y: int) -> int:
 def _coordinate_genuine(task: TaskSpec, x: int, y: int, j: int, c: int) -> bool:
     if not 0 <= j < task.k or not 1 <= c <= task.n:
         return False
-    bit = 1 << (c - 1)
-    return bool(block(x, j, task.n) & bit) and bool(block(y, j, task.n) & bit)
+    return bool((block(x & y, j, task.n) >> (c - 1)) & 1)
 
 
 def classify(task: TaskSpec, x: int, y: int, output) -> Verdict:
@@ -108,7 +108,7 @@ def classify(task: TaskSpec, x: int, y: int, output) -> Verdict:
             return Verdict.REJECT
         for j, entry in enumerate(output):
             if entry == 0:
-                if block(x, j, task.n) & block(y, j, task.n):
+                if block(x & y, j, task.n):
                     return Verdict.WRONG
             elif not _coordinate_genuine(task, x, y, j, entry):
                 return Verdict.WRONG
