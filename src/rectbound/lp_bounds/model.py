@@ -127,8 +127,9 @@ class RectangleFamily:
 
         Returns the rectangle, its value and its witness (None outside the
         witness family).  Given a threshold `above`, also returns the
-        improving list: every member rectangle the oracle's sweep meets
-        whose value exceeds `above`, with its value, best first.
+        improving list, an iterator: every member rectangle the oracle's
+        sweep meets whose value exceeds `above`, with its value, best first,
+        each rectangle built only when the iterator reaches it.
         """
         if self.kind == FAMILY_WITNESS:
             return max_weight_rectangle_in_rv(w, self.k or 0, above)

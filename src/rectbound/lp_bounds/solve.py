@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -246,7 +247,9 @@ def solve_constraint_generation(lp: LPInstance, max_iters: int = 1000) -> LPResu
     adds the oracle's argmax plus the other improving rectangles its sweep
     met, best first, skipping those already in the master, at most one per
     constraint row: a basis holds no more columns than the master has rows.
-    `iterations` counts rounds, one master solve and one oracle call each.
+    The improving list is an iterator, so only the rectangles a round reads
+    are built.  `iterations` counts rounds, one master solve and one oracle
+    call each.
 
     An argmax already in the master while its value exceeds the bar means
     the master's duals and the oracle disagree beyond float noise; the run
@@ -292,7 +295,7 @@ def solve_constraint_generation(lp: LPInstance, max_iters: int = 1000) -> LPResu
                 oracle_max=oracle_max,
             )
         # The argmax leads the improving list; the rest ride along, best first.
-        fresh = [r for r, _ in improving if r not in columns][: len(lp.constraints)]
+        fresh = list(islice((r for r, _ in improving if r not in columns), len(lp.constraints)))
         columns.update(dict.fromkeys(fresh))
         master.add(_cover_block(pairs, fresh))
     else:

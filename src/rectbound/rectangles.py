@@ -3,19 +3,27 @@
 The max-weight oracle exploits the product structure exactly: for a fixed row
 set A the optimal column set is precisely the columns with positive column-sum
 over A, so sweeping row subsets of the smaller side (Gray-code order, one row
-toggled per step) finds the true maximum.  Weights may be Fractions, ints or
-floats.  Exact weights (ints and Fractions) are swept as Python ints scaled by
-their common denominator, which gives the same exact maximum as a Fraction
-sweep; weights that include a float are swept as given.
+toggled per step) finds the true maximum.  The sweep is one numpy kernel: it
+takes block-wise cumulative sums down the Gray steps, a fixed number of cells
+per block, so its working set stays small at any row count.  Weights may be
+Fractions, ints or floats.  Exact weights (ints and Fractions) are swept as
+ints scaled by their common denominator, int64 where no partial sum can reach
+2^62 and Python ints otherwise, which gives the same exact maximum as a
+Fraction sweep.  Weights that include a float are swept as float64, each
+column sum and each step value added in the order a step-by-step loop adds
+them, so the floats are the loop's to the last bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
-from math import lcm
+from math import floor, inf, lcm, nextafter
 from typing import Callable, Iterable, Iterator, Mapping
+
+import numpy as np
 
 from .caps import ORACLE_SUBSETS, RECTANGLES, SUPPORT_PAIRS
 from .combinatorics import InputPair, MuParams, bits, enumerate_support, parse_bits
@@ -210,94 +218,163 @@ def rect_weight(w: WeightMatrix, r: Rectangle) -> Weight:
     return total
 
 
+# The most cells one block of the oracle's sweep holds in each of its arrays.
+# It bounds the sweep's working set at any row count; it refuses nothing.
+_BLOCK_CELLS = 1 << 14
+
+
+@cache
+def _gray_schedule(row_count: int) -> np.ndarray:
+    """The row of the signed cell matrix each Gray step gathers.
+
+    Step s, from 1 to 2^row_count - 1, toggles row i, the lowest set bit of
+    s, so s = (2k + 1) * 2^i.  Bit i of the Gray code s ^ (s >> 1) is then
+    set exactly when k is even: the row turns on, and the step gathers row i;
+    for odd k it turns off and gathers row i + row_count, the negated cells.
+    Entry s - 1 holds step s's row, in int8: a sweep whose steps fit in
+    memory has fewer than 64 rows.
+    """
+    schedule = np.empty((1 << row_count) - 1, dtype=np.int8)
+    for i in range(row_count):
+        schedule[(1 << i) - 1 :: 1 << (i + 2)] = i
+        schedule[(3 << i) - 1 :: 1 << (i + 2)] = i + row_count
+    schedule.setflags(write=False)
+    return schedule
+
+
 def _max_rectangle(w: WeightMatrix, avoid_disjoint: bool, above: Weight | None = None) -> tuple:
     """Gray-code sweep over the row subsets of the smaller side.
 
     For a fixed row set the best columns are exactly the admissible ones with
     positive column sum.  Every column is admissible, unless `avoid_disjoint`
     is set: then a column is admissible only while no member row is disjoint
-    from it, which a per-column count of such rows tracks.  The argmax moves
-    only when the best value strictly improves, so ties keep the row set met
-    first in Gray order.
+    from it, which a per-column count of such rows tracks.  The argmax is the
+    first row set in Gray order that reaches the best value, so ties keep the
+    row set met first.
+
+    The sweep runs on numpy arrays, one block of Gray steps at a time, each
+    block at most `_BLOCK_CELLS` cells.  A block gathers the toggled row's
+    cells with their sign (+ when the row turns on, - when it turns off) and
+    takes `np.cumsum` down the steps, the previous block's last column sums
+    added to its first row; the blocked counts are carried the same way.
+    `cumsum` adds one step at a time, so each float column sum is the same
+    IEEE value as adding and subtracting the cells one step after another.
+    A step's value is a `cumsum` across its admissible positive column sums,
+    in column order from zero: the left-to-right sum of those floats.
 
     Returns the argmax rectangle and its value.  Given a threshold `above`,
-    it also returns the improving list: the rectangle of every row set whose
-    value exceeds `above`, built as the argmax is, with its value, best first
-    (a stable sort, so the argmax leads whenever it exceeds `above`).  A row
-    set's rectangle is built only when it improves on either count.
+    it also returns the improving list: an iterator over every row set whose
+    value exceeds `above`, as (rectangle, value) with the rectangle built as
+    the argmax is, best first (a stable sort of the Gray order, so the argmax
+    leads whenever it exceeds `above`).  A rectangle is built only when the
+    iterator reaches it, so a caller that takes a few pays for those.
 
     When every weight is exact (an int or a Fraction), each cell is stored as
     the int `value * D`, D the lcm of the weights' denominators, and the best
     sum is divided by D at the end.  Scaling by D > 0 preserves every
     comparison, so the value, the argmax and the tie rule are those of the
-    Fraction sweep.
+    Fraction sweep.  The ints are int64 when the cells' absolute values sum
+    below 2^62, which bounds every partial sum, and Python ints (`object`
+    arrays) otherwise.
     """
     rows = w.xs()
     cols = w.ys()
     if not rows or not cols:
         empty = Rectangle.empty(w.n), Fraction(0)
-        return empty if above is None else (*empty, [])
+        return empty if above is None else (*empty, iter(()))
     transposed = len(rows) > len(cols)
     if transposed:
         rows, cols = cols, rows
     ORACLE_SUBSETS.check(2 ** len(rows), "oracle row subsets", "shrink the support")
     exact = all(isinstance(v, (int, Fraction)) for v in w.weights.values())
     scale = lcm(*(v.denominator for v in w.weights.values())) if exact else 1
-    zero: Weight = 0 if exact else 0.0
     row_index = {s: i for i, s in enumerate(rows)}
     col_index = {s: j for j, s in enumerate(cols)}
-    row_cells: list[list[tuple[int, Weight]]] = [[] for _ in rows]
+    cells = np.zeros((len(rows), len(cols)), dtype=object if exact else np.float64)
     for pair, value in w.weights.items():
         x, y = (pair.y, pair.x) if transposed else (pair.x, pair.y)
-        cell = value.numerator * (scale // value.denominator) if exact else value
-        row_cells[row_index[x]].append((col_index[y], cell))
-    row_disjoint = [
-        [j for j, c in enumerate(cols) if not r & c] if avoid_disjoint else [] for r in rows
-    ]
+        cell = value.numerator * (scale // value.denominator) if exact else float(value)
+        cells[row_index[x], col_index[y]] = cell
+    total = int(np.abs(cells).sum()) if exact else 0
+    if exact and total < 1 << 62:
+        cells = cells.astype(np.int64)
+    zero: Weight = 0 if exact else 0.0
+    # Row i of `signed` is row i's cells and row i + len(rows) their negation,
+    # so one gather by the Gray schedule yields every step's signed delta.
+    signed = np.concatenate([cells, -cells])
+    if avoid_disjoint:
+        disjoint = np.array([[not r & c for c in cols] for r in rows], dtype=np.intp)
+        signed_disjoint = np.concatenate([disjoint, -disjoint])
+    if above is None:
+        bar = None
+    elif exact:
+        # An int exceeds the bar exactly when it exceeds the bar's floor.
+        bar = min(max(floor(above * scale), -1), total)
+    else:
+        # A float exceeds the bar exactly when it exceeds the largest float
+        # at or below it.
+        bar = float(above)
+        if bar > above:
+            bar = nextafter(bar, -inf)
+
+    schedule = _gray_schedule(len(rows))
+    block_steps = max(1, _BLOCK_CELLS // len(cols))
+    col_sums = np.zeros(len(cols), cells.dtype)
+    blocked = np.zeros(len(cols), np.intp)
+    best_value = zero
+    best_step, best_taken = 0, None
+    hit_values, hit_steps, hit_taken = [], [], []
+    for start in range(0, len(schedule), block_steps):
+        gather = schedule[start:start + block_steps]
+        sums = signed[gather]
+        sums[0] += col_sums
+        np.cumsum(sums, axis=0, out=sums)
+        col_sums = sums[-1].copy()
+        taken = sums > 0
+        if avoid_disjoint:
+            counts = signed_disjoint[gather]
+            counts[0] += blocked
+            np.cumsum(counts, axis=0, out=counts)
+            blocked = counts[-1].copy()
+            taken &= counts == 0
+        sums = np.where(taken, sums, zero)
+        values = np.cumsum(sums, axis=1, out=sums)[:, -1]
+        top = int(np.argmax(values))
+        if values[top] > best_value:
+            best_value, best_step, best_taken = values[top], start + top + 1, taken[top]
+        if bar is not None:
+            hits = np.flatnonzero(values > bar)
+            hit_values.append(values[hits])
+            hit_steps.append(hits + (start + 1))
+            hit_taken.append(np.packbits(taken[hits], axis=1, bitorder="little"))
+
     row_bits = [1 << r for r in rows]
     col_bits = [1 << c for c in cols]
-    bar = None if above is None else above * scale
-    found: list[tuple[Weight, int, int]] = []
-    col_sums: list[Weight] = [zero] * len(cols)
-    blocked = [0] * len(cols)
-    row_set = 0
-    best_value: Weight = zero
-    best_rows = best_cols = 0
-    for step in range(1, 1 << len(rows)):
-        # Gray code: toggle the lowest set bit position of `step`.
-        i = (step & -step).bit_length() - 1
-        row_set ^= 1 << i
-        if row_set >> i & 1:
-            delta = 1
-            for j, v in row_cells[i]:
-                col_sums[j] += v
-        else:
-            delta = -1
-            for j, v in row_cells[i]:
-                col_sums[j] -= v
-        for j in row_disjoint[i]:
-            blocked[j] += delta
-        value = sum([s for s, b in zip(col_sums, blocked) if not b and s > 0], zero)
-        improves = bar is not None and value > bar
-        if improves or value > best_value:
-            set_rows = sum(bit for p, bit in enumerate(row_bits) if row_set >> p & 1)
-            set_cols = sum(bit for bit, s, b in zip(col_bits, col_sums, blocked) if not b and s > 0)
-            if improves:
-                found.append((value, set_rows, set_cols))
-            if value > best_value:
-                best_value, best_rows, best_cols = value, set_rows, set_cols
-    found.sort(key=lambda entry: entry[0], reverse=True)
 
-    def rectangle(value: Weight, set_rows: int, set_cols: int) -> tuple[Rectangle, Weight]:
+    def rectangle(value, step: int, packed: np.ndarray) -> tuple[Rectangle, Weight]:
+        # Bit i of an index mask stands for rows[i] or cols[i].
+        set_rows = sum(row_bits[i] for i in string_masks(step ^ step >> 1))
+        set_cols = sum(col_bits[j] for j in string_masks(int.from_bytes(packed.tobytes(), "little")))
         if transposed:
             set_rows, set_cols = set_cols, set_rows
-        return Rectangle(w.n, set_rows, set_cols), Fraction(value, scale) if exact else value
+        return Rectangle(w.n, set_rows, set_cols), Fraction(int(value), scale) if exact else float(value)
 
-    if best_value > 0:
-        best = rectangle(best_value, best_rows, best_cols)
+    if best_taken is not None:
+        best = rectangle(best_value, best_step, np.packbits(best_taken, bitorder="little"))
     else:
         best = Rectangle.empty(w.n), Fraction(0)
-    return best if above is None else (*best, [rectangle(*entry) for entry in found])
+    if bar is None:
+        return best
+    found_values = np.concatenate(hit_values)
+    order = np.argsort(-found_values, kind="stable")
+    found_steps = np.concatenate(hit_steps)[order]
+    found_taken = np.concatenate(hit_taken)[order]
+
+    def improving() -> Iterator[tuple[Rectangle, Weight]]:
+        for value, step, packed in zip(found_values[order].tolist(), found_steps.tolist(), found_taken):
+            yield rectangle(value, step, packed)
+
+    return (*best, improving())
 
 
 def max_weight_rectangle(w: WeightMatrix, above: Weight | None = None) -> tuple:
@@ -315,8 +392,9 @@ def max_weight_rectangle_in_rv(w: WeightMatrix, k: int, above: Weight | None = N
     the restriction to rows and columns containing it reduces to the plain
     oracle.  Value 0 with the empty rectangle when no member has positive mass.
 
-    Given `above`, also returns the improving lists of every witness merged,
-    best first, each rectangle once (where it was first found).
+    Given `above`, also returns an iterator over the improving lists of every
+    witness merged, best first, each rectangle once (where it was first
+    found).  The merge takes every entry of each witness's list.
     """
     if not 0 <= k <= w.n:
         raise ParameterRangeError(f"witness size must satisfy 0 <= k <= {w.n}, got {k}")
@@ -337,7 +415,7 @@ def max_weight_rectangle_in_rv(w: WeightMatrix, k: int, above: Weight | None = N
             best = (rect, value, witness)
     if above is None:
         return best
-    return (*best, sorted(improving.items(), key=lambda entry: entry[1], reverse=True))
+    return (*best, iter(sorted(improving.items(), key=lambda entry: entry[1], reverse=True)))
 
 
 def max_weight_rectangle_avoiding_disjoint(w: WeightMatrix, above: Weight | None = None) -> tuple:

@@ -265,6 +265,8 @@ def test_verifier_modes_return_identical_maxima():
         build_search_dual_certificate(3, 1, 1, F(1), F(1, 3)),
         build_search_dual_certificate(3, 1, 1, F(2), F(1, 3)),
         build_smooth_dual_ndisj(4, F(1, 4)),
+        # k = 2: the exhaustive sweep checks the oracle on 2-witness blocks.
+        build_search_dual_certificate(4, 2, 2, F(1), F(1, 4)),
     ]
     for cert in certs:
         sweep = verify_dual_certificate(cert, mode="exhaustive")

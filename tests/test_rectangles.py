@@ -193,7 +193,7 @@ def test_improving_list_of_the_oracle_sweep(family):
         for above in (0.0, value / 2, 1.0):
             found = family.separation_oracle(w, above)
             assert found[:3] == plain
-            improving = found[3]
+            improving = list(found[3])
             if value > above:
                 assert improving[0] == (rect, value)
             else:
