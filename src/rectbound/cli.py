@@ -244,30 +244,21 @@ def _build_certificate(args) -> DualCertificate:
 
 def cmd_certify(args) -> tuple[dict, int]:
     cert = _build_certificate(args)
+    doc = certificate_to_json(cert)
     if args.save is not None:
-        Path(args.save).write_text(
-            json.dumps(certificate_to_json(cert), indent=2, sort_keys=True) + "\n"
-        )
+        Path(args.save).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     eps = Fraction(0) if args.eps is None else args.eps
     if eps != 0 and cert.kind != KIND_SMOOTH:
         raise ParameterRangeError("--eps applies to smooth certificates only")
     value = cert.objective_value(eps) if cert.kind == KIND_SMOOTH else cert.objective_value()
     rep = verify_dual_certificate(cert, mode=args.verify_mode, tol=args.tol)
 
-    cert_doc = {
-        "kind": cert.kind,
-        "universe": cert.universe,
-        "n": cert.n,
-        "k": cert.k,
-        "m": cert.m,
-        "alpha": None if cert.alpha is None else str(cert.alpha),
-        "beta": None if cert.beta is None else str(cert.beta),
-        "sigma": None if cert.sigma is None else str(cert.sigma),
-        "degenerate": cert.degenerate,
-        "family": cert.family.describe(),
-        "phi_support": cert.phi.support_size,
-        "psi_support": cert.psi.support_size,
-    }
+    cert_doc = {key: value for key, value in doc.items() if key not in ("phi", "psi")}
+    cert_doc.update(
+        family=cert.family.describe(),
+        phi_support=cert.phi.support_size,
+        psi_support=cert.psi.support_size,
+    )
     verification = {
         "mode": rep.mode,
         "feasible": rep.feasible,

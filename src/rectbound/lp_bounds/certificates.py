@@ -10,8 +10,12 @@ right-hand sides paired against the duals:
 * smooth:  (1 - eps) * sum(phi) + sum(psi)
 
 Verification never assumes feasibility; it measures the worst rectangle and
-reports the verdict, either by a literal sweep of every member over the
-support strings or through the gray-code maximization oracle.
+reports the verdict, either through the Gray-code maximization oracle or by
+an exhaustive sweep that shares no code with it.  The sweep visits every
+member built from support strings, block by block of the family (one block
+per witness set in the witness family, the whole universe otherwise), with
+a double Gray sweep over row subsets and admissible column subsets on ints
+scaled by the weights' common denominator.
 """
 
 from __future__ import annotations
@@ -19,14 +23,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from ..combinatorics import InputPair, MuParams, bits
 from ..caps import EXHAUSTIVE_STEPS
 from ..errors import ParameterRangeError
-from ..rectangles import Rectangle, WeightMatrix, WitnessSet, witness_set, witness_sets
+from ..rectangles import Rectangle, WeightMatrix, WitnessSet, string_masks
 from .model import (
     FAMILY_AVOID_DISJOINT,
-    FAMILY_WITNESS,
     KIND_SEARCH,
     KIND_SMOOTH,
     RectangleFamily,
@@ -202,106 +206,70 @@ def _signs_ok(cert: DualCertificate) -> bool:
     return True
 
 
-def _gray_sweep_all(nx: int, ny: int, cell, allowed_cols=None):
-    """Max over every nonempty rectangle of an nx by ny grid of weights.
+def _exhaustive_max(cert: DualCertificate) -> tuple[Fraction, Rectangle, WitnessSet | None]:
+    """Max weight over every member rectangle built from support strings.
 
-    Row and column subsets advance in gray order, so each of the
-    (2^nx - 1)(2^ny - 1) rectangles costs O(1) beyond the per-row-set
-    bookkeeping.  `allowed_cols(row_set)` may restrict the columns a row set
-    can use.  Returns (best value, row mask, column mask over ALL columns).
+    One double Gray sweep per block of the family: the row subsets of the
+    block's support strings in Gray order, and for each row set every
+    nonempty subset of its admissible columns in Gray order, so each
+    rectangle costs one addition.  Every column is admissible, except in the
+    avoid-disjoint family, where a column disjoint from a member row is not.
+    The sweep sums every subset and never picks columns by sign, so it
+    checks the oracle rather than repeating it.
+
+    Weights are swept as ints scaled by D, the lcm of their denominators,
+    and the best sum is divided by D at the end.  The argmax is the first
+    rectangle, in block, row-Gray and column-Gray order, that beats the
+    running best, which starts at the empty rectangle's 0; the witness is
+    its block's.
     """
-    best = Fraction(0)
-    best_rect = (0, 0)
-    col_sums = [Fraction(0)] * ny
-    row_set = 0
-    for step in range(1, 1 << nx):
-        i = (step & -step).bit_length() - 1
-        row_set ^= 1 << i
-        if row_set >> i & 1:
-            for j in range(ny):
-                col_sums[j] += cell(i, j)
-        else:
-            for j in range(ny):
-                col_sums[j] -= cell(i, j)
-        cols = list(range(ny)) if allowed_cols is None else allowed_cols(row_set)
-        total = Fraction(0)
-        col_set = 0
-        for cstep in range(1, 1 << len(cols)):
-            jpos = (cstep & -cstep).bit_length() - 1
-            col_set ^= 1 << jpos
-            if col_set >> jpos & 1:
-                total += col_sums[cols[jpos]]
-            else:
-                total -= col_sums[cols[jpos]]
-            if total > best:
-                best = total
-                best_rect = (
-                    row_set,
-                    sum(1 << cols[p] for p in range(len(cols)) if col_set >> p & 1),
-                )
-    return best, best_rect
-
-
-def _exhaustive_max(cert: DualCertificate):
     w = cert.combined()
-    xs = w.xs()
-    ys = w.ys()
-    if not xs or not ys:
-        return Fraction(0), Rectangle.empty(cert.universe), None
-
-    def run_block(bxs, bys, allowed_cols=None):
-        what = f"exhaustive sweep steps ({len(bxs)}x{len(bys)} support strings)"
-        EXHAUSTIVE_STEPS.check(1 << (len(bxs) + len(bys)), what, "use the oracle mode")
-        cell_values = {
-            (i, j): w.weights.get(InputPair(x, y), Fraction(0))
-            for i, x in enumerate(bxs)
-            for j, y in enumerate(bys)
-        }
-        val, (rmask, cmask) = _gray_sweep_all(
-            len(bxs), len(bys), lambda i, j: cell_values[(i, j)], allowed_cols
-        )
-        rect = Rectangle(
-            cert.universe,
-            sum(1 << x for i, x in enumerate(bxs) if rmask >> i & 1),
-            sum(1 << y for j, y in enumerate(bys) if cmask >> j & 1),
-        )
-        return val, rect
-
-    best = Fraction(0)
-    best_rect = Rectangle.empty(cert.universe)
-    best_witness = None
-    fam = cert.family
-    if fam.kind == FAMILY_WITNESS:
-        for witness in witness_sets(cert.universe, fam.k or 0):
-            mask = witness.mask
-            bxs = [s for s in xs if s & mask == mask]
-            bys = [s for s in ys if s & mask == mask]
-            if not bxs or not bys:
-                continue
-            val, rect = run_block(bxs, bys)
-            if val > best:
-                best, best_rect = val, rect
-                best_witness = witness
-    elif fam.kind == FAMILY_AVOID_DISJOINT:
+    scale = lcm(*(v.denominator for v in w.weights.values()))
+    cells = {pair: v.numerator * (scale // v.denominator) for pair, v in w.weights.items()}
+    xs, ys = w.xs(), w.ys()
+    avoid_disjoint = cert.family.kind == FAMILY_AVOID_DISJOINT
+    best, best_rect, best_witness = 0, Rectangle.empty(cert.universe), None
+    for witness, strings in cert.family.blocks(cert.universe):
+        rows = [x for x in xs if strings >> x & 1]
+        cols = [y for y in ys if strings >> y & 1]
+        if not rows or not cols:
+            continue
+        what = f"exhaustive sweep steps ({len(rows)}x{len(cols)} support strings)"
+        EXHAUSTIVE_STEPS.check(1 << (len(rows) + len(cols)), what, "use the oracle mode")
+        grid = [[cells.get(InputPair(x, y), 0) for y in cols] for x in rows]
+        # Bit j of disjoint[i] marks column j as inadmissible beside row i.
         disjoint = [
-            sum(1 << j for j, y in enumerate(ys) if x & y == 0) for x in xs
+            sum(1 << j for j, y in enumerate(cols) if avoid_disjoint and not x & y) for x in rows
         ]
-
-        def allowed_cols(row_set):
-            bad = 0
-            for i, dmask in enumerate(disjoint):
-                if row_set >> i & 1:
-                    bad |= dmask
-            return [j for j in range(len(ys)) if not bad >> j & 1]
-
-        val, rect = run_block(xs, ys, allowed_cols)
-        if val > best:
-            best, best_rect = val, rect
-    else:
-        val, rect = run_block(xs, ys)
-        if val > best:
-            best, best_rect = val, rect
-    return best, best_rect, best_witness
+        col_sums = [0] * len(cols)
+        row_set = 0
+        for step in range(1, 1 << len(rows)):
+            i = (step & -step).bit_length() - 1
+            row_set ^= 1 << i
+            sign = 1 if row_set >> i & 1 else -1
+            col_sums = [old + sign * cell for old, cell in zip(col_sums, grid[i])]
+            blocked = 0
+            for r in string_masks(row_set):
+                blocked |= disjoint[r]
+            allowed = [j for j in range(len(cols)) if not blocked >> j & 1]
+            total = 0
+            col_set = 0
+            for cstep in range(1, 1 << len(allowed)):
+                p = (cstep & -cstep).bit_length() - 1
+                col_set ^= 1 << p
+                if col_set >> p & 1:
+                    total += col_sums[allowed[p]]
+                else:
+                    total -= col_sums[allowed[p]]
+                if total > best:
+                    best = total
+                    best_rect = Rectangle(
+                        cert.universe,
+                        sum(1 << rows[r] for r in string_masks(row_set)),
+                        sum(1 << cols[allowed[q]] for q in string_masks(col_set)),
+                    )
+                    best_witness = witness
+    return Fraction(best, scale), best_rect, best_witness
 
 
 def verify_dual_certificate(
@@ -325,12 +293,8 @@ def verify_dual_certificate(
         mode = MODE_EXHAUSTIVE if small else MODE_ORACLE
     if mode == MODE_EXHAUSTIVE:
         max_weight, argmax, witness = _exhaustive_max(cert)
-        if cert.family.kind == FAMILY_WITNESS and not argmax.is_empty and witness is None:
-            witness = witness_set(argmax, cert.family.k or 0)
     else:
         argmax, max_weight, witness = cert.family.separation_oracle(w)
-        if max_weight < 0:
-            max_weight, argmax, witness = Fraction(0), Rectangle.empty(cert.universe), None
     feasible = sign_ok and max_weight <= 1 + tol
     return FeasibilityReport(
         max_weight=max_weight,

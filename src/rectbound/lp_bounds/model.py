@@ -25,6 +25,7 @@ from ..rectangles import (
     Rectangle,
     Weight,
     WeightMatrix,
+    WitnessSet,
     enumerate_rectangles,
     max_weight_rectangle,
     max_weight_rectangle_avoiding_disjoint,
@@ -107,13 +108,21 @@ class RectangleFamily:
                     return False
         return True
 
+    def blocks(self, n: int) -> list[tuple[WitnessSet | None, int]]:
+        """The string sets every member rectangle lies in, on both sides.
+
+        The witness family has one block per size-k witness set, in
+        lexicographic order: the strings marking all its coordinates, with
+        that witness.  Every other family has one block, the whole universe,
+        with no witness.
+        """
+        if self.kind == FAMILY_WITNESS:
+            return [(witness, witness.strings) for witness in witness_sets(n, self.k or 0)]
+        return [(None, (1 << (1 << n)) - 1)]
+
     def members(self, n: int) -> list[Rectangle]:
         """All nonempty member rectangles, deterministically ordered."""
-        if self.kind == FAMILY_WITNESS:
-            string_sets = [witness.strings for witness in witness_sets(n, self.k or 0)]
-        else:
-            string_sets = [(1 << (1 << n)) - 1]
-        labels = [list(string_masks(strings)) for strings in string_sets]
+        labels = [list(string_masks(strings)) for _, strings in self.blocks(n)]
         out = {
             rect
             for members in labels

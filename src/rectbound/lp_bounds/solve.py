@@ -43,7 +43,7 @@ from scipy.optimize._highspy._core import (
 from ..caps import ENUMERATION_CELLS
 from ..combinatorics import InputPair
 from ..errors import ConvergenceError, ParameterRangeError
-from ..rectangles import Rectangle, WeightMatrix, witness_sets
+from ..rectangles import Rectangle, WeightMatrix
 from .exact import STATUS_INFEASIBLE, STATUS_OPTIMAL, solve_exact_lp
 from .model import CLASS_COVER, FAMILY_WITNESS, LPInstance, SENSE_GE, SENSE_LE
 from .model import covering_columns, max_violation
@@ -148,8 +148,7 @@ def _seed_columns(lp: LPInstance) -> dict[Rectangle, None]:
         if c.klass == CLASS_COVER
     ]
     if lp.family.kind == FAMILY_WITNESS:
-        witnesses = witness_sets(lp.n, lp.family.k or 0)
-        seeds += [Rectangle(lp.n, w.strings, w.strings) for w in witnesses]
+        seeds += [Rectangle(lp.n, strings, strings) for _, strings in lp.family.blocks(lp.n)]
     return dict.fromkeys(seeds)
 
 

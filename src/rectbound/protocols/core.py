@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from random import Random
 from typing import Callable, NamedTuple, Union
 
 from ..errors import MalformedTreeError, ParameterRangeError, ProtocolContractError
@@ -194,18 +193,6 @@ class RandomizedProtocol:
     def worst_cost(self) -> int:
         return max(proto.worst_cost for _, proto in self.branches)
 
-    def draw(self, rng: Random) -> DeterministicProtocol:
-        roll = rng.random()
-        acc = 0.0
-        for prob, proto in self.branches:
-            acc += float(prob)
-            if roll < acc:
-                return proto
-        return self.branches[-1][1]
-
-    def run(self, x: int, y: int, rng: Random) -> RunResult:
-        return self.draw(rng).run(x, y)
-
 
 AnyProtocol = Union[TreeProtocol, ProgramProtocol, RandomizedProtocol]
 
@@ -215,14 +202,6 @@ def as_randomized(proto: AnyProtocol) -> RandomizedProtocol:
     if isinstance(proto, RandomizedProtocol):
         return proto
     return RandomizedProtocol(((Fraction(1), proto),))
-
-
-def run_protocol(proto: AnyProtocol, x: int, y: int, rng: Random | None = None) -> RunResult:
-    if isinstance(proto, RandomizedProtocol):
-        if rng is None:
-            raise ParameterRangeError("running a randomized protocol needs an rng")
-        return proto.run(x, y, rng)
-    return proto.run(x, y)
 
 
 def constant_protocol(n_alice: int, n_bob: int, value: object) -> TreeProtocol:

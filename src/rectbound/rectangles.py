@@ -16,6 +16,7 @@ them, so the floats are the loop's to the last bit.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -393,29 +394,34 @@ def max_weight_rectangle_in_rv(w: WeightMatrix, k: int, above: Weight | None = N
     oracle.  Value 0 with the empty rectangle when no member has positive mass.
 
     Given `above`, also returns an iterator over the improving lists of every
-    witness merged, best first, each rectangle once (where it was first
-    found).  The merge takes every entry of each witness's list.
+    witness merged lazily, best first, ties in witness order, each rectangle
+    once (where it was first found).  A witness's list builds a rectangle
+    only when the merge reaches it.
     """
     if not 0 <= k <= w.n:
         raise ParameterRangeError(f"witness size must satisfy 0 <= k <= {w.n}, got {k}")
     best: tuple[Rectangle, Weight, WitnessSet | None] = (Rectangle.empty(w.n), Fraction(0), None)
-    improving: dict[Rectangle, Weight] = {}
+    found_lists = []
     for witness in witness_sets(w.n, k):
         m = witness.mask
         restricted = w.restrict(lambda pair: pair.x & m == m and pair.y & m == m)
         if restricted.support_size == 0:
             continue
-        if above is None:
-            rect, value = max_weight_rectangle(restricted)
-        else:
-            rect, value, found = max_weight_rectangle(restricted, above)
-            for r, v in found:
-                improving.setdefault(r, v)
+        rect, value, *found = max_weight_rectangle(restricted, above)
+        found_lists += found
         if value > best[1]:
             best = (rect, value, witness)
     if above is None:
         return best
-    return (*best, iter(sorted(improving.items(), key=lambda entry: entry[1], reverse=True)))
+
+    def improving() -> Iterator[tuple[Rectangle, Weight]]:
+        seen: set[Rectangle] = set()
+        for rect, value in heapq.merge(*found_lists, key=lambda entry: entry[1], reverse=True):
+            if rect not in seen:
+                seen.add(rect)
+                yield rect, value
+
+    return (*best, improving())
 
 
 def max_weight_rectangle_avoiding_disjoint(w: WeightMatrix, above: Weight | None = None) -> tuple:

@@ -1,6 +1,7 @@
 """Dual certificates: builder values, feasibility sweeps, JSON round trips."""
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -12,6 +13,7 @@ from rectbound.lp_bounds import (
     certificate_to_json,
     verify_dual_certificate,
 )
+from rectbound.rectangles import enumerate_rectangles, rect_weight
 
 F = Fraction
 
@@ -133,3 +135,96 @@ def test_verification_mode_guard():
     cert = build_search_dual_certificate(2, 1, 1, F(1), F(1, 2))
     with pytest.raises(ParameterRangeError):
         verify_dual_certificate(cert, mode="guess")
+
+
+def _refamilied(cert, family: dict, phi_scale=1, psi_scale=1):
+    """The certificate's JSON with another family and phi, psi scaled, read back."""
+    doc = certificate_to_json(cert)
+    doc["family"] = family
+    doc["phi"] = [[x, y, str(F(v) * phi_scale)] for x, y, v in doc["phi"]]
+    doc["psi"] = [[x, y, str(F(v) * psi_scale)] for x, y, v in doc["psi"]]
+    return certificate_from_json(doc)
+
+
+def test_smooth_certificate_avoid_disjoint_argmax_is_pinned():
+    # certify --kind smooth --n 4 --beta 1: infeasible, first argmax in sweep order.
+    cert = build_smooth_dual_ndisj(4, F(1))
+    for mode in ("exhaustive", "oracle"):
+        rep = verify_dual_certificate(cert, mode=mode)
+        assert not rep.feasible
+        assert rep.max_weight == 4
+        assert (rep.argmax.rows, rep.argmax.cols) == (1 << 1, 1 << 1)
+        assert rep.witness is None
+
+
+def test_full_family_certificate_argmax_is_pinned():
+    cert = _refamilied(build_search_dual_certificate(3, 1, 1, F(1), F(2)), {"kind": "full"}, psi_scale=2)
+    for mode in ("exhaustive", "oracle"):
+        rep = verify_dual_certificate(cert, mode=mode)
+        assert not rep.feasible
+        assert rep.max_weight == F(64, 3)
+        assert rep.argmax.rows == 1 << 6 | 1 << 9
+        assert rep.argmax.cols == 1 << 3 | 1 << 5 | 1 << 10 | 1 << 12
+        assert rep.witness is None
+
+
+FAMILIES = ({"kind": "full"}, {"kind": "avoid-disjoint"}, {"kind": "witness", "k": 1})
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda fam: fam["kind"])
+def test_all_negative_weights_report_zero_and_the_empty_rectangle(family):
+    cert = _refamilied(build_search_dual_certificate(2, 1, 1, F(1), F(1, 2)), family, phi_scale=-1)
+    assert all(value < 0 for _, value in cert.combined().items())
+    for mode in ("exhaustive", "oracle"):
+        rep = verify_dual_certificate(cert, mode=mode)
+        assert rep.max_weight == 0
+        assert rep.argmax.is_empty
+        assert rep.witness is None
+
+
+def test_exhaustive_sweep_equals_literal_maximum_on_tampered_certificates():
+    rng = Random(17)
+    bases = [
+        build_search_dual_certificate(2, 1, 1, F(1), F(1, 2)),
+        build_search_dual_certificate(3, 1, 1, F(1), F(1, 3)),
+        build_smooth_dual_ndisj(4, F(1, 4)),
+    ]
+    verdicts = set()
+    for base in bases:
+        for family in FAMILIES:
+            for _ in range(3):
+                doc = certificate_to_json(base)
+                doc["family"] = family
+                strings = sorted({x for x, _, _ in doc["phi"]})
+                # Reweight every entry, either sign, and put weight on a few
+                # pairs of support strings that had none.
+                doc["phi"] = [
+                    [x, y, str(F(rng.randint(-4, 4), rng.choice((1, 2, 3))))]
+                    for x, y, _ in doc["phi"]
+                ]
+                doc["psi"] = [
+                    [x, y, str(F(rng.randint(-6, 2), rng.choice((1, 5))))]
+                    for x, y, _ in doc["psi"]
+                ]
+                doc["psi"] += [
+                    [rng.choice(strings), rng.choice(strings), str(F(rng.randint(-3, 3), 7))]
+                    for _ in range(3)
+                ]
+                cert = certificate_from_json(doc)
+                w = cert.combined()
+                literal = max(
+                    rect_weight(w, r)
+                    for r in enumerate_rectangles(cert.universe, w.xs(), w.ys())
+                    if cert.family.contains(r)
+                )
+                rep = verify_dual_certificate(cert, mode="exhaustive")
+                assert rep.max_weight == literal, (base.kind, family)
+                assert rect_weight(w, rep.argmax) == literal
+                assert cert.family.contains(rep.argmax)
+                if family["kind"] == "witness" and not rep.argmax.is_empty:
+                    inside = rep.argmax.rows | rep.argmax.cols
+                    assert inside & rep.witness.strings == inside
+                else:
+                    assert rep.witness is None
+                verdicts.add(rep.max_weight <= 1)
+    assert verdicts == {True, False}

@@ -15,7 +15,13 @@ import pytest
 
 from rectbound import rectangles
 from rectbound.combinatorics import InputPair
-from rectbound.rectangles import Rectangle, WeightMatrix, _max_rectangle
+from rectbound.rectangles import (
+    Rectangle,
+    WeightMatrix,
+    _max_rectangle,
+    max_weight_rectangle_in_rv,
+    witness_sets,
+)
 
 
 def _loop_max_rectangle(w: WeightMatrix, avoid_disjoint: bool, above=None) -> tuple:
@@ -142,6 +148,29 @@ def test_float_sweep_compares_exactly_with_a_fraction_bar():
     w = WeightMatrix(1, {InputPair(0, 0): 0.1, InputPair(1, 1): -0.5})
     _assert_same(w, Fraction(1, 10))
     assert [v for _, v in _max_rectangle(w, False, Fraction(1, 10))[2]] == [0.1, 0.1]
+
+
+@pytest.mark.parametrize("kind", ["fractions", "ties"])
+def test_witness_merge_matches_an_eager_sort_of_every_list(kind):
+    # The reference takes every witness's whole list, keeps each rectangle
+    # where it was first found, and sorts stably by value, best first.
+    rng = Random(f"witness-merge:{kind}")
+    repeats = 0
+    for _ in range(20):
+        w = _matrix(rng, rng.randint(2, 3), lambda: DRAWS[kind](rng))
+        for k in (1, 2):
+            for above in (Fraction(0), Fraction(1, 10)):
+                first_found = {}
+                for witness in witness_sets(w.n, k):
+                    m = witness.mask
+                    restricted = w.restrict(lambda pair: pair.x & m == m and pair.y & m == m)
+                    if restricted.support_size:
+                        for rect, value in _max_rectangle(restricted, False, above)[2]:
+                            repeats += rect in first_found
+                            first_found.setdefault(rect, value)
+                want = sorted(first_found.items(), key=lambda entry: entry[1], reverse=True)
+                assert list(max_weight_rectangle_in_rv(w, k, above)[3]) == want
+    assert repeats > 0
 
 
 @pytest.mark.parametrize("block_cells", [1, 5, 40])

@@ -29,7 +29,6 @@ from rectbound.protocols import (
     leaf_rectangle_check,
     measured_inputs,
     ndisj_truth,
-    run_protocol,
     success_probability,
     tree_from_records,
     tree_records,
@@ -117,15 +116,11 @@ def test_randomized_validation():
         RandomizedProtocol(((F(1, 2), p), (F(1, 2), q)))  # mismatched sizes
 
 
-def test_randomized_run_needs_rng():
+def test_randomized_cost_and_wrapping():
     mix = RandomizedProtocol(
         ((F(1, 2), constant_protocol(1, 1, 0)), (F(1, 2), constant_protocol(1, 1, 1)))
     )
     assert mix.worst_cost == 0
-    with pytest.raises(ParameterRangeError):
-        run_protocol(mix, 0, 0)
-    out = run_protocol(mix, 0, 0, Random(3)).output
-    assert out in (0, 1)
     assert as_randomized(mix) is mix
 
 
