@@ -2,19 +2,24 @@
 
 mu(k, n, m) is uniform over pairs (x, y) of m-element subsets of an n-element
 universe whose intersection has size exactly k: each support pair has
-probability 1 / (C(n,m) * C(m,k) * C(n-m,m-k)).  Everything in this module is
-exact `fractions.Fraction` arithmetic; floating point never enters.
+probability 1 / (C(n,m) * C(m,k) * C(n-m,m-k)).  Probabilities are exact
+`fractions.Fraction`s; floating point never enters.  The support enumeration
+and the lifting sweep work on whole numpy arrays of masks: int64 while every
+mask stays below 2^62, else `object` arrays of Python ints (`int_dtype`), so
+no mask is ever truncated and every count is exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from random import Random
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, TypeVar
+
+import numpy as np
 
 from .caps import SUPPORT_PAIRS
 from .errors import (
@@ -29,6 +34,23 @@ def binom(n: int, k: int) -> int:
     if n < 0 or k < 0:
         raise ParameterRangeError(f"binom arguments must be nonnegative, got ({n}, {k})")
     return math.comb(n, k)
+
+
+def int_dtype(bound: int) -> type:
+    """The array dtype for ints whose absolute values, and every partial sum, stay below `bound`.
+
+    int64 below 2^62, which leaves room for a negation and a carry; past it
+    `object`, whose elements are Python ints and never overflow.
+    """
+    return np.int64 if bound < 1 << 62 else object
+
+
+# An int mask, or an int64 or object array of masks.
+Masks = TypeVar("Masks", int, np.ndarray)
+
+
+def _bit_count(masks: Masks) -> Masks:
+    return masks.bit_count() if isinstance(masks, int) else np.bitwise_count(masks)
 
 
 def bits(mask: int, n: int) -> str:
@@ -114,11 +136,19 @@ class MuParams:
     def _point_mass(self) -> Fraction:
         return Fraction(1, self.support_size)
 
-    def contains(self, x: int, y: int) -> bool:
-        """The masks (x, y) form a support pair; a pair outside the universe is refused."""
-        if x >> self.n or y >> self.n:
+    def contains(self, x: Masks, y: Masks) -> bool | np.ndarray:
+        """The masks (x, y) form a support pair; a pair outside the universe is refused.
+
+        Takes two int masks, or two mask arrays and then answers pair by pair
+        with a bool array.
+        """
+        outside = (x | y) >> self.n
+        if outside.any() if isinstance(outside, np.ndarray) else outside:
+            if isinstance(outside, np.ndarray):
+                first = np.flatnonzero(outside)[0]
+                x, y = int(x[first]), int(y[first])
             raise DimensionMismatchError(f"pair {InputPair(x, y)} does not fit universe size {self.n}")
-        return x.bit_count() == self.m == y.bit_count() and (x & y).bit_count() == self.k
+        return (_bit_count(x) == self.m) & (_bit_count(y) == self.m) & (_bit_count(x & y) == self.k)
 
 
 def mu_prob(p: MuParams, pair: InputPair) -> Fraction:
@@ -135,27 +165,46 @@ def _mask(coords: Iterable[int]) -> int:
     return m
 
 
+@lru_cache(maxsize=128)
+def _subset_coords(n: int, m: int) -> np.ndarray:
+    """Every m-subset of range(n) as a row of ascending coordinates, rows in lexicographic order."""
+    table = np.array(list(combinations(range(n), m)), dtype=np.intp).reshape(binom(n, m), m)
+    table.flags.writeable = False
+    return table
+
+
+def _bit_values(n: int) -> np.ndarray:
+    return np.array([1 << j for j in range(n)], dtype=int_dtype(1 << n))
+
+
+def subset_masks(n: int, m: int) -> np.ndarray:
+    """The masks of every m-subset of an n-element universe, in lexicographic coordinate order."""
+    return _bit_values(n)[_subset_coords(n, m)].sum(axis=1)
+
+
 def enumerate_support(p: MuParams) -> list[InputPair]:
     """All support pairs of mu(p), in a fixed deterministic order.
 
-    Returns [] when the support is empty; raises CapExceededError above the
-    support cap (default 10^7, RECTBOUND_SUPPORT_CAP to override).
+    x runs over the m-subsets in lexicographic order; for each x, y is each
+    k-subset of x (lexicographic) joined with each (m-k)-subset of x's
+    complement (lexicographic, innermost).  Returns [] when the support is
+    empty; raises CapExceededError above the support cap (default 10^7,
+    RECTBOUND_SUPPORT_CAP to override).
     """
     size = p.support_size
     if size == 0:
         return []
     SUPPORT_PAIRS.check(size, f"support pairs of {p!r}")
-    out: list[InputPair] = []
-    universe = range(p.n)
-    for x_coords in combinations(universe, p.m):
-        x_mask = _mask(x_coords)
-        x_set = set(x_coords)
-        rest_pool = [c for c in universe if c not in x_set]
-        for shared in combinations(x_coords, p.k):
-            shared_mask = _mask(shared)
-            for outside in combinations(rest_pool, p.m - p.k):
-                y_mask = shared_mask | _mask(outside)
-                out.append(InputPair(x_mask, y_mask))
+    bit_values = _bit_values(p.n)
+    x_coords = _subset_coords(p.n, p.m)
+    # Complementing reverses the lexicographic order of equal-size subsets,
+    # so the i-th m-subset's complement is the i-th (n-m)-subset from the end.
+    rest_coords = _subset_coords(p.n, p.n - p.m)[::-1]
+    shared = bit_values[x_coords[:, _subset_coords(p.m, p.k)]].sum(axis=2)
+    outside = bit_values[rest_coords[:, _subset_coords(p.n - p.m, p.m - p.k)]].sum(axis=2)
+    y_masks = shared[:, :, None] | outside[:, None, :]
+    x_masks = np.broadcast_to(subset_masks(p.n, p.m)[:, None, None], y_masks.shape)
+    out = list(map(InputPair._make, zip(x_masks.ravel().tolist(), y_masks.ravel().tolist())))
     if len(out) != size:
         raise AssertionError(f"support enumeration produced {len(out)} pairs, expected {size}")
     return out
@@ -220,15 +269,21 @@ def identity_sides(identity: str, p: MuParams) -> IdentitySides:
 
 def remove_coords(mask: int, removed: Iterable[int]) -> int:
     """Delete 0-based coordinates from the universe, compacting the rest."""
-    return _delete_marked(mask, _mask(removed))
+    gone = _mask(removed)
+    return _delete_lowest(mask, gone, gone.bit_count())
 
 
-def _delete_marked(mask: int, gone: int) -> int:
-    """Delete the coordinates whose bits are set in `gone`, highest first."""
-    while gone:
-        top = 1 << gone.bit_length() - 1
-        mask = mask & top - 1 | mask >> 1 & -top
-        gone ^= top
+def _delete_lowest(mask: Masks, marked: Masks, count: int) -> Masks:
+    """Delete the `count` lowest coordinates set in `marked` from `mask`, compacting the rest.
+
+    Lowest first: each step drops the lowest marked bit, shifts the bits
+    above it down by one, and shifts the marks with them.  A step with no
+    mark left changes nothing, so on arrays every pair takes `count` steps.
+    """
+    for _ in range(count):
+        low = marked & -marked
+        mask = mask & low - 1 | mask >> 1 & -low
+        marked = (marked ^ low) >> 1
     return mask
 
 
@@ -257,6 +312,8 @@ def check_lemma4(identity: str, p: MuParams) -> IdentityReport:
     depend only on sizes, so any choice of shared coordinates is equivalent.
     Each side's value at a pair is its point mass or 0, so a pair's deviation
     is one of four Fractions, chosen by its two support-membership bits.
+    The pairs are checked all at once as two mask arrays, and only the
+    membership codes that occur are looked up.
     """
     sides = identity_sides(identity, p)
     lhs, rhs = sides.lhs, sides.rhs
@@ -267,21 +324,14 @@ def check_lemma4(identity: str, p: MuParams) -> IdentityReport:
         )
     lhs_mass = lhs.point_mass()
     rhs_mass = sides.factor * rhs.point_mass()
-    deviation = {
-        (True, True): abs(lhs_mass - rhs_mass),
-        (True, False): lhs_mass,
-        (False, True): rhs_mass,
-        (False, False): Fraction(0),
-    }
-    seen: set[tuple[bool, bool]] = set()
+    # Indexed by the membership code 2 * (on the left) + (on the right).
+    deviation = (Fraction(0), rhs_mass, lhs_mass, abs(lhs_mass - rhs_mass))
     support = enumerate_support(lhs)
-    for x, y in support:
-        shared, gone = x & y, 0
-        for _ in range(sides.removed):
-            low = shared & -shared
-            gone |= low
-            shared ^= low
-        seen.add((lhs.contains(x, y), rhs.contains(_delete_marked(x, gone), _delete_marked(y, gone))))
+    flat = np.fromiter(chain.from_iterable(support), dtype=int_dtype(1 << lhs.n), count=2 * len(support))
+    x, y = flat.reshape(-1, 2).T
+    shared = x & y
+    on_right = rhs.contains(_delete_lowest(x, shared, sides.removed), _delete_lowest(y, shared, sides.removed))
+    codes = np.unique(2 * lhs.contains(x, y) + on_right).tolist()
     return IdentityReport(
         identity=identity,
         params=p,
@@ -289,7 +339,7 @@ def check_lemma4(identity: str, p: MuParams) -> IdentityReport:
         rhs_params=rhs,
         factor=sides.factor,
         pairs_checked=len(support),
-        max_abs_diff=max((deviation[on] for on in seen), default=Fraction(0)),
+        max_abs_diff=max(deviation[code] for code in codes),
     )
 
 

@@ -9,9 +9,9 @@ rectangles: base mass above the bar 2^(-gamma n) with a target/base ratio
 below 2/3.  `slack` softens the same comparison additively by 2^(-delta n).
 
 Counting is exact.  The meet matrices are 0/1 floats and the membership
-rows are bools, which the matmul promotes to float64; every matmul entry is
-an integer far below 2^53, so the float pipeline commits no rounding and a
-fixed seed reproduces the report byte for byte.
+rows are bools, which the matmul promotes to float64 one block of rows at a
+time; every matmul entry is an integer far below 2^53, so the float pipeline
+commits no rounding and a fixed seed reproduces the report byte for byte.
 """
 
 from __future__ import annotations
@@ -19,12 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
 from ..caps import EXHAUSTIVE_SCAN_STEPS, SCAN_STRINGS, SUPPORT_PAIRS
-from ..combinatorics import MuParams
+from ..combinatorics import MuParams, binom, subset_masks
 from ..errors import ParameterRangeError
 
 MODE_EXHAUSTIVE = "exhaustive"
@@ -95,15 +94,9 @@ class ScanReport:
         return min(row.slack for row in self.rows)
 
 
-def _size_m_masks(n: int, m: int) -> list[int]:
-    masks = []
-    for coords in combinations(range(n), m):
-        mask = 0
-        for c in coords:
-            mask |= 1 << c
-        masks.append(mask)
-    masks.sort()
-    return masks
+# Rectangles whose counts are taken in one matmul: the float64 copy of a
+# block's membership rows stays a few MB instead of the whole scan's.
+_ROW_BLOCK = 1024
 
 
 def sampling_lemma_scan(p: MuParams, target_k: int, cfg: ScanConfig | None = None) -> ScanReport:
@@ -125,44 +118,45 @@ def sampling_lemma_scan(p: MuParams, target_k: int, cfg: ScanConfig | None = Non
     target = MuParams(target_k, p.n, p.m)
     target.validate()
 
-    masks = _size_m_masks(p.n, p.m)
-    count = len(masks)
+    count = binom(p.n, p.m)
     SCAN_STRINGS.check(count, "strings per side")
     SUPPORT_PAIRS.check(count * count, "string pairs")
-    arr = np.array(masks, dtype=np.int64)
+    arr = np.sort(subset_masks(p.n, p.m))
     meets = np.bitwise_count(arr[:, None] & arr[None, :])
     e_base = (meets == 0).astype(np.float64)
     e_target = (meets == target_k).astype(np.float64)
 
-    row_sets = [np.ones(count, dtype=bool)]
-    col_sets = [np.ones(count, dtype=bool)]
     labels = ["full"]
     densities = ["full"]
     if EXHAUSTIVE_SCAN_STEPS.fits(1 << (2 * count)):
         mode = MODE_EXHAUSTIVE
-        for smask in range(1, 1 << count):
-            s_row = np.array([(smask >> i) & 1 for i in range(count)], dtype=bool)
-            for cmask in range(1, 1 << count):
-                row_sets.append(s_row)
-                col_sets.append(
-                    np.array([(cmask >> j) & 1 for j in range(count)], dtype=bool)
-                )
-                labels.append(f"exh-{smask}-{cmask}")
-                densities.append("exhaustive")
+        subsets = (1 << count) - 1
+        # Row s - 1 marks the strings in the nonempty string set s.
+        members = np.arange(1, 1 << count)[:, None] >> np.arange(count) & 1 == 1
+        ra = np.ones((1 + subsets * subsets, count), dtype=bool)
+        cb = np.ones_like(ra)
+        ra[1:] = np.repeat(members, subsets, axis=0)
+        cb[1:] = np.tile(members, (subsets, 1))
+        labels += [f"exh-{smask}-{cmask}" for smask in range(1, 1 << count) for cmask in range(1, 1 << count)]
+        densities += ["exhaustive"] * (subsets * subsets)
     else:
         mode = MODE_SAMPLED
+        ra = np.ones((1 + cfg.samples, count), dtype=bool)
+        cb = np.ones_like(ra)
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
         for i in range(cfg.samples):
             d = cfg.densities[i % len(cfg.densities)]
-            row_sets.append(rng.random(count) < d)
-            col_sets.append(rng.random(count) < d)
+            ra[1 + i] = rng.random(count) < d
+            cb[1 + i] = rng.random(count) < d
             labels.append(f"sample-{i:05d}")
             densities.append(repr(d))
 
-    ra = np.stack(row_sets)
-    cb = np.stack(col_sets)
-    counts_base = ((ra @ e_base) * cb).sum(axis=1)
-    counts_target = ((ra @ e_target) * cb).sum(axis=1)
+    counts_base = np.empty(len(ra))
+    counts_target = np.empty(len(ra))
+    for start in range(0, len(ra), _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        counts_base[block] = ((ra[block] @ e_base) * cb[block]).sum(axis=1)
+        counts_target[block] = ((ra[block] @ e_target) * cb[block]).sum(axis=1)
     n_rows = ra.sum(axis=1)
     n_cols = cb.sum(axis=1)
 

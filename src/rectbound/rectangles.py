@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from .caps import ORACLE_SUBSETS, RECTANGLES, SUPPORT_PAIRS
-from .combinatorics import InputPair, MuParams, bits, enumerate_support, parse_bits
+from .combinatorics import InputPair, MuParams, bits, enumerate_support, int_dtype, parse_bits
 from .errors import DimensionMismatchError, ParameterRangeError
 
 Weight = Fraction | float | int
@@ -276,7 +276,7 @@ def _max_rectangle(w: WeightMatrix, avoid_disjoint: bool, above: Weight | None =
     comparison, so the value, the argmax and the tie rule are those of the
     Fraction sweep.  The ints are int64 when the cells' absolute values sum
     below 2^62, which bounds every partial sum, and Python ints (`object`
-    arrays) otherwise.
+    arrays) otherwise (`int_dtype`).
     """
     rows = w.xs()
     cols = w.ys()
@@ -297,8 +297,8 @@ def _max_rectangle(w: WeightMatrix, avoid_disjoint: bool, above: Weight | None =
         cell = value.numerator * (scale // value.denominator) if exact else float(value)
         cells[row_index[x], col_index[y]] = cell
     total = int(np.abs(cells).sum()) if exact else 0
-    if exact and total < 1 << 62:
-        cells = cells.astype(np.int64)
+    if exact:
+        cells = cells.astype(int_dtype(total), copy=False)
     zero: Weight = 0 if exact else 0.0
     # Row i of `signed` is row i's cells and row i + len(rows) their negation,
     # so one gather by the Gray schedule yields every step's signed delta.

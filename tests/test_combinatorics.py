@@ -1,9 +1,13 @@
 """Distribution layer: point masses, supports, lifting identities."""
 
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +22,7 @@ from rectbound.combinatorics import (
     check_lemma4,
     enumerate_support,
     identity_sides,
+    int_dtype,
     intersection_ratio,
     mu_prob,
     parse_bits,
@@ -274,3 +279,197 @@ def test_valid_mu_params_enumerates_nonempty_only():
 def test_valid_mu_params_support_filter():
     small = list(valid_mu_params(8, max_support=100))
     assert all(p.support_size <= 100 for p in small)
+
+
+# ------------------------------------------------- per-pair references
+# The enumeration and the sweep as they were before they went to mask
+# arrays: nested `combinations`, and one membership test and one
+# highest-first deletion per pair on Python ints.
+
+
+def _reference_mask(coords):
+    mask = 0
+    for c in coords:
+        mask |= 1 << c
+    return mask
+
+
+def _reference_support(p):
+    if p.is_empty:
+        return []
+    out = []
+    universe = range(p.n)
+    for x_coords in combinations(universe, p.m):
+        x_mask = _reference_mask(x_coords)
+        rest_pool = [c for c in universe if c not in x_coords]
+        for shared in combinations(x_coords, p.k):
+            for outside in combinations(rest_pool, p.m - p.k):
+                out.append(InputPair(x_mask, _reference_mask(shared) | _reference_mask(outside)))
+    return out
+
+
+def _reference_contains(p, x, y):
+    if x >> p.n or y >> p.n:
+        raise DimensionMismatchError(f"pair {(x, y)} does not fit universe size {p.n}")
+    return x.bit_count() == p.m == y.bit_count() and (x & y).bit_count() == p.k
+
+
+def _reference_delete(mask, gone):
+    while gone:
+        top = 1 << gone.bit_length() - 1
+        mask = mask & top - 1 | mask >> 1 & -top
+        gone ^= top
+    return mask
+
+
+def _reference_check(identity, p):
+    """(pairs_checked, max_abs_diff) of the per-pair loop, from the sides `check_lemma4` would use."""
+    sides = combinatorics.identity_sides(identity, p)
+    lhs, rhs = sides.lhs, sides.rhs
+    lhs_mass = Fraction(1, lhs.support_size)
+    rhs_mass = sides.factor / rhs.support_size
+    worst = Fraction(0)
+    support = _reference_support(lhs)
+    for x, y in support:
+        shared, gone = x & y, 0
+        for _ in range(sides.removed):
+            low = shared & -shared
+            gone |= low
+            shared ^= low
+        left = lhs_mass if _reference_contains(lhs, x, y) else 0
+        reduced = _reference_delete(x, gone), _reference_delete(y, gone)
+        right = rhs_mass if _reference_contains(rhs, *reduced) else 0
+        worst = max(worst, abs(left - right))
+    return len(support), worst
+
+
+def _grid_lhs():
+    """The left side of every identity the lifting sweep checks, once each."""
+    seen = {}
+    for p in valid_mu_params(8, 10**6):
+        for name in LIFTING_IDENTITIES:
+            try:
+                sides = identity_sides(name, p)
+            except ParameterRangeError:
+                continue
+            seen.setdefault(sides.lhs, None)
+    return list(seen)
+
+
+# m = 0, k = m, m = n, the empty meet, an empty support, the empty universe,
+# and universes past 62 bits, whose masks live in object arrays.
+EDGE_TRIPLES = [
+    MuParams(0, 5, 0),
+    MuParams(0, 0, 0),
+    MuParams(2, 5, 2),
+    MuParams(3, 3, 3),
+    MuParams(0, 6, 3),
+    MuParams(3, 4, 2),
+    MuParams(0, 4, 3),
+    MuParams(0, 70, 1),
+    MuParams(2, 70, 2),
+]
+
+
+def test_enumerate_support_matches_the_nested_loops_on_the_grid_and_edges():
+    lhs_sides = _grid_lhs()
+    assert len(lhs_sides) > 100
+    for p in lhs_sides + EDGE_TRIPLES:
+        got = enumerate_support(p)
+        assert got == _reference_support(p), p
+        assert len(got) == p.support_size
+        assert all(type(pair) is InputPair and type(pair.x) is int and type(pair.y) is int for pair in got), p
+
+
+def test_mask_arrays_fall_back_to_python_ints_past_62_bits():
+    assert int_dtype((1 << 62) - 1) is np.int64 and int_dtype(1 << 62) is object
+    p = MuParams(0, 70, 1)
+    support = enumerate_support(p)
+    assert len(support) == 4830 and max(max(pair) for pair in support) == 1 << 69
+    x = np.array([pair.x for pair in support], dtype=object)
+    y = np.array([pair.y for pair in support], dtype=object)
+    assert p.contains(x, y).all() and not MuParams(1, 70, 1).contains(x, y).any()
+    with pytest.raises(DimensionMismatchError):
+        MuParams(0, 69, 1).contains(x, y)
+
+
+def test_contains_answers_mask_arrays_pair_by_pair():
+    p = MuParams(1, 4, 2)
+    x, y = np.meshgrid(np.arange(16), np.arange(16), indexing="ij")
+    on = p.contains(x.ravel(), y.ravel())
+    assert on.tolist() == [p.contains(a, b) for a in range(16) for b in range(16)]
+    assert on.sum() == p.support_size
+    with pytest.raises(DimensionMismatchError, match=r"InputPair\(x=3, y=16\)"):
+        p.contains(np.array([3, 3, 3]), np.array([5, 16, 32]))
+
+
+def test_delete_lowest_agrees_on_ints_and_arrays():
+    rng = Random(3)
+    for n, dtype in ((12, np.int64), (70, object)):
+        masks = [rng.getrandbits(n) for _ in range(200)]
+        marked = [rng.getrandbits(n) for _ in range(200)]
+        for count in range(4):
+            expect = []
+            for mask, mark in zip(masks, marked):
+                gone = 0
+                for _ in range(count):
+                    gone |= (mark & ~gone) & -(mark & ~gone)
+                expect.append(remove_coords(mask, [j for j in range(n) if gone >> j & 1]))
+            got = combinatorics._delete_lowest(np.array(masks, dtype=dtype), np.array(marked, dtype=dtype), count)
+            assert [int(v) for v in got] == expect
+
+
+def _report_pair(rep):
+    return rep.pairs_checked, rep.max_abs_diff
+
+
+def test_check_lemma4_matches_the_per_pair_loop():
+    checked = 0
+    cases = [(name, p) for p in valid_mu_params(5) for name in LIFTING_IDENTITIES]
+    # Past 62 bits, deleting one shared coordinate and none.
+    cases += [("I", MuParams(1, 69, 1)), ("III", MuParams(1, 70, 1)), ("II", MuParams(0, 70, 1))]
+    for name, p in cases:
+        try:
+            rep = check_lemma4(name, p)
+        except ParameterRangeError:
+            continue
+        assert _report_pair(rep) == _reference_check(name, p), (name, p)
+        checked += 1
+    assert checked > 100
+
+
+def test_check_lemma4_matches_the_per_pair_loop_on_tampered_sides(monkeypatch):
+    real = combinatorics.identity_sides
+
+    def doubled(name, p):
+        return replace(real(name, p), factor=2 * real(name, p).factor)
+
+    def wrong_meet(name, p):
+        rhs = real(name, p).rhs
+        return replace(real(name, p), rhs=MuParams(rhs.k + 1 if rhs.k < rhs.m else rhs.k - 1, rhs.n, rhs.m))
+
+    for tamper in (doubled, wrong_meet):
+        monkeypatch.setattr(combinatorics, "identity_sides", tamper)
+        for p in (MuParams(1, 4, 2), MuParams(1, 6, 3), MuParams(2, 7, 3)):
+            for name in LIFTING_IDENTITIES:
+                rep = check_lemma4(name, p)
+                assert not rep.holds
+                assert _report_pair(rep) == _reference_check(name, p), (tamper.__name__, name, p)
+
+    monkeypatch.setattr(combinatorics, "identity_sides", lambda name, p: replace(real(name, p), removed=0))
+    for check in (check_lemma4, _reference_check):
+        with pytest.raises(DimensionMismatchError):
+            check("III", MuParams(1, 4, 2))
+
+
+# SHA-256 of the benchmark's lifting-sweep job output: the JSON records
+# [identity, k, n, m, pairs_checked, lhs_support, max_abs_diff] of every
+# check_lemma4 call over valid_mu_params(8, 10**6).
+LIFTING_SWEEP_SHA256 = "9f1225f66d64d442246ceda571bd70f5244813c32d4b31d3dcf1285b23fe2b63"
+
+
+def test_lifting_sweep_records_are_pinned(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench.jobs import lifting_sweep
+
+    assert hashlib.sha256(lifting_sweep().encode()).hexdigest() == LIFTING_SWEEP_SHA256

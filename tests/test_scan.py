@@ -30,6 +30,13 @@ def test_anchor_row_is_the_full_rectangle():
     assert full.above_bar and not full.flagged
 
 
+def test_scan_counts_past_62_bits():
+    # Strings of a 66-element universe overflow int64 masks; they are counted as Python ints.
+    full = sampling_lemma_scan(MuParams(0, 66, 1), 1, ScanConfig(samples=3)).rows[0]
+    assert (full.rows, full.count_base, full.count_target) == (66, 66 * 65, 66)
+    assert full.mass_base == full.mass_target == 1
+
+
 def test_sampled_scan_is_reproducible():
     p = MuParams(0, 8, 2)
     cfg = ScanConfig(samples=200, seed=7)
