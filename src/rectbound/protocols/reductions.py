@@ -87,6 +87,8 @@ def reduce_ndisj_to_search(
             f"base inputs are {rand.n_alice}x{rand.n_bob} bits, expected {width}"
         )
     breakdown = ndisj_to_search_cost(n, k, s, rand.worst_cost)
+    wsize = breakdown.window
+    idx_width = index_bits(wsize)
     HALVING_BRANCHES.check(
         len(rand.branches) ** (s + 1), f"coin branches ({len(rand.branches)}^{s + 1})"
     )
@@ -109,12 +111,10 @@ def reduce_ndisj_to_search(
                 for j, (lo, size) in enumerate(windows):
                     half = (size + 1) >> 1
                     windows[j] = (lo, half) if (answers >> j) & 1 else (lo + half, size - half)
-            wsize = breakdown.window
             dumps = [(lo, (x >> lo) & ((1 << size) - 1)) for lo, size in windows]
             for _, sent in dumps:
                 bits |= sent << length  # zero-padded to wsize
                 length += wsize
-            idx_width = index_bits(wsize)
             out = []
             for j, (lo, sent) in enumerate(dumps):
                 shared = sent & (y >> lo)
