@@ -83,6 +83,13 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
+def _floats(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(part) for part in text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of floats: {text!r}") from exc
+
+
 def _exact(value) -> dict:
     return {"mode": ARITH_EXACT, "value": str(Fraction(value))}
 
@@ -244,12 +251,12 @@ def _build_certificate(args) -> DualCertificate:
 
 def cmd_certify(args) -> tuple[dict, int]:
     cert = _build_certificate(args)
-    doc = certificate_to_json(cert)
-    if args.save is not None:
-        Path(args.save).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     eps = Fraction(0) if args.eps is None else args.eps
     if eps != 0 and cert.kind != KIND_SMOOTH:
         raise ParameterRangeError("--eps applies to smooth certificates only")
+    doc = certificate_to_json(cert)
+    if args.save is not None:
+        Path(args.save).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     value = cert.objective_value(eps) if cert.kind == KIND_SMOOTH else cert.objective_value()
     rep = verify_dual_certificate(cert, mode=args.verify_mode, tol=args.tol)
 
@@ -286,13 +293,12 @@ def cmd_certify(args) -> tuple[dict, int]:
 
 def cmd_scan(args) -> tuple[str, int]:
     m = args.n // 4 if args.m is None else args.m
-    densities = tuple(float(d) for d in args.densities.split(","))
     cfg = ScanConfig(
         gamma=args.gamma,
         delta=args.delta,
         samples=args.samples,
         seed=args.seed,
-        densities=densities,
+        densities=args.densities,
     )
     report = sampling_lemma_scan(MuParams(0, args.n, m), args.target_k, cfg)
     return scan_to_csv(report), 0
@@ -470,7 +476,7 @@ def build_parser() -> _Parser:
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--samples", type=int, default=256)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--densities", default="0.9,0.75,0.5")
+    p.add_argument("--densities", type=_floats, default="0.9,0.75,0.5")
     p.add_argument("--out", default=None)
     p.set_defaults(handler=cmd_scan)
 

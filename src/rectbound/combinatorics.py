@@ -355,13 +355,9 @@ def intersection_ratio(n: int, k: int) -> Fraction:
     return Fraction(binom(n, k) * binom(n + k, k), binom(n + k, 2 * k) * 2 ** (k + 1))
 
 
-def valid_mu_params(
-    max_n: int,
-    max_support: int | None = None,
-    min_n: int = 0,
-) -> Iterator[MuParams]:
+def valid_mu_params(max_n: int, max_support: int | None = None) -> Iterator[MuParams]:
     """All nonempty-support (k, n, m) triples with n <= max_n, small first."""
-    for n in range(min_n, max_n + 1):
+    for n in range(max_n + 1):
         for m in range(n + 1):
             for k in range(m + 1):
                 p = MuParams(k, n, m)

@@ -6,10 +6,11 @@ observation is the whole route from protocols to the rectangle LPs: the
 accepting rectangles of each branch, weighted by branch probability, form a
 feasible point whose total weight is at most 2^cost.
 
-Census semantics differ by representation, deliberately.  An explicit tree
-is walked structurally, so leaves that no input can reach still appear with
-empty rectangles; a replayed program only shows the conversations that
-actually happen, grouped by transcript.
+Every deterministic protocol, explicit tree or replayed program, is
+censused the same way: each input pair runs through the protocol's own
+checked `run`, and the runs are grouped by transcript.  Only conversations
+that happen appear, so a tree's unreachable leaves are absent.  Transcripts
+are prefix-free, so their lexicographic order is a tree's depth-first order.
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ from typing import Callable, Mapping
 
 from ..caps import EXACT_PROTOCOL_INPUTS
 from ..errors import ParameterRangeError
-from ..rectangles import Rectangle, string_masks
+from ..rectangles import Rectangle
 from .core import (
-    ALICE,
     AnyProtocol,
-    Leaf,
+    DeterministicProtocol,
     ProgramProtocol,
     TreeProtocol,
     as_randomized,
@@ -37,9 +37,6 @@ from .tasks import TaskSpec, Verdict, classify, measured_inputs
 
 MODE_EXACT = "exact-rational"
 MODE_MONTE_CARLO = "monte-carlo-ci"
-
-CENSUS_STRUCTURAL = "structural"
-CENSUS_TRANSCRIPT = "transcript"
 
 # Normal quantile of the two-sided 95% Wilson interval.
 WILSON_Z = 1.96
@@ -164,17 +161,12 @@ class LeafRectangle:
     depth: int
 
     @property
-    def reachable(self) -> bool:
-        return bool(self.rows) and bool(self.cols)
-
-    @property
     def pair_count(self) -> int:
         return self.rows.bit_count() * self.cols.bit_count()
 
 
 @dataclass(frozen=True)
 class LeafReport:
-    mode: str
     n_alice: int
     n_bob: int
     leaves: tuple[LeafRectangle, ...]
@@ -184,51 +176,18 @@ class LeafReport:
     def leaf_count(self) -> int:
         return len(self.leaves)
 
-    def count_outputs(self, accept: Callable[[object], bool]) -> int:
-        """Leaves whose output the predicate accepts, unreachable ones included."""
-        return sum(1 for leaf in self.leaves if accept(leaf.output))
 
+def leaf_rectangle_check(proto: DeterministicProtocol) -> LeafReport:
+    """Census of conversation rectangles, one leaf per transcript that occurs.
 
-def _structural_census(proto: TreeProtocol) -> LeafReport:
-    EXACT_PROTOCOL_INPUTS.check(1 << (proto.n_alice + proto.n_bob), "input pairs in a leaf census")
-    leaves: list[LeafRectangle] = []
-
-    def walk(node, xs: int, ys: int, depth: int) -> None:
-        if isinstance(node, Leaf):
-            leaves.append(LeafRectangle(node.value, xs, ys, depth))
-            return
-        held = xs if node.owner == ALICE else ys
-        sides = [0, 0]
-        for v in string_masks(held):
-            sides[node.message(v)] |= 1 << v
-        for bit in (0, 1):
-            new_xs = sides[bit] if node.owner == ALICE else xs
-            new_ys = ys if node.owner == ALICE else sides[bit]
-            walk(node.children[bit], new_xs, new_ys, depth + 1)
-
-    walk(proto.root, (1 << (1 << proto.n_alice)) - 1, (1 << (1 << proto.n_bob)) - 1, 0)
-
-    covered = sum(leaf.pair_count for leaf in leaves)
-    partition_ok = covered == 1 << (proto.n_alice + proto.n_bob)
-    if partition_ok:
-        for leaf in leaves:
-            if not leaf.reachable:
-                continue
-            x = next(string_masks(leaf.rows))
-            y = next(string_masks(leaf.cols))
-            if proto.run(x, y).output != leaf.output:
-                partition_ok = False
-                break
-    return LeafReport(
-        mode=CENSUS_STRUCTURAL,
-        n_alice=proto.n_alice,
-        n_bob=proto.n_bob,
-        leaves=tuple(leaves),
-        partition_ok=partition_ok,
-    )
-
-
-def _transcript_census(proto: ProgramProtocol) -> LeafReport:
+    Every input pair runs through `proto.run`, so a tree's message bits and a
+    program's transcript contract are checked as in any other run.
+    `partition_ok` holds when each group is a product rectangle with one output.
+    """
+    if not isinstance(proto, (TreeProtocol, ProgramProtocol)):
+        raise ParameterRangeError(
+            "census runs on a deterministic protocol; pass one branch of a mixture"
+        )
     EXACT_PROTOCOL_INPUTS.check(1 << (proto.n_alice + proto.n_bob), "input pairs in a leaf census")
     groups: dict[tuple[int, int], dict] = {}
     consistent = True
@@ -252,7 +211,6 @@ def _transcript_census(proto: ProgramProtocol) -> LeafReport:
             product_ok = False
         leaves.append(LeafRectangle(g["output"], g["xs"], g["ys"], length))
     return LeafReport(
-        mode=CENSUS_TRANSCRIPT,
         n_alice=proto.n_alice,
         n_bob=proto.n_bob,
         leaves=tuple(leaves),
@@ -260,21 +218,10 @@ def _transcript_census(proto: ProgramProtocol) -> LeafReport:
     )
 
 
-def leaf_rectangle_check(proto) -> LeafReport:
-    """Census of conversation rectangles; see the module docstring for modes."""
-    if isinstance(proto, TreeProtocol):
-        return _structural_census(proto)
-    if isinstance(proto, ProgramProtocol):
-        return _transcript_census(proto)
-    raise ParameterRangeError(
-        "census runs on a deterministic protocol; pass one branch of a mixture"
-    )
-
-
 def accepting_rectangle_weights(
     proto: AnyProtocol, accept: Callable[[object], bool]
 ) -> dict[Rectangle, Fraction]:
-    """Branch-probability mass of every reachable accepting leaf rectangle."""
+    """Branch-probability mass of every accepting leaf rectangle."""
     rand = as_randomized(proto)
     if rand.n_alice != rand.n_bob:
         raise ParameterRangeError("rectangle weights need a square universe")
@@ -282,7 +229,7 @@ def accepting_rectangle_weights(
     weights: dict[Rectangle, Fraction] = {}
     for prob, det in rand.branches:
         for leaf in leaf_rectangle_check(det).leaves:
-            if not leaf.reachable or not accept(leaf.output):
+            if not accept(leaf.output):
                 continue
             rect = Rectangle(n, leaf.rows, leaf.cols)
             weights[rect] = weights.get(rect, Fraction(0)) + prob

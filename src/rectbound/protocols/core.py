@@ -10,10 +10,14 @@ Two deterministic representations:
 
 * `TreeProtocol` is the explicit object: inner nodes name a speaker and a
   message function of that speaker's input alone, and the spoken bit picks
-  the child.  Everything about it can be inspected, counted, and serialized.
+  the child.  Its depth is its worst cost, and `tree_records` serializes it.
 * `ProgramProtocol` is a closure that replays the conversation and returns
   (output, bits, length).  Compositions and k-fold constructions live here,
   where the explicit tree would be exponentially large.
+
+The leaf census in `analysis` sees both only through their checked `run`:
+it runs every input and groups the runs by transcript, whichever
+representation produced them.
 
 Public coins are a `RandomizedProtocol`: finitely many deterministic
 branches with exact rational probabilities summing to one.
@@ -111,19 +115,6 @@ class TreeProtocol:
             return depth[key]
 
         return walk(self.root)
-
-    def leaves(self) -> list[Leaf]:
-        out: list[Leaf] = []
-
-        def walk(node) -> None:
-            if isinstance(node, Leaf):
-                out.append(node)
-            else:
-                for child in node.children:
-                    walk(child)
-
-        walk(self.root)
-        return out
 
 
 @dataclass(frozen=True)

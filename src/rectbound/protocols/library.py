@@ -24,8 +24,8 @@ def trivial_ndisj(n: int) -> TreeProtocol:
     """Alice sends x coordinate by coordinate, Bob answers the one bit.
 
     Explicit tree with 2^n answer nodes; the leaf under Bob's bit b holds b.
-    Every answer node keeps both leaves structurally present even when one
-    of them is unreachable, which the leaf census is expected to count.
+    Every answer node keeps both leaves even when one of them is
+    unreachable; the leaf census shows only the leaves some input reaches.
     """
     if n < 1:
         raise ParameterRangeError(f"explicit tree needs n >= 1, got {n}")

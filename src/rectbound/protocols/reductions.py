@@ -217,6 +217,8 @@ def reduce_search_from_kfold(
         raise ParameterRangeError(
             f"need n, k >= 1 and 1 <= choose <= k, got n={n}, k={k}, choose={choose}"
         )
+    if perm_samples is not None and perm_samples < 1:
+        raise ParameterRangeError(f"need perm_samples >= 1, got {perm_samples}")
     rand = as_randomized(base)
     width = n * k
     if rand.n_alice != width or rand.n_bob != width:

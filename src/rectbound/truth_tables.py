@@ -54,16 +54,6 @@ class TruthTable:
             for ym in range(1 << self.n):
                 yield InputPair(xm, ym), (self.rows[xm] >> ym) & 1
 
-    def ones(self) -> Iterator[InputPair]:
-        for pair, v in self.pairs():
-            if v:
-                yield pair
-
-    def zeros(self) -> Iterator[InputPair]:
-        for pair, v in self.pairs():
-            if not v:
-                yield pair
-
     def one_count(self) -> int:
         return sum(row.bit_count() for row in self.rows)
 

@@ -355,6 +355,34 @@ def test_malformed_cap_override_is_a_plain_error(capsys, monkeypatch, raw):
     assert "RECTBOUND_SUPPORT_CAP" in err
 
 
+_PERMUTE = "protocol --proto trivial-search-kfold --n 4 --k 2 --compose permute --choose 1"
+_SEARCH_CERT = "certify --kind search --n 3 --k 1 --m 1 --alpha 1 --beta 1/3"
+
+
+@pytest.mark.parametrize(
+    "command, env",
+    [
+        pytest.param("scan --n 8 --seed 1 --densities abc", {}, id="densities-abc"),
+        pytest.param("scan --n 8 --seed 1 --densities ,", {}, id="densities-comma"),
+        pytest.param(f"{_PERMUTE} --perm-samples 0 --seed 1", {}, id="perm-samples-0"),
+        pytest.param(f"{_PERMUTE} --perm-samples -3 --seed 1", {}, id="perm-samples-neg"),
+        pytest.param(f"{_SEARCH_CERT} --eps 1/4 --save {{tmp}}/cert.json", {}, id="eps-save"),
+        pytest.param("bound --lp search --n 2 --k 1 --sigma 1/0", {}, id="sigma-div-zero"),
+        pytest.param("bound --lp lovasz --table {tmp}/missing.txt", {}, id="missing-table"),
+        pytest.param(_SEARCH_CERT, {"RECTBOUND_SUPPORT_CAP": "1.5"}, id="support-cap"),
+    ],
+)
+def test_bad_invocations_are_refused_cleanly(capsys, monkeypatch, tmp_path, command, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run_cli(capsys, *shlex.split(command.format(tmp=tmp_path)))
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("rectbound")
+    assert list(tmp_path.iterdir()) == []  # a refused run writes no file
+
+
 def test_protocol_mc_requires_seed(capsys):
     code, _, err = run_cli(
         capsys, "protocol", "--proto", "trivial-ndisj-kfold", "--n", "8", "--k", "2"

@@ -268,6 +268,7 @@ def _short_on_odd_x(x: int, y: int):
         trivial_ndisj_kfold(2, 1),
         trivial_search_kfold(2, 2),
         ProgramProtocol(2, 2, _short_on_odd_x, worst_cost=3),
+        trivial_ndisj(2),
     ],
 )
 def test_census_leaves_in_lexicographic_transcript_order(proto):

@@ -221,25 +221,26 @@ def test_search_choose_is_measured_on_its_promise(monkeypatch):
     assert sampled and len(pairs) == 5
 
 
-def test_structural_census_counts_unreachable_leaves():
-    report = leaf_rectangle_check(trivial_ndisj(1))
-    assert report.mode == "structural"
-    # 2 alice branches x 2 bob answers
-    assert report.leaf_count == 4
-    assert report.partition_ok
-    unreachable = [leaf for leaf in report.leaves if not leaf.reachable]
-    assert len(unreachable) == 1  # x = 0 can never intersect
-    assert report.count_outputs(lambda v: v == 1) == 2
-    covered = sum(leaf.pair_count for leaf in report.leaves)
-    assert covered == 4
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tree_census_equals_the_same_protocol_as_a_program(n):
+    # Both speak x, then Bob's answer bit; the tree's unreachable leaves
+    # (x = 0 never intersects) are absent from its census like the program's.
+    tree = leaf_rectangle_check(trivial_ndisj(n))
+    program = leaf_rectangle_check(trivial_ndisj_kfold(n, 1))
+    assert tree.partition_ok and program.partition_ok
+    assert tree.leaves == program.leaves
+    assert tree.leaf_count == 2 ** (n + 1) - 1
+
+
+def test_census_refuses_a_message_that_is_not_a_bit():
+    bad = TreeProtocol(1, 1, Node(owner="alice", message=lambda v: 2, children=(Leaf(0), Leaf(1))))
+    with pytest.raises(MalformedTreeError):
+        leaf_rectangle_check(bad)
 
 
 def test_transcript_census_groups_by_conversation():
     report = leaf_rectangle_check(trivial_ndisj_kfold(1, 1))
-    assert report.mode == "transcript"
     assert report.partition_ok
-    # only conversations that happen appear
-    assert all(leaf.reachable for leaf in report.leaves)
     assert report.leaf_count == 3  # x=0 always answers 0; x=1 splits on y
     census_pairs = sum(leaf.pair_count for leaf in report.leaves)
     assert census_pairs == 4

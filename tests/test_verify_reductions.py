@@ -204,6 +204,19 @@ def test_permutation_reduction_needs_samples_past_limit():
     assert a.worst == b.worst
 
 
+@pytest.mark.parametrize("perm_samples", [0, -3])
+def test_permutation_reduction_refuses_fewer_than_one_sample(monkeypatch, perm_samples):
+    from rectbound.protocols import reductions
+
+    def no_draws(seed):
+        raise AssertionError("drew permutations before checking perm_samples")
+
+    monkeypatch.setattr(reductions, "Random", no_draws)
+    base = trivial_search_kfold(4, 2)
+    with pytest.raises(ParameterRangeError, match="perm_samples"):
+        reduce_search_from_kfold(base, 4, 2, 1, perm_samples=perm_samples, seed=1)
+
+
 def test_permutation_reduction_guards():
     base = trivial_search_kfold(2, 2)
     with pytest.raises(ParameterRangeError):
