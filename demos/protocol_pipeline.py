@@ -22,7 +22,6 @@ from rectbound.protocols import (
     reduce_ndisj_to_search,
     reduce_search_from_kfold,
     success_probability,
-    trivial_ndisj,
     trivial_search_kfold,
     trivial_ndisj_kfold,
 )
@@ -33,7 +32,7 @@ F = Fraction
 def main() -> None:
     print("baselines")
     for n in (1, 2, 4):
-        p = trivial_ndisj(n)
+        p = trivial_ndisj_kfold(n, 1)
         rep = success_probability(p, TaskSpec("ndisj-kfold", n, 1))
         print(f"  intersection decision, n={n}: {p.worst_cost} bits, worst success {rep.worst}")
 

@@ -37,7 +37,6 @@ from .errors import (
     ConvergenceError,
     DimensionMismatchError,
     KindMismatchError,
-    MalformedTreeError,
     ParameterRangeError,
     ProtocolContractError,
     RectboundError,
@@ -78,7 +77,6 @@ __all__ = [
     "ConvergenceError",
     "DimensionMismatchError",
     "KindMismatchError",
-    "MalformedTreeError",
     "ParameterRangeError",
     "ProtocolContractError",
     "RectboundError",

@@ -2,7 +2,7 @@
 
 Exhaustive paths are guarded so a typo cannot wedge the machine.  Four
 limits read an environment override (the RECTBOUND_*_CAP variables) so
-oversized but deliberate runs need no code edit; the other nine are fixed.
+oversized but deliberate runs need no code edit; the other eight are fixed.
 `Limit.check` is the one refusal: past the limit it raises the limit's
 error type, CapExceededError unless the limit says otherwise, with a
 message naming the count, the limit and its override variable.
@@ -57,8 +57,8 @@ def _show(count: int) -> str:
 
 
 # Pairs in a distribution support that enumerate_support will materialize;
-# also bounds the pairs of a rectangle whose mass is summed and the string
-# pairs of a scan.
+# also bounds the pairs of a rectangle whose mass is summed, the string
+# pairs of a scan and the input pairs of a truth table built from a function.
 SUPPORT_PAIRS = Limit(10**7, "RECTBOUND_SUPPORT_CAP")
 # Row subsets the max-weight rectangle oracle will sweep.
 ORACLE_SUBSETS = Limit(2**16, "RECTBOUND_ORACLE_SUBSET_CAP")
@@ -82,5 +82,3 @@ HALVING_BRANCHES = Limit(4096)
 EXACT_PERMUTATION_WIDTH = Limit(6)
 # Branches (permutations x base coin branches) of a permutation mixture.
 MIXTURE_BRANCHES = Limit(32_768)
-# Universe size n of the explicit-tree trivial-ndisj protocol.
-TREE_N = Limit(12, error=ParameterRangeError)

@@ -54,7 +54,6 @@ from .protocols import (
     reduce_ndisj_to_search,
     reduce_search_from_kfold,
     success_probability,
-    trivial_ndisj,
     trivial_ndisj_kfold,
     trivial_search_kfold,
 )
@@ -103,6 +102,14 @@ def _mc(value: float, ci: tuple[float, float] | None = None) -> dict:
     if ci is not None:
         doc["ci95"] = [ci[0], ci[1]]
     return doc
+
+
+def _read_text(path: str) -> str:
+    """The text of an input file; bytes that are not UTF-8 are refused."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParameterRangeError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -188,7 +195,7 @@ def cmd_bound(args) -> tuple[dict, int]:
     if args.table is not None:
         if args.family is not None:
             raise ParameterRangeError("pass either --family or --table, not both")
-        table = TruthTable.from_text(Path(args.table).read_text())
+        table = TruthTable.from_text(_read_text(args.table))
         if args.n is not None and args.n != table.n:
             raise ParameterRangeError(f"--n {args.n} disagrees with the table ({table.n})")
         report["table"] = args.table
@@ -234,7 +241,7 @@ def _build_certificate(args) -> DualCertificate:
                 raise ParameterRangeError("--certificate replaces the construction flags")
         if args.n is not None or args.beta is not None:
             raise ParameterRangeError("--certificate replaces the construction flags")
-        return certificate_from_json(Path(args.certificate).read_text())
+        return certificate_from_json(_read_text(args.certificate))
     if args.kind == "search":
         missing = [f for f in ("n", "k", "m", "alpha", "beta") if getattr(args, f) is None]
         if missing:
@@ -344,7 +351,7 @@ def cmd_protocol(args) -> tuple[dict, int]:
     if args.proto == "trivial-ndisj":
         if args.k != 1:
             raise ParameterRangeError("trivial-ndisj is single-instance; drop --k")
-        base = trivial_ndisj(args.n)
+        base = trivial_ndisj_kfold(args.n, 1)
         task = TaskSpec("ndisj-kfold", args.n, 1)
     elif args.proto == "trivial-ndisj-kfold":
         base = trivial_ndisj_kfold(args.n, args.k)

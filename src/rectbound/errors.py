@@ -27,10 +27,6 @@ class KindMismatchError(RectboundError, TypeError):
     """An operation was applied to an object of the wrong kind."""
 
 
-class MalformedTreeError(RectboundError, ValueError):
-    """A protocol tree violated its structural contract at run time."""
-
-
 class ProtocolContractError(RectboundError, RuntimeError):
     """A protocol run broke its declared contract (cost, bits, output)."""
 

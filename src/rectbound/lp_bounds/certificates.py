@@ -27,7 +27,7 @@ from math import lcm
 
 from ..combinatorics import InputPair, MuParams, bits
 from ..caps import EXHAUSTIVE_STEPS
-from ..errors import ParameterRangeError
+from ..errors import ParameterRangeError, RectboundError
 from ..rectangles import Rectangle, WeightMatrix, WitnessSet, string_masks
 from .model import (
     FAMILY_AVOID_DISJOINT,
@@ -346,23 +346,33 @@ def certificate_to_json(cert: DualCertificate) -> dict:
 
 
 def certificate_from_json(data) -> DualCertificate:
-    """Inverse of `certificate_to_json`; accepts the dict or its json text."""
-    if isinstance(data, str):
-        data = json.loads(data)
-    fam = data["family"]
-    family = RectangleFamily(fam["kind"], fam.get("k"))
-    universe = int(data["universe"])
-    return DualCertificate(
-        kind=data["kind"],
-        universe=universe,
-        n=int(data["n"]),
-        k=int(data["k"]),
-        m=int(data["m"]),
-        alpha=None if data["alpha"] is None else Fraction(data["alpha"]),
-        beta=Fraction(data["beta"]),
-        sigma=None if data["sigma"] is None else Fraction(data["sigma"]),
-        phi=_matrix_from_records(universe, data["phi"]),
-        psi=_matrix_from_records(universe, data["psi"]),
-        family=family,
-        degenerate=bool(data["degenerate"]),
-    )
+    """Inverse of `certificate_to_json`; accepts the dict or its json text.
+
+    The text is outside input: bad JSON, a missing key, or a value or record
+    of the wrong shape raises ParameterRangeError, and the package's own
+    refusals pass through as they are.
+    """
+    try:
+        if isinstance(data, str):
+            data = json.loads(data)
+        fam = data["family"]
+        family = RectangleFamily(fam["kind"], fam.get("k"))
+        universe = int(data["universe"])
+        return DualCertificate(
+            kind=data["kind"],
+            universe=universe,
+            n=int(data["n"]),
+            k=int(data["k"]),
+            m=int(data["m"]),
+            alpha=None if data["alpha"] is None else Fraction(data["alpha"]),
+            beta=Fraction(data["beta"]),
+            sigma=None if data["sigma"] is None else Fraction(data["sigma"]),
+            phi=_matrix_from_records(universe, data["phi"]),
+            psi=_matrix_from_records(universe, data["psi"]),
+            family=family,
+            degenerate=bool(data["degenerate"]),
+        )
+    except RectboundError:
+        raise
+    except (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
+        raise ParameterRangeError(f"malformed certificate ({type(exc).__name__}: {exc})") from exc

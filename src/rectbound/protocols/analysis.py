@@ -6,11 +6,10 @@ observation is the whole route from protocols to the rectangle LPs: the
 accepting rectangles of each branch, weighted by branch probability, form a
 feasible point whose total weight is at most 2^cost.
 
-Every deterministic protocol, explicit tree or replayed program, is
-censused the same way: each input pair runs through the protocol's own
-checked `run`, and the runs are grouped by transcript.  Only conversations
-that happen appear, so a tree's unreachable leaves are absent.  Transcripts
-are prefix-free, so their lexicographic order is a tree's depth-first order.
+The census runs each input pair through the protocol's own checked `run`
+and groups the runs by transcript, so only conversations that happen
+appear.  Transcripts are prefix-free, so their lexicographic order is the
+depth-first order of the protocol tree.
 """
 
 from __future__ import annotations
@@ -27,9 +26,7 @@ from ..errors import ParameterRangeError
 from ..rectangles import Rectangle
 from .core import (
     AnyProtocol,
-    DeterministicProtocol,
     ProgramProtocol,
-    TreeProtocol,
     as_randomized,
     unpack_transcript,
 )
@@ -177,14 +174,14 @@ class LeafReport:
         return len(self.leaves)
 
 
-def leaf_rectangle_check(proto: DeterministicProtocol) -> LeafReport:
+def leaf_rectangle_check(proto: ProgramProtocol) -> LeafReport:
     """Census of conversation rectangles, one leaf per transcript that occurs.
 
-    Every input pair runs through `proto.run`, so a tree's message bits and a
-    program's transcript contract are checked as in any other run.
+    Every input pair runs through `proto.run`, so the transcript contract is
+    checked as in any other run.
     `partition_ok` holds when each group is a product rectangle with one output.
     """
-    if not isinstance(proto, (TreeProtocol, ProgramProtocol)):
+    if not isinstance(proto, ProgramProtocol):
         raise ParameterRangeError(
             "census runs on a deterministic protocol; pass one branch of a mixture"
         )

@@ -6,18 +6,11 @@ package.  A protocol run produces an output and the transcript of exchanged
 bits, packed like the inputs: an int `bits` whose bit t is the t-th bit
 spoken (LSB first) and a `length`.  Its cost is the length.
 
-Two deterministic representations:
-
-* `TreeProtocol` is the explicit object: inner nodes name a speaker and a
-  message function of that speaker's input alone, and the spoken bit picks
-  the child.  Its depth is its worst cost, and `tree_records` serializes it.
-* `ProgramProtocol` is a closure that replays the conversation and returns
-  (output, bits, length).  Compositions and k-fold constructions live here,
-  where the explicit tree would be exponentially large.
-
-The leaf census in `analysis` sees both only through their checked `run`:
-it runs every input and groups the runs by transcript, whichever
-representation produced them.
+A deterministic protocol is a `ProgramProtocol`: a closure that replays the
+conversation and returns (output, bits, length), with its worst cost
+declared.  Its checked `run` enforces that contract, and the leaf census
+in `analysis` sees the protocol only through that run: it runs every input
+and groups the runs by transcript.
 
 Public coins are a `RandomizedProtocol`: finitely many deterministic
 branches with exact rational probabilities summing to one.
@@ -29,31 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple, Union
 
-from ..errors import MalformedTreeError, ParameterRangeError, ProtocolContractError
-
-ALICE = "alice"
-BOB = "bob"
-
-
-@dataclass(frozen=True)
-class Leaf:
-    value: object
-
-
-@dataclass(frozen=True)
-class Node:
-    owner: str
-    message: Callable[[int], int]
-    children: tuple
-
-    def __post_init__(self) -> None:
-        if self.owner not in (ALICE, BOB):
-            raise MalformedTreeError(f"speaker must be {ALICE!r} or {BOB!r}, got {self.owner!r}")
-        if len(self.children) != 2:
-            raise MalformedTreeError(f"a node needs exactly two children, got {len(self.children)}")
-        for child in self.children:
-            if not isinstance(child, (Leaf, Node)):
-                raise MalformedTreeError(f"child of unsupported type {type(child).__name__}")
+from ..errors import ParameterRangeError, ProtocolContractError
 
 
 def unpack_transcript(bits: int, length: int) -> tuple[int, ...]:
@@ -80,41 +49,6 @@ def _check_input(n_alice: int, n_bob: int, x: int, y: int) -> None:
         raise ParameterRangeError(f"x={x} is not a {n_alice}-bit input")
     if not 0 <= y < (1 << n_bob):
         raise ParameterRangeError(f"y={y} is not a {n_bob}-bit input")
-
-
-@dataclass(frozen=True)
-class TreeProtocol:
-    n_alice: int
-    n_bob: int
-    root: Union[Leaf, Node]
-
-    def run(self, x: int, y: int) -> RunResult:
-        _check_input(self.n_alice, self.n_bob, x, y)
-        bits = length = 0
-        current = self.root
-        while isinstance(current, Node):
-            held = x if current.owner == ALICE else y
-            bit = current.message(held)
-            if bit not in (0, 1):
-                raise MalformedTreeError(f"message produced {bit!r} instead of a bit")
-            bits |= bit << length
-            length += 1
-            current = current.children[bit]
-        return RunResult(current.value, bits, length)
-
-    @property
-    def worst_cost(self) -> int:
-        depth: dict[int, int] = {}
-
-        def walk(node) -> int:
-            if isinstance(node, Leaf):
-                return 0
-            key = id(node)
-            if key not in depth:
-                depth[key] = 1 + max(walk(child) for child in node.children)
-            return depth[key]
-
-        return walk(self.root)
 
 
 @dataclass(frozen=True)
@@ -149,14 +83,11 @@ class ProgramProtocol:
         return RunResult(output, bits, length)
 
 
-DeterministicProtocol = Union[TreeProtocol, ProgramProtocol]
-
-
 @dataclass(frozen=True)
 class RandomizedProtocol:
     """A public-coin mixture of deterministic protocols."""
 
-    branches: tuple[tuple[Fraction, DeterministicProtocol], ...]
+    branches: tuple[tuple[Fraction, ProgramProtocol], ...]
 
     def __post_init__(self) -> None:
         if not self.branches:
@@ -185,7 +116,7 @@ class RandomizedProtocol:
         return max(proto.worst_cost for _, proto in self.branches)
 
 
-AnyProtocol = Union[TreeProtocol, ProgramProtocol, RandomizedProtocol]
+AnyProtocol = Union[ProgramProtocol, RandomizedProtocol]
 
 
 def as_randomized(proto: AnyProtocol) -> RandomizedProtocol:
@@ -195,47 +126,6 @@ def as_randomized(proto: AnyProtocol) -> RandomizedProtocol:
     return RandomizedProtocol(((Fraction(1), proto),))
 
 
-def constant_protocol(n_alice: int, n_bob: int, value: object) -> TreeProtocol:
+def constant_protocol(n_alice: int, n_bob: int, value: object) -> ProgramProtocol:
     """Zero-bit protocol that outputs `value` on every input."""
-    return TreeProtocol(n_alice, n_bob, Leaf(value))
-
-
-def tree_records(proto: TreeProtocol) -> dict:
-    """JSON-ready nested records with message functions turned into tables."""
-
-    def encode(node) -> dict:
-        if isinstance(node, Leaf):
-            value = list(node.value) if isinstance(node.value, tuple) else node.value
-            return {"kind": "leaf", "value": value}
-        width = proto.n_alice if node.owner == ALICE else proto.n_bob
-        table = []
-        for held in range(1 << width):
-            bit = node.message(held)
-            if bit not in (0, 1):
-                raise MalformedTreeError(f"message produced {bit!r} instead of a bit")
-            table.append(bit)
-        return {
-            "kind": "node",
-            "owner": node.owner,
-            "table": table,
-            "children": [encode(child) for child in node.children],
-        }
-
-    return {"n_alice": proto.n_alice, "n_bob": proto.n_bob, "root": encode(proto.root)}
-
-
-def tree_from_records(records: dict) -> TreeProtocol:
-    """Inverse of `tree_records`; leaf list values come back as tuples."""
-
-    def decode(rec) -> Union[Leaf, Node]:
-        if rec["kind"] == "leaf":
-            value = rec["value"]
-            return Leaf(tuple(value) if isinstance(value, list) else value)
-        table = tuple(rec["table"])
-        return Node(
-            owner=rec["owner"],
-            message=lambda held, _table=table: _table[held],
-            children=tuple(decode(child) for child in rec["children"]),
-        )
-
-    return TreeProtocol(int(records["n_alice"]), int(records["n_bob"]), decode(records["root"]))
+    return ProgramProtocol(n_alice, n_bob, lambda x, y: (value, 0, 0), worst_cost=0)

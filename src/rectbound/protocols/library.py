@@ -7,9 +7,8 @@ and the k-fold versions exercise the packed block layout end to end.
 
 from __future__ import annotations
 
-from ..caps import TREE_N
 from ..errors import ParameterRangeError
-from .core import ALICE, BOB, Leaf, Node, ProgramProtocol, TreeProtocol
+from .core import ProgramProtocol
 from .tasks import block
 
 
@@ -18,36 +17,6 @@ def index_bits(n: int) -> int:
     if n < 1:
         raise ParameterRangeError(f"need a positive range, got {n}")
     return (n - 1).bit_length()
-
-
-def trivial_ndisj(n: int) -> TreeProtocol:
-    """Alice sends x coordinate by coordinate, Bob answers the one bit.
-
-    Explicit tree with 2^n answer nodes; the leaf under Bob's bit b holds b.
-    Every answer node keeps both leaves even when one of them is
-    unreachable; the leaf census shows only the leaves some input reaches.
-    """
-    if n < 1:
-        raise ParameterRangeError(f"explicit tree needs n >= 1, got {n}")
-    TREE_N.check(n, "coordinates in an explicit tree")
-
-    def build(depth: int, known_x: int):
-        if depth == n:
-            return Node(
-                owner=BOB,
-                message=lambda y, _x=known_x: 1 if _x & y else 0,
-                children=(Leaf(0), Leaf(1)),
-            )
-        return Node(
-            owner=ALICE,
-            message=lambda x, _d=depth: (x >> _d) & 1,
-            children=(
-                build(depth + 1, known_x),
-                build(depth + 1, known_x | (1 << depth)),
-            ),
-        )
-
-    return TreeProtocol(n, n, build(0, 0))
 
 
 def trivial_ndisj_kfold(n: int, k: int) -> ProgramProtocol:

@@ -21,7 +21,7 @@ slots carry vacuous passes and the claim stays as made.
 from __future__ import annotations
 
 from ..errors import KindMismatchError, ParameterRangeError
-from .core import DeterministicProtocol, ProgramProtocol, RandomizedProtocol
+from .core import ProgramProtocol, RandomizedProtocol
 from .tasks import KIND_SEARCH_CHOOSE, KIND_SEARCH_KFOLD, TaskSpec, block
 
 VERIFY_EXPLICIT = "explicit"
@@ -57,7 +57,7 @@ def _membership(task: TaskSpec, held: int, claim: tuple[int, int] | None) -> int
 
 
 def make_verified(
-    base: DeterministicProtocol | RandomizedProtocol,
+    base: ProgramProtocol | RandomizedProtocol,
     task: TaskSpec,
     mode: str = VERIFY_EXPLICIT,
 ) -> ProgramProtocol | RandomizedProtocol:

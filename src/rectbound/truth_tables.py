@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
+from .caps import SUPPORT_PAIRS
 from .combinatorics import InputPair, parse_bits
 from .errors import ParameterRangeError
 
@@ -37,6 +38,10 @@ class TruthTable:
 
     @classmethod
     def from_function(cls, n: int, fn: Callable[[int, int], int]) -> TruthTable:
+        """The table of `fn` on every pair of n-bit masks, all 4^n of them."""
+        if n < 0:
+            raise ParameterRangeError(f"universe size must be nonnegative, got {n}")
+        SUPPORT_PAIRS.check(1 << 2 * n, "input pairs in a truth table")
         rows = []
         for x in range(1 << n):
             row = 0
@@ -79,9 +84,10 @@ class TruthTable:
             raise ParameterRangeError(f"first line must be n, got {lines[0]!r}") from exc
         if n < 0:
             raise ParameterRangeError(f"n must be nonnegative, got {n}")
-        size = 1 << n
-        if len(lines) != size + 1:
-            raise ParameterRangeError(f"expected {size} grid lines after the header, got {len(lines) - 1}")
+        size = len(lines) - 1
+        # Compared by exponent: a huge n must not become a huge int.
+        if size & (size - 1) or size.bit_length() - 1 != n:
+            raise ParameterRangeError(f"expected 2^{n} grid lines after the header, got {size}")
         rows = [0] * size
         for i, line in enumerate(lines[1:]):
             if len(line) != size or set(line) - {"0", "1"}:

@@ -51,7 +51,6 @@ from rectbound.protocols import (
     reduce_ndisj_to_search,
     reduce_search_from_kfold,
     success_probability,
-    trivial_ndisj,
     trivial_ndisj_kfold,
     trivial_search_kfold,
 )
@@ -317,7 +316,7 @@ def test_mass_transfer_ratio_matches_binomials():
 @pytest.mark.criterion(8, "protocol suite: exact costs, silenced lies, composition bounds")
 def test_trivial_decider_cost_and_success():
     for n in (1, 2, 3, 6, 8):
-        proto = trivial_ndisj(n)
+        proto = trivial_ndisj_kfold(n, 1)
         assert proto.worst_cost == n + 1
         report = success_probability(proto, TaskSpec("ndisj-kfold", n, 1))
         assert report.mode == "exact-rational"

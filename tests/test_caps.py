@@ -25,7 +25,6 @@ def test_every_limit_keeps_its_value_and_error_type():
         "HALVING_BRANCHES": (4096, None, CapExceededError),
         "EXACT_PERMUTATION_WIDTH": (6, None, CapExceededError),
         "MIXTURE_BRANCHES": (32_768, None, CapExceededError),
-        "TREE_N": (12, None, ParameterRangeError),
     }
 
 

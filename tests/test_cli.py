@@ -4,11 +4,13 @@ import dataclasses
 import hashlib
 import json
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from rectbound.cli import main
+from rectbound.lp_bounds import build_search_dual_certificate, certificate_to_json
 
 
 def run_cli(capsys, *argv):
@@ -205,7 +207,7 @@ def test_scan_requires_seed(capsys):
     assert "--seed" in err
 
 
-def test_protocol_trivial_ndisj(capsys):
+def test_protocol_trivial_ndisj_exact(capsys):
     code, doc, _ = run_json(capsys, "protocol", "--proto", "trivial-ndisj", "--n", "3")
     assert code == 0
     assert doc["worst_cost"] == 4
@@ -215,6 +217,23 @@ def test_protocol_trivial_ndisj(capsys):
     assert success["inputs_checked"] == 64
     assert doc["bits"]["histogram"] == {"4": 64}
     assert doc["bits"]["uniform"] is True
+
+
+def test_protocol_trivial_ndisj_past_the_exact_cap_is_sampled(capsys):
+    # n = 13 has 2^26 input pairs: refused as exact, measured on a seeded sample.
+    code, out, err = run_cli(capsys, "protocol", "--proto", "trivial-ndisj", "--n", "13")
+    assert code == 1
+    assert out == ""
+    assert "2^26 input pairs" in err and "RECTBOUND_EXACT_PROTOCOL_CAP" in err
+    assert "--samples" in err
+    code, doc, _ = run_json(
+        capsys,
+        "protocol", "--proto", "trivial-ndisj", "--n", "13", "--samples", "200", "--seed", "1",
+    )
+    assert code == 0
+    assert doc["worst_cost"] == 14
+    assert doc["success"]["mode"] == "monte-carlo-ci"
+    assert doc["success"]["inputs_checked"] == 200
 
 
 def test_protocol_halving_composition(capsys):
@@ -357,30 +376,66 @@ def test_malformed_cap_override_is_a_plain_error(capsys, monkeypatch, raw):
 
 _PERMUTE = "protocol --proto trivial-search-kfold --n 4 --k 2 --compose permute --choose 1"
 _SEARCH_CERT = "certify --kind search --n 3 --k 1 --m 1 --alpha 1 --beta 1/3"
+_LOAD_CERT = "certify --certificate {tmp}/cert.json"
+_NOT_UTF8 = b"2\n\xff\xfe\n"
+
+
+def _saved_certificate(phi) -> bytes:
+    """A saved search certificate whose `phi` records are replaced, or removed when None."""
+    doc = certificate_to_json(build_search_dual_certificate(3, 1, 1, 1, Fraction(1, 3)))
+    if phi is None:
+        del doc["phi"]
+    else:
+        doc["phi"] = phi
+    return json.dumps(doc).encode()
 
 
 @pytest.mark.parametrize(
-    "command, env",
+    "command, env, files",
     [
-        pytest.param("scan --n 8 --seed 1 --densities abc", {}, id="densities-abc"),
-        pytest.param("scan --n 8 --seed 1 --densities ,", {}, id="densities-comma"),
-        pytest.param(f"{_PERMUTE} --perm-samples 0 --seed 1", {}, id="perm-samples-0"),
-        pytest.param(f"{_PERMUTE} --perm-samples -3 --seed 1", {}, id="perm-samples-neg"),
-        pytest.param(f"{_SEARCH_CERT} --eps 1/4 --save {{tmp}}/cert.json", {}, id="eps-save"),
-        pytest.param("bound --lp search --n 2 --k 1 --sigma 1/0", {}, id="sigma-div-zero"),
-        pytest.param("bound --lp lovasz --table {tmp}/missing.txt", {}, id="missing-table"),
-        pytest.param(_SEARCH_CERT, {"RECTBOUND_SUPPORT_CAP": "1.5"}, id="support-cap"),
+        pytest.param("scan --n 8 --seed 1 --densities abc", {}, {}, id="densities-abc"),
+        pytest.param("scan --n 8 --seed 1 --densities ,", {}, {}, id="densities-comma"),
+        pytest.param(f"{_PERMUTE} --perm-samples 0 --seed 1", {}, {}, id="perm-samples-0"),
+        pytest.param(f"{_PERMUTE} --perm-samples -3 --seed 1", {}, {}, id="perm-samples-neg"),
+        pytest.param(f"{_SEARCH_CERT} --eps 1/4 --save {{tmp}}/cert.json", {}, {}, id="eps-save"),
+        pytest.param("bound --lp search --n 2 --k 1 --sigma 1/0", {}, {}, id="sigma-div-zero"),
+        pytest.param("bound --lp lovasz --table {tmp}/missing.txt", {}, {}, id="missing-table"),
+        pytest.param(_SEARCH_CERT, {"RECTBOUND_SUPPORT_CAP": "1.5"}, {}, id="support-cap"),
+        pytest.param("bound --lp smooth --family DISJ --n -1", {}, {}, id="family-n-negative"),
+        pytest.param("bound --lp smooth --family EQ --n 30", {}, {}, id="family-n-past-the-limit"),
+        pytest.param(
+            "bound --lp lovasz --table {tmp}/t.txt", {}, {"t.txt": _NOT_UTF8}, id="table-not-utf8"
+        ),
+        pytest.param(
+            "bound --lp lovasz --table {tmp}/t.txt", {}, {"t.txt": b"20000\n0\n"}, id="table-huge-n"
+        ),
+        pytest.param(_LOAD_CERT, {}, {"cert.json": _NOT_UTF8}, id="certificate-not-utf8"),
+        pytest.param(_LOAD_CERT, {}, {"cert.json": b'{"a":'}, id="certificate-bad-json"),
+        pytest.param(_LOAD_CERT, {}, {"cert.json": b"{}"}, id="certificate-empty-object"),
+        pytest.param(
+            _LOAD_CERT, {}, {"cert.json": _saved_certificate(None)}, id="certificate-no-phi"
+        ),
+        pytest.param(
+            _LOAD_CERT,
+            {},
+            {"cert.json": _saved_certificate([["0100", "0010"]])},
+            id="certificate-two-field-record",
+        ),
     ],
 )
-def test_bad_invocations_are_refused_cleanly(capsys, monkeypatch, tmp_path, command, env):
+def test_bad_invocations_are_refused_cleanly(capsys, monkeypatch, tmp_path, command, env, files):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
     code, out, err = run_cli(capsys, *shlex.split(command.format(tmp=tmp_path)))
     assert code == 1
     assert out == ""
     assert "Traceback" not in err
+    assert err.count("error:") == 1
     assert err.splitlines()[-1].startswith("rectbound")
-    assert list(tmp_path.iterdir()) == []  # a refused run writes no file
+    # a refused run writes no file
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(files)
 
 
 def test_protocol_mc_requires_seed(capsys):

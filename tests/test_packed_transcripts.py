@@ -8,7 +8,6 @@ from random import Random
 import pytest
 
 from rectbound.protocols import (
-    Leaf,
     ProgramProtocol,
     RandomizedProtocol,
     TaskSpec,
@@ -19,7 +18,6 @@ from rectbound.protocols import (
     ndisj_truth,
     reduce_ndisj_to_search,
     reduce_search_from_kfold,
-    trivial_ndisj,
     trivial_ndisj_kfold,
     trivial_search_kfold,
 )
@@ -220,22 +218,6 @@ def test_verified_matches_list_reference_on_every_input(task, base, mode):
 # --- the packed layout ---
 
 
-def test_tree_bits_are_spoken_lsb_first():
-    n = 3
-    proto = trivial_ndisj(n)
-    for x, y in _pairs(n):
-        spoken, node = [], proto.root
-        while not isinstance(node, Leaf):
-            bit = node.message(x if node.owner == "alice" else y)
-            spoken.append(bit)
-            node = node.children[bit]
-        res = proto.run(x, y)
-        assert res.length == res.cost == len(spoken) == n + 1
-        assert _spoken(res.bits, res.length) == spoken
-        assert res.bits == x | (1 if x & y else 0) << n
-        assert res.transcript == tuple(spoken)
-
-
 def test_search_kfold_bits_are_spoken_lsb_first():
     n, k = 3, 2
     idx_width = index_bits(n)
@@ -268,7 +250,6 @@ def _short_on_odd_x(x: int, y: int):
         trivial_ndisj_kfold(2, 1),
         trivial_search_kfold(2, 2),
         ProgramProtocol(2, 2, _short_on_odd_x, worst_cost=3),
-        trivial_ndisj(2),
     ],
 )
 def test_census_leaves_in_lexicographic_transcript_order(proto):

@@ -1,4 +1,4 @@
-"""Protocol mechanics: trees, programs, mixtures, tasks, and measurement."""
+"""Protocol mechanics: programs, mixtures, tasks, and measurement."""
 
 from fractions import Fraction
 from random import Random
@@ -7,17 +7,13 @@ import pytest
 
 from rectbound.errors import (
     CapExceededError,
-    MalformedTreeError,
     ParameterRangeError,
     ProtocolContractError,
 )
 from rectbound.protocols import (
-    Leaf,
-    Node,
     ProgramProtocol,
     RandomizedProtocol,
     TaskSpec,
-    TreeProtocol,
     Verdict,
     analysis,
     as_randomized,
@@ -30,9 +26,6 @@ from rectbound.protocols import (
     measured_inputs,
     ndisj_truth,
     success_probability,
-    tree_from_records,
-    tree_records,
-    trivial_ndisj,
     trivial_ndisj_kfold,
     trivial_search_kfold,
 )
@@ -41,7 +34,7 @@ F = Fraction
 
 
 def test_tree_run_and_transcript():
-    proto = trivial_ndisj(3)
+    proto = trivial_ndisj_kfold(3, 1)
     res = proto.run(0b101, 0b100)
     assert res.output == 1
     assert res.transcript == (1, 0, 1, 1)  # x low bit first, then Bob's answer
@@ -49,39 +42,17 @@ def test_tree_run_and_transcript():
     assert proto.worst_cost == 4
 
 
-def test_tree_correct_on_all_inputs():
-    proto = trivial_ndisj(3)
-    for x in range(8):
-        for y in range(8):
-            want = 1 if x & y else 0
-            assert proto.run(x, y).output == want
-
-
 def test_tree_size_guard():
     with pytest.raises(ParameterRangeError):
-        trivial_ndisj(0)
-    with pytest.raises(ParameterRangeError):
-        trivial_ndisj(13)
+        trivial_ndisj_kfold(0, 1)
 
 
 def test_input_range_checked():
-    proto = trivial_ndisj(2)
+    proto = trivial_ndisj_kfold(2, 1)
     with pytest.raises(ParameterRangeError):
         proto.run(4, 0)
     with pytest.raises(ParameterRangeError):
         proto.run(0, -1)
-
-
-def test_malformed_trees_rejected():
-    with pytest.raises(MalformedTreeError):
-        Node(owner="carol", message=lambda v: 0, children=(Leaf(0), Leaf(1)))
-    with pytest.raises(MalformedTreeError):
-        Node(owner="alice", message=lambda v: 0, children=(Leaf(0),))
-    with pytest.raises(MalformedTreeError):
-        Node(owner="alice", message=lambda v: 0, children=(Leaf(0), "oops"))
-    bad = TreeProtocol(1, 1, Node(owner="alice", message=lambda v: 2, children=(Leaf(0), Leaf(1))))
-    with pytest.raises(MalformedTreeError):
-        bad.run(0, 0)
 
 
 def test_program_contract_enforced():
@@ -128,7 +99,7 @@ def test_kfold_costs():
     assert trivial_ndisj_kfold(3, 2).worst_cost == 8  # kn + k
     assert trivial_search_kfold(3, 2).worst_cost == 12  # kn + k(1 + index bits)
     assert trivial_search_kfold(1, 2).worst_cost == 4  # index of 1 item is free
-    assert trivial_ndisj(4).worst_cost == 5
+    assert trivial_ndisj_kfold(4, 1).worst_cost == 5
 
 
 def test_kfold_outputs():
@@ -221,20 +192,10 @@ def test_search_choose_is_measured_on_its_promise(monkeypatch):
     assert sampled and len(pairs) == 5
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_tree_census_equals_the_same_protocol_as_a_program(n):
-    # Both speak x, then Bob's answer bit; the tree's unreachable leaves
-    # (x = 0 never intersects) are absent from its census like the program's.
-    tree = leaf_rectangle_check(trivial_ndisj(n))
-    program = leaf_rectangle_check(trivial_ndisj_kfold(n, 1))
-    assert tree.partition_ok and program.partition_ok
-    assert tree.leaves == program.leaves
-    assert tree.leaf_count == 2 ** (n + 1) - 1
-
-
-def test_census_refuses_a_message_that_is_not_a_bit():
-    bad = TreeProtocol(1, 1, Node(owner="alice", message=lambda v: 2, children=(Leaf(0), Leaf(1))))
-    with pytest.raises(MalformedTreeError):
+def test_census_refuses_bits_past_the_length():
+    # One bit declared, but bit 1 of the packed transcript is set as well.
+    bad = ProgramProtocol(1, 1, lambda x, y: (0, 0b10, 1), worst_cost=1, label="bad")
+    with pytest.raises(ProtocolContractError, match="outside its length"):
         leaf_rectangle_check(bad)
 
 
@@ -252,21 +213,9 @@ def test_census_rejects_mixtures():
         leaf_rectangle_check(mix)
 
 
-def test_tree_records_round_trip():
-    proto = trivial_ndisj(2)
-    records = tree_records(proto)
-    back = tree_from_records(records)
-    for x in range(4):
-        for y in range(4):
-            assert back.run(x, y) == proto.run(x, y)
-    import json
-
-    assert json.loads(json.dumps(records)) == records
-
-
 def test_success_probability_exact():
     task = TaskSpec("ndisj-kfold", 3, 1)
-    report = success_probability(trivial_ndisj(3), task)
+    report = success_probability(trivial_ndisj_kfold(3, 1), task)
     assert report.mode == "exact-rational"
     assert report.worst == 1
     assert report.average == 1
@@ -294,7 +243,7 @@ def test_success_probability_mixture_is_exact_per_input():
     task = TaskSpec("ndisj-kfold", 1, 1)
     mix = RandomizedProtocol(
         (
-            (F(3, 4), trivial_ndisj(1)),
+            (F(3, 4), trivial_ndisj_kfold(1, 1)),
             (F(1, 4), constant_protocol(1, 1, None)),
         )
     )
@@ -398,13 +347,13 @@ def test_success_probability_sampling_contract():
 
 def test_success_probability_size_mismatch():
     with pytest.raises(ParameterRangeError):
-        success_probability(trivial_ndisj(2), TaskSpec("ndisj-kfold", 3, 1))
+        success_probability(trivial_ndisj_kfold(2, 1), TaskSpec("ndisj-kfold", 3, 1))
     with pytest.raises(ParameterRangeError):
-        success_probability(trivial_ndisj(2), TaskSpec("ndisj-kfold", 2, 1), inputs=[])
+        success_probability(trivial_ndisj_kfold(2, 1), TaskSpec("ndisj-kfold", 2, 1), inputs=[])
 
 
 def test_cost_profile_histogram():
-    proto = trivial_ndisj(2)
+    proto = trivial_ndisj_kfold(2, 1)
     rep = success_probability(
         proto, TaskSpec("ndisj-kfold", 2, 1), inputs=[(x, y) for x in range(4) for y in range(4)]
     )
@@ -420,7 +369,9 @@ def test_cost_profile_histogram():
 
 
 def test_cost_profile_of_a_mixture_whose_branches_differ_in_length():
-    mix = RandomizedProtocol(((F(1, 2), constant_protocol(2, 2, 0)), (F(1, 2), trivial_ndisj(2))))
+    mix = RandomizedProtocol(
+        ((F(1, 2), constant_protocol(2, 2, 0)), (F(1, 2), trivial_ndisj_kfold(2, 1)))
+    )
     rep = success_probability(mix, TaskSpec("ndisj-kfold", 2, 1))
     assert list(rep.shortest) == [0] * 16
     assert list(rep.longest) == [3] * 16
