@@ -261,10 +261,10 @@ def cmd_certify(args) -> tuple[dict, int]:
     eps = Fraction(0) if args.eps is None else args.eps
     if eps != 0 and cert.kind != KIND_SMOOTH:
         raise ParameterRangeError("--eps applies to smooth certificates only")
+    value = cert.objective_value(eps) if cert.kind == KIND_SMOOTH else cert.objective_value()
     doc = certificate_to_json(cert)
     if args.save is not None:
         Path(args.save).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    value = cert.objective_value(eps) if cert.kind == KIND_SMOOTH else cert.objective_value()
     rep = verify_dual_certificate(cert, mode=args.verify_mode, tol=args.tol)
 
     cert_doc = {key: value for key, value in doc.items() if key not in ("phi", "psi")}
@@ -348,6 +348,10 @@ def _bits_doc(proto, rep) -> dict:
 
 
 def cmd_protocol(args) -> tuple[dict, int]:
+    if args.s is not None and args.compose != "halving":
+        raise ParameterRangeError("--s applies to --compose halving only")
+    if (args.choose is not None or args.perm_samples is not None) and args.compose != "permute":
+        raise ParameterRangeError("--choose and --perm-samples apply to --compose permute only")
     if args.proto == "trivial-ndisj":
         if args.k != 1:
             raise ParameterRangeError("trivial-ndisj is single-instance; drop --k")

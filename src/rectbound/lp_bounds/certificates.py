@@ -35,6 +35,7 @@ from .model import (
     KIND_SMOOTH,
     RectangleFamily,
     _as_fraction,
+    _error_rate,
     _pow2,
     avoid_disjoint_family,
     witness_family,
@@ -72,12 +73,11 @@ class DualCertificate:
         return self.phi.combine(self.psi)
 
     def objective_value(self, eps=Fraction(0)) -> Fraction:
-        eps_f = _as_fraction(eps, "eps")
         if self.kind == KIND_SEARCH:
-            if eps_f:
+            if _as_fraction(eps, "eps"):
                 raise ParameterRangeError("search certificates take no error parameter")
             return self.sigma * self.phi.total() + self.psi.total()
-        return (1 - eps_f) * self.phi.total() + self.psi.total()
+        return (1 - _error_rate(eps)) * self.phi.total() + self.psi.total()
 
     def support_classes(self) -> tuple[int, int]:
         """Intersection sizes phi and psi are allowed to touch."""

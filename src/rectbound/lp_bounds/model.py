@@ -17,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from ..combinatorics import InputPair
 from ..errors import KindMismatchError, ParameterRangeError
@@ -62,6 +64,14 @@ def _as_fraction(value, name: str) -> Fraction:
     if isinstance(value, Rational):
         return Fraction(value)
     raise ParameterRangeError(f"{name} must be an exact rational, got {type(value).__name__}")
+
+
+def _error_rate(eps) -> Fraction:
+    """eps as an exact rational, refused outside [0, 1/2)."""
+    eps_f = _as_fraction(eps, "eps")
+    if not 0 <= eps_f < Fraction(1, 2):
+        raise ParameterRangeError(f"eps must lie in [0, 1/2), got {eps_f}")
+    return eps_f
 
 
 def _pow2(exponent: Fraction, what: str) -> Fraction:
@@ -204,44 +214,61 @@ class LPInstance:
         return self.params.get(name, default)
 
 
-def covering_columns(pairs: Sequence[InputPair], rects: Sequence[Rectangle]) -> list[list[int]]:
-    """For each pair, the ascending indices of the rectangles containing it.
+def coverage_matrix(pairs: Sequence[InputPair], rects: Sequence[Rectangle]) -> np.ndarray:
+    """The pairs x rectangles membership: entry (i, j) is True when rects[j] contains pairs[i].
 
-    This is the one coverage routine: the LP rows, their presolve and their
-    residuals all read it.  Each string (keyed by its mask, as all pairs and
-    rectangles share one universe) maps to the bitmask of rectangles having
-    it as a row, or as a column; a pair's cover is the AND of the two.
+    This is the one coverage routine: the LP rows, their presolve, the
+    column-generation master and the residuals all read it.  Each side of
+    each rectangle is unpacked into one uint8 bit per string, so a string
+    set of any width (past 62 bits from n = 6 on) fits without overflow; a
+    pair is covered where the row-set bit at its x and the column-set bit at
+    its y are both set.
     """
-    row_bits: dict[int, int] = {}
-    col_bits: dict[int, int] = {}
-    for j, rect in enumerate(rects):
-        bit = 1 << j
-        for s in string_masks(rect.rows):
-            row_bits[s] = row_bits.get(s, 0) | bit
-        for s in string_masks(rect.cols):
-            col_bits[s] = col_bits.get(s, 0) | bit
-    out = []
-    for pair in pairs:
-        both = row_bits.get(pair.x, 0) & col_bits.get(pair.y, 0)
-        cover = []
-        while both:
-            low = both & -both
-            cover.append(low.bit_length() - 1)
-            both ^= low
-        out.append(cover)
-    return out
+    if not rects:
+        return np.zeros((len(pairs), 0), dtype=bool)
+    width = max(1, (1 << rects[0].n) // 8)
+
+    def string_bits(sides: Iterable[int]) -> np.ndarray:
+        packed = b"".join(side.to_bytes(width, "little") for side in sides)
+        lines = np.frombuffer(packed, np.uint8).reshape(len(rects), width)
+        return np.unpackbits(lines, axis=1, bitorder="little").view(bool)
+
+    xs = np.fromiter((pair.x for pair in pairs), np.intp, len(pairs))
+    ys = np.fromiter((pair.y for pair in pairs), np.intp, len(pairs))
+    rows = string_bits(rect.rows for rect in rects)
+    cols = string_bits(rect.cols for rect in rects)
+    return (rows[:, xs] & cols[:, ys]).T
+
+
+# The most pair x rectangle cells `max_violation` covers at once.  It bounds
+# the check's working set at any universe size; it refuses nothing.
+_COVER_CELLS = 1 << 18
 
 
 def max_violation(lp: LPInstance, weights: Mapping[Rectangle, object], zero):
-    """The largest amount by which the weighted rectangles miss a row, or `zero`."""
+    """The largest amount by which the weighted rectangles miss a row, or `zero`.
+
+    A float `zero` sums each row's coverage in float64, one matrix product
+    per block of rows; any other sums the weights exactly, in column order.
+    """
+    rects = list(weights)
+    exact = not isinstance(zero, float)
     values = list(weights.values())
-    covers = covering_columns([c.pair for c in lp.constraints], list(weights))
+    if not exact:
+        values = np.array(values, dtype=np.float64)
+    block = max(1, _COVER_CELLS // max(1, len(rects)))
     worst = zero
-    for c, cover in zip(lp.constraints, covers):
-        coverage = sum(values[j] for j in cover)
-        gap = c.rhs - coverage if c.sense == SENSE_GE else coverage - c.rhs
-        if gap > worst:
-            worst = gap
+    for start in range(0, len(lp.constraints), block):
+        rows = lp.constraints[start:start + block]
+        cover = coverage_matrix([c.pair for c in rows], rects)
+        if exact:
+            coverage = [sum(values[j] for j in np.flatnonzero(line).tolist()) for line in cover]
+        else:
+            coverage = (cover @ values).tolist()
+        for c, covered in zip(rows, coverage):
+            gap = c.rhs - covered if c.sense == SENSE_GE else covered - c.rhs
+            if gap > worst:
+                worst = gap
     return worst
 
 
@@ -283,9 +310,7 @@ def build_search_lp(n: int, k: int, sigma) -> LPInstance:
 
 def build_lovasz_lp(f: TruthTable, eps) -> LPInstance:
     """Rectangle cover of the 1-pairs with error mass eps allowed on 0-pairs."""
-    eps_f = _as_fraction(eps, "eps")
-    if not 0 <= eps_f < Fraction(1, 2):
-        raise ParameterRangeError(f"eps must lie in [0, 1/2), got {eps_f}")
+    eps_f = _error_rate(eps)
     constraints: list[PairConstraint] = []
     for pair, value in f.pairs():
         if value:

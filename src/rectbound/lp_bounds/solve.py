@@ -36,12 +36,11 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from ..caps import ENUMERATION_CELLS
-from ..combinatorics import InputPair
 from ..errors import ConvergenceError, ParameterRangeError
 from ..rectangles import Rectangle, WeightMatrix
 from .exact import STATUS_INFEASIBLE, STATUS_OPTIMAL, solve_exact_lp
 from .model import CLASS_COVER, FAMILY_WITNESS, LPInstance, SENSE_GE, SENSE_LE
-from .model import covering_columns, max_violation
+from .model import coverage_matrix, max_violation
 
 SOLVER_EXACT = "exact-simplex"
 SOLVER_CG = "highs-constraint-generation"
@@ -81,18 +80,16 @@ def solve_full_enumeration(lp: LPInstance) -> LPResult:
     )
 
     # Presolve: a <= row with rhs 0 pins every covering column at zero.
-    covers = covering_columns([c.pair for c in lp.constraints], members)
-    pinned = [c.rhs == 0 and c.sense == SENSE_LE for c in lp.constraints]
-    banned = {j for pin, cover in zip(pinned, covers) if pin for j in cover}
-    keep = [j for j in range(len(members)) if j not in banned]
-    position = {j: pos for pos, j in enumerate(keep)}
-    live_rows = [ridx for ridx, pin in enumerate(pinned) if not pin]
+    cover = coverage_matrix([c.pair for c in lp.constraints], members)
+    pinned = np.array([c.rhs == 0 and c.sense == SENSE_LE for c in lp.constraints], dtype=bool)
+    keep = np.flatnonzero(~cover[pinned].any(axis=0))
+    live_rows = np.flatnonzero(~pinned)
 
+    live = cover[np.ix_(live_rows, keep)].astype(np.int8)
     rows = []
-    for ridx in live_rows:
+    for ridx, coeffs in zip(live_rows.tolist(), live.tolist()):
         c = lp.constraints[ridx]
-        cover = [position[j] for j in covers[ridx] if j in position]
-        if not cover and c.sense == SENSE_GE and c.rhs > 0:
+        if not any(coeffs) and c.sense == SENSE_GE and c.rhs > 0:
             return LPResult(
                 status=STATUS_INFEASIBLE,
                 solver=SOLVER_EXACT,
@@ -100,9 +97,6 @@ def solve_full_enumeration(lp: LPInstance) -> LPResult:
                 iterations=0,
                 columns=len(keep),
             )
-        coeffs = [0] * len(keep)
-        for pos in cover:
-            coeffs[pos] = 1
         rows.append((coeffs, c.sense, c.rhs))
 
     res = solve_exact_lp([1] * len(keep), rows)
@@ -114,9 +108,9 @@ def solve_full_enumeration(lp: LPInstance) -> LPResult:
             iterations=res.iterations,
             columns=len(keep),
         )
-    weights = {members[j]: v for j, v in zip(keep, res.x) if v}
+    weights = {members[j]: v for j, v in zip(keep.tolist(), res.x) if v}
     duals = [Fraction(0)] * len(lp.constraints)
-    for pos, ridx in enumerate(live_rows):
+    for pos, ridx in enumerate(live_rows.tolist()):
         duals[ridx] = res.duals[pos]
     return LPResult(
         status=STATUS_OPTIMAL,
@@ -183,14 +177,6 @@ class _MasterSolution(NamedTuple):
     objective: float
 
 
-def _cover_block(pairs: list[InputPair], rects: list[Rectangle]) -> np.ndarray:
-    """The 0/1 coverage of `rects` (one line each) over the row pairs."""
-    cover = np.zeros((len(rects), len(pairs)))
-    for ridx, cols in enumerate(covering_columns(pairs, rects)):
-        cover[cols, ridx] = 1.0
-    return cover
-
-
 class _HighsMaster:
     """The master as one HiGHS model, grown in place.
 
@@ -201,7 +187,9 @@ class _HighsMaster:
     nonbasic at zero.  That basis stays primal feasible, so the model runs
     primal simplex, which continues from it directly; HiGHS's default dual
     simplex must first repair the new columns' dual infeasibility, and took
-    2.3 times as long on the n=4 smooth DISJ master.
+    2.3 times as long on the n=4 smooth DISJ master.  Presolve is off: every
+    solve restarts from the last basis, so presolve would only reduce the
+    model again each round.
     """
 
     def __init__(self, constraints) -> None:
@@ -213,6 +201,7 @@ class _HighsMaster:
         self.model.setOptionValue(
             "simplex_strategy", int(simplex_constants.SimplexStrategy.kSimplexStrategyPrimal)
         )
+        self.model.setOptionValue("presolve", "off")
         added = self.model.addRows(
             len(rhs),
             np.where(ge, rhs, -kHighsInf),
@@ -226,9 +215,10 @@ class _HighsMaster:
             raise ConvergenceError("HiGHS refused the master's rows")
 
     def add(self, cover: np.ndarray) -> None:
-        count = len(cover)
-        # nonzero walks the block line by line, so its entries come in CSC order.
-        col, row = np.nonzero(cover)
+        """Append one column per rectangle of `cover`, a pairs x rectangles `coverage_matrix`."""
+        count = cover.shape[1]
+        # nonzero walks the columns one by one, so its entries come in CSC order.
+        col, row = np.nonzero(cover.T)
         added = self.model.addCols(
             count,
             np.ones(count),
@@ -297,7 +287,7 @@ def solve_constraint_generation(lp: LPInstance, max_iters: int = 1000) -> LPResu
 
     pairs = [c.pair for c in lp.constraints]
     master = _HighsMaster(lp.constraints)
-    master.add(_cover_block(pairs, list(columns)))
+    master.add(coverage_matrix(pairs, list(columns)))
     for iteration in range(1, max_iters + 1):
         solution = master.solve()
         pair_weight: dict = {}
@@ -322,7 +312,7 @@ def solve_constraint_generation(lp: LPInstance, max_iters: int = 1000) -> LPResu
         # The argmax leads the improving list; the rest ride along, best first.
         fresh = list(islice((r for r, _ in improving if r not in columns), len(lp.constraints)))
         columns.update(dict.fromkeys(fresh))
-        master.add(_cover_block(pairs, fresh))
+        master.add(coverage_matrix(pairs, fresh))
     else:
         raise ConvergenceError(f"no convergence after {max_iters} iterations")
 

@@ -267,8 +267,11 @@ def _max_rectangle(w: WeightMatrix, avoid_disjoint: bool, above: Weight | None =
     it also returns the improving list: an iterator over every row set whose
     value exceeds `above`, as (rectangle, value) with the rectangle built as
     the argmax is, best first (a stable sort of the Gray order, so the argmax
-    leads whenever it exceeds `above`).  A rectangle is built only when the
-    iterator reaches it, so a caller that takes a few pays for those.
+    leads whenever it exceeds `above`).  The iterator works one block of hits
+    at a time, as many as a block of steps: it takes the row sets from the
+    hits' Gray codes and the column sets from their packed `taken` bits in
+    numpy, and builds each `Rectangle` only when it reaches it, so a caller
+    that takes a few pays for one block.
 
     When every weight is exact (an int or a Fraction), each cell is stored as
     the int `value * D`, D the lcm of the weights' denominators, and the best
@@ -349,33 +352,49 @@ def _max_rectangle(w: WeightMatrix, avoid_disjoint: bool, above: Weight | None =
             hit_steps.append(hits + (start + 1))
             hit_taken.append(np.packbits(taken[hits], axis=1, bitorder="little"))
 
-    row_bits = [1 << r for r in rows]
-    col_bits = [1 << c for c in cols]
+    row_strings = _singleton_sets(rows)
+    col_strings = _singleton_sets(cols)
+    row_shifts = np.arange(len(rows))
 
-    def rectangle(value, step: int, packed: np.ndarray) -> tuple[Rectangle, Weight]:
-        # Bit i of an index mask stands for rows[i] or cols[i].
-        set_rows = sum(row_bits[i] for i in string_masks(step ^ step >> 1))
-        set_cols = sum(col_bits[j] for j in string_masks(int.from_bytes(packed.tobytes(), "little")))
-        if transposed:
-            set_rows, set_cols = set_cols, set_rows
-        return Rectangle(w.n, set_rows, set_cols), Fraction(int(value), scale) if exact else float(value)
+    def string_sets(steps: np.ndarray, taken: np.ndarray) -> tuple[list[int], list[int]]:
+        # The row and column sets of each Gray step, with the columns its
+        # line of `taken` marks.  Bit i of a Gray code stands for rows[i].
+        gray = steps ^ steps >> 1
+        set_rows = np.where(gray[:, None] >> row_shifts & 1, row_strings, 0).sum(axis=1).tolist()
+        set_cols = np.where(taken, col_strings, 0).sum(axis=1).tolist()
+        return (set_cols, set_rows) if transposed else (set_rows, set_cols)
+
+    def weight(value) -> Weight:
+        return Fraction(int(value), scale) if exact else float(value)
 
     if best_taken is not None:
-        best = rectangle(best_value, best_step, np.packbits(best_taken, bitorder="little"))
+        (set_rows,), (set_cols,) = string_sets(np.array([best_step]), best_taken[None])
+        best = Rectangle(w.n, set_rows, set_cols), weight(best_value)
     else:
         best = Rectangle.empty(w.n), Fraction(0)
     if bar is None:
         return best
     found_values = np.concatenate(hit_values)
+    found_steps = np.concatenate(hit_steps)
+    found_taken = np.concatenate(hit_taken)
     order = np.argsort(-found_values, kind="stable")
-    found_steps = np.concatenate(hit_steps)[order]
-    found_taken = np.concatenate(hit_taken)[order]
 
     def improving() -> Iterator[tuple[Rectangle, Weight]]:
-        for value, step, packed in zip(found_values[order].tolist(), found_steps.tolist(), found_taken):
-            yield rectangle(value, step, packed)
+        # One block of hits at a time, so a caller that reads a few builds
+        # the string sets of a block, not of every hit.
+        for start in range(0, len(order), block_steps):
+            hits = order[start:start + block_steps]
+            taken = np.unpackbits(found_taken[hits], axis=1, count=len(cols), bitorder="little")
+            sets = string_sets(found_steps[hits], taken.view(bool))
+            for set_rows, set_cols, value in zip(*sets, found_values[hits].tolist()):
+                yield Rectangle(w.n, set_rows, set_cols), weight(value)
 
     return (*best, improving())
+
+
+def _singleton_sets(strings: list[int]) -> np.ndarray:
+    """The string set of each ascending string alone, 1 << s, in an array no sum overflows."""
+    return np.array([1 << s for s in strings], dtype=int_dtype(1 << strings[-1]))
 
 
 def max_weight_rectangle(w: WeightMatrix, above: Weight | None = None) -> tuple:

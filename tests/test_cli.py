@@ -376,6 +376,7 @@ def test_malformed_cap_override_is_a_plain_error(capsys, monkeypatch, raw):
 
 _PERMUTE = "protocol --proto trivial-search-kfold --n 4 --k 2 --compose permute --choose 1"
 _SEARCH_CERT = "certify --kind search --n 3 --k 1 --m 1 --alpha 1 --beta 1/3"
+_SMOOTH_CERT = "certify --kind smooth --n 4 --beta 1/4"
 _LOAD_CERT = "certify --certificate {tmp}/cert.json"
 _NOT_UTF8 = b"2\n\xff\xfe\n"
 
@@ -398,6 +399,24 @@ def _saved_certificate(phi) -> bytes:
         pytest.param(f"{_PERMUTE} --perm-samples 0 --seed 1", {}, {}, id="perm-samples-0"),
         pytest.param(f"{_PERMUTE} --perm-samples -3 --seed 1", {}, {}, id="perm-samples-neg"),
         pytest.param(f"{_SEARCH_CERT} --eps 1/4 --save {{tmp}}/cert.json", {}, {}, id="eps-save"),
+        pytest.param(f"{_SMOOTH_CERT} --eps 2 --save {{tmp}}/cert.json", {}, {}, id="eps-past-one-half"),
+        pytest.param(f"{_SMOOTH_CERT} --eps=-1 --save {{tmp}}/cert.json", {}, {}, id="eps-negative"),
+        pytest.param("protocol --proto trivial-ndisj --n 3 --s 3", {}, {}, id="s-without-compose"),
+        pytest.param(
+            "protocol --proto trivial-search-kfold --n 2 --k 1 --choose 1", {}, {}, id="choose-without-compose"
+        ),
+        pytest.param(
+            "protocol --proto trivial-search-kfold --n 2 --k 1 --perm-samples 4 --seed 1",
+            {},
+            {},
+            id="perm-samples-without-compose",
+        ),
+        pytest.param(
+            "protocol --proto trivial-ndisj-kfold --n 2 --k 1 --compose halving --s 1 --choose 1",
+            {},
+            {},
+            id="choose-with-halving",
+        ),
         pytest.param("bound --lp search --n 2 --k 1 --sigma 1/0", {}, {}, id="sigma-div-zero"),
         pytest.param("bound --lp lovasz --table {tmp}/missing.txt", {}, {}, id="missing-table"),
         pytest.param(_SEARCH_CERT, {"RECTBOUND_SUPPORT_CAP": "1.5"}, {}, id="support-cap"),

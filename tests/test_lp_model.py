@@ -2,11 +2,13 @@
 
 from fractions import Fraction
 from itertools import combinations
+from random import Random
 
 import pytest
 
 from rectbound.combinatorics import InputPair
 from rectbound.errors import KindMismatchError, ParameterRangeError
+from rectbound.lp_bounds import model
 from rectbound.lp_bounds import (
     CLASS_COVER,
     CLASS_ERROR,
@@ -21,6 +23,7 @@ from rectbound.lp_bounds import (
     build_smooth_lp,
     witness_family,
 )
+from rectbound.protocols import check_weights_against_lp
 from rectbound.rectangles import Rectangle
 from rectbound.truth_tables import family
 
@@ -170,3 +173,52 @@ def test_pair_constraint_validation():
         PairConstraint(pair, "==", F(0), CLASS_COVER)
     with pytest.raises(ParameterRangeError):
         PairConstraint(pair, ">=", F(1), "mystery")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+def test_coverage_matrix_matches_a_membership_recount(n):
+    # At n = 6 a string set has 64 bits, past what an int64 holds; the last
+    # rectangle pins the two highest strings on both sides.  Count 0 has no
+    # rectangle at all, so no rectangle can tell the universe size.
+    rng = Random(f"coverage:{n}")
+    side = 1 << n
+    top = side - 1
+    for count in (0, 1, 7, 40):
+        rects = [Rectangle(n, rng.getrandbits(side), rng.getrandbits(side)) for _ in range(count)]
+        rects += [Rectangle(n, 1 << top | 1, 1 << top | 1 << (top - 1))] if n > 1 and count else []
+        pairs = [InputPair(rng.randrange(side), rng.randrange(side)) for _ in range(50)]
+        pairs += [InputPair(top, top), InputPair(0, top - 1)] if n > 1 else []
+        got = model.coverage_matrix(pairs, rects)
+        assert got.dtype == bool and got.shape == (len(pairs), len(rects))
+        assert got.tolist() == [[rect.contains(pair) for rect in rects] for pair in pairs]
+    assert model.coverage_matrix([], rects).shape == (0, len(rects))
+
+
+def test_bridge_check_of_a_protocol_that_accepts_nothing_at_n4():
+    lp = build_search_lp(4, 1, F(1))
+    report = check_weights_against_lp(lp, {}, 0)
+    assert report.max_violation == max(c.rhs for c in lp.constraints if c.sense == ">=")
+    assert not report.feasible and report.family_ok and report.within_cap
+
+
+@pytest.mark.parametrize("name,n", [("IP", 2), ("DISJ", 4)])
+def test_max_violation_matches_a_row_recount_in_both_arithmetics(monkeypatch, name, n):
+    rng = Random(f"max-violation:{name}:{n}")
+    lp = build_smooth_lp(family(name, n), F(1, 4))
+    side = 1 << lp.n
+    # The first draw weights no rectangle at all.
+    for count in [0, *(rng.randint(1, 12) for _ in range(9))]:
+        weights = {
+            Rectangle(lp.n, rng.getrandbits(side), rng.getrandbits(side)): F(rng.randint(0, 6), rng.randint(1, 4))
+            for _ in range(count)
+        }
+        gaps = []
+        for c in lp.constraints:
+            covered = sum((v for r, v in weights.items() if r.contains(c.pair)), F(0))
+            gaps.append(c.rhs - covered if c.sense == ">=" else covered - c.rhs)
+        want = max([F(0), *gaps])
+        floats = {r: float(v) for r, v in weights.items()}
+        for cells in (1, 5, 1 << 18):
+            monkeypatch.setattr(model, "_COVER_CELLS", cells)
+            assert model.max_violation(lp, weights, F(0)) == want
+            assert model.max_violation(lp, floats, 0.0) == pytest.approx(float(want), abs=1e-12)

@@ -26,7 +26,7 @@ from rectbound.lp_bounds import (
 from rectbound.combinatorics import InputPair
 from rectbound.lp_bounds import solve
 from rectbound.rectangles import Rectangle
-from rectbound.truth_tables import family
+from rectbound.truth_tables import TruthTable, family
 
 F = Fraction
 
@@ -144,6 +144,25 @@ def test_cg_reports_oracle_certificate():
     # final oracle sweep found nothing above the duals' bar
     assert res.oracle_max is not None
     assert res.oracle_max <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        # sigma 0: the master's optimum is 0, so no column keeps any weight.
+        pytest.param(lambda: build_search_lp(4, 1, F(0)), id="search-4-1-sigma-0"),
+        # No 1-pair: no cover row, so no seed column and no master at all.
+        pytest.param(
+            lambda: build_lovasz_lp(TruthTable.from_function(4, lambda x, y: 0), F(0)), id="lovasz-zero-4"
+        ),
+    ],
+)
+def test_cg_with_no_weighted_column_reports_a_zero_residual_at_n4(make):
+    res = solve_constraint_generation(make())
+    assert res.status == "optimal"
+    assert res.optimum == 0.0
+    assert res.weights == {}
+    assert res.residual == 0.0
 
 
 def test_cg_grows_one_highs_model_by_the_fresh_columns_only(monkeypatch):

@@ -8,6 +8,7 @@ compensated from Python 3.12 on.  Floats are compared with `==`.
 
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 from random import Random
 
@@ -199,3 +200,21 @@ def test_sweep_working_set_stays_within_its_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 2**21, peak
+
+
+def test_improving_list_builds_one_block_of_string_sets_at_a_time():
+    # Every row set of this n=4 matrix exceeds the bar: 65,535 hits.  String
+    # sets for all of them would take 8 MB in one (hits x 16) int64 array
+    # alone; reading the first 10 may build those of one block only.
+    rng = Random(4)
+    w = WeightMatrix(4, {InputPair(x, y): rng.uniform(0.1, 1.0) for x in range(16) for y in range(16)})
+    improving = _max_rectangle(w, False, 0.0)[2]
+    tracemalloc.start()
+    try:
+        first = list(islice(improving, 10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert len(first) + sum(1 for _ in improving) == 2**16 - 1
+    assert first[0] == _max_rectangle(w, False)
