@@ -17,6 +17,7 @@ parameter errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -348,6 +349,8 @@ def _bits_doc(proto, rep) -> dict:
 
 
 def cmd_protocol(args) -> tuple[dict, int]:
+    if args.samples is not None and args.samples < 1:
+        raise ParameterRangeError(f"--samples must be at least 1, got {args.samples}")
     if args.s is not None and args.compose != "halving":
         raise ParameterRangeError("--s applies to --compose halving only")
     if (args.choose is not None or args.perm_samples is not None) and args.compose != "permute":
@@ -512,8 +515,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The process's one parser, built on the first `main` call and never mutated after."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

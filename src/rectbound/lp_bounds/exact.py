@@ -1,33 +1,30 @@
-"""Two-phase primal simplex over exact rationals, on an integer tableau.
+"""Two-phase primal simplex over exact rationals, on one integer array.
 
 Dense tableau, Bland's rule, so the solve terminates without any tolerance
 knobs.  Meant for the small instances used to cross-check the floating-point
 path.
 
-Each line of the tableau, the objective line included, is a list of Python
-ints whose last entry is the line's positive denominator: the line stands for
-`line[:-1] / line[-1]`, with the rhs in `line[-2]`.  An input row is scaled
-once, by the lcm of its denominators.  A pivot on entry p of row r negates
-row r if p is negative, then makes p the row's denominator, so the pivot
-entry reads 1.  Every other line with a nonzero f in the pivot column becomes
-`line * p - f * row_r`: the scaling touches the whole line, its denominator
-too, and the subtraction only row r's nonzeros.  The line is then divided by
-its gcd, so its denominator is the lcm of its entries' reduced denominators.
-The values are those of a Fraction tableau, at one gcd per line where
-Fractions take one per cell.
-
-Signs are read off the integers, since every denominator is positive: the
-entering column is the first with a negative objective integer.  The ratio
-test compares `rhs_i / a_i` with `rhs_k / a_k` as `rhs_i * a_k < rhs_k * a_i`:
-each ratio is of two entries of one line, so the line's denominator cancels.
-Bland's rule and the pivot sequence are those of the Fraction tableau.
-Fractions are built only from the input and for the result.
+The tableau is one 2-D array: the constraint rows, then the objective row.
+Each row ends in its positive denominator and stands for `row[:-1] /
+row[-1]`, with the rhs in column -2.  An input row is scaled once, by the lcm
+of its denominators; an int8 row (solve_full_enumeration's 0/1 block) has
+only its rhs's.  A pivot on entry p of row r negates row r if p < 0, then
+makes p its denominator, so the pivot entry reads 1.  Every other row with a
+nonzero f in the pivot column becomes `row * p - f * row_r`, its denominator
+only scaled, divided by its gcd.  The values are those of a Fraction tableau,
+so signs, ratios and Bland's pivots are too: the entering column is the first
+with a negative objective entry, and the ratio test compares `rhs_i * a_k`
+with `rhs_k * a_i` in Python ints.  The array is int64 while the bound
+`max|T| * (|p| + max|f|)`, checked before each elimination, stays below 2^62
+(`combinatorics.int_dtype`); past it the tableau becomes an object array of
+Python ints once, and the same code runs.  Fractions are built only for x,
+the objective and the duals.
 
 Dual convention for `min c.x  s.t.  A x (sense) b, x >= 0`: the returned row
 multipliers y satisfy `A^T y <= c` componentwise and `y.b == optimum`, with
 y_i >= 0 on `>=` rows, y_i <= 0 on `<=` rows, free on `==` rows.
 
-The duals are read off the final objective line.  Each normalized row i
+The duals are read off the final objective row.  Each normalized row i
 (negated when its rhs is negative) starts the basis on an identity column:
 its slack when that enters with +1, else an artificial.  That column costs 0
 in phase 2 and holds B^-1 e_i in every later tableau, so its reduced cost is
@@ -35,17 +32,19 @@ in phase 2 and holds B^-1 e_i in every later tableau, so its reduced cost is
 holds also for a row phase 1 drops as redundant: its artificial stays basic
 in a row no later pivot touches.  `A^T y <= c` and the signs are the
 nonnegative reduced costs of the structural and slack columns; `y.b == c_B
-B^-1 b`, which is minus the objective line's rhs.
+B^-1 b`, which is minus the objective row's rhs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from math import gcd, lcm
+from math import lcm
+
+import numpy as np
 
 from ..caps import SIMPLEX_PIVOTS
+from ..combinatorics import int_dtype
 from ..errors import ConvergenceError, ParameterRangeError
 
 STATUS_OPTIMAL = "optimal"
@@ -69,60 +68,63 @@ def _integer_line(values) -> list[int]:
     return [v.numerator * (den // v.denominator) for v in values] + [den]
 
 
-def _pivot(tableau, obj, basis, row, col) -> None:
-    """Make tableau[row] read 1 in column col and clear col from every other line.
+def _integer_rows(rows, nstruct) -> tuple[np.ndarray, list[int], list[int]]:
+    """The rows' coefficients and rhs over each row's lcm, and the lcms; int8 rows skip Fraction."""
+    if rows and all(isinstance(coeffs, np.ndarray) and coeffs.dtype == np.int8 for coeffs, _, _ in rows):
+        rhs, dens = map(list, zip(*(_integer_line([b]) for _, _, b in rows)))
+        scale = np.array(dens, dtype=int_dtype(max(dens) << 7))[:, None]
+        return np.array([coeffs for coeffs, _, _ in rows], dtype=scale.dtype) * scale, rhs, dens
+    lines = [_integer_line([*coeffs, rhs]) for coeffs, _, rhs in rows]
+    block = np.array([line[:-2] for line in lines], dtype=object).reshape(len(rows), nstruct)
+    return block, [line[-2] for line in lines], [line[-1] for line in lines]
 
-    Lines are updated in place, which is safe because no line is shared.
-    """
-    prow = tableau[row]
-    if prow[col] < 0:
-        prow[:] = [-v for v in prow]
-    prow[-1] = p = prow[col]
-    nonzero = [(j, v) for j, v in enumerate(prow) if v]
-    nonzero.pop()  # the denominator
-    for line in chain(tableau, (obj,)):
-        f = line[col]
-        if f and line is not prow:
-            # line * p - f * prow, in lowest terms
-            if p != 1:
-                line[:] = [v * p for v in line]
-            for j, b in nonzero:
-                line[j] -= f * b
-            g = gcd(*line)
-            if g != 1:
-                line[:] = [v // g for v in line]
+
+def _pivot(tableau, basis, row, col) -> np.ndarray:
+    """Make tableau[row] read 1 in column col and clear col from the other rows; returns the tableau."""
+    if tableau[row, col] < 0:
+        tableau[row] *= -1
+    tableau[row, -1] = tableau[row, col]
     basis[row] = col
+    hit = tableau[:, col].nonzero()[0]
+    hit = hit[hit != row]
+    if not hit.size:
+        return tableau
+    if tableau.dtype != object:  # int64 while the elimination's bound stays below 2^62
+        bound = int(np.abs(tableau).max()) * int(tableau[row, col] + np.abs(tableau[hit, col]).max())
+        tableau = tableau.astype(int_dtype(bound), copy=False)
+    p, f = tableau[row, col], tableau[hit, col, None]
+    # row * p - f * prow, the denominator only scaled, then in lowest terms
+    block = tableau[hit] * p
+    block[:, :-1] -= f * tableau[row, :-1]
+    block //= np.gcd.reduce(block, axis=1)[:, None]
+    tableau[hit] = block
+    return tableau
 
 
-def _run_phase(tableau, obj, basis, banned, iterations) -> tuple[str, int]:
-    """Price the cost line obj out against the basis, then pivot to an optimum.
+def _run_phase(tableau, basis, width, iterations) -> tuple[np.ndarray, str, int]:
+    """Price the objective row out against the basis, then pivot to an optimum.
 
-    Pivoting a row on its own basic column leaves the tableau as it is and
-    zeroes that column in obj; obj is updated in place.
+    Only the first width columns may enter.  Pivoting a row on its basic
+    column leaves the other rows as they are and zeroes it in the objective.
     """
     for i, bj in enumerate(basis):
-        _pivot(tableau, obj, basis, i, bj)
-    ncols = len(obj) - 2
+        if tableau[-1, bj]:
+            tableau = _pivot(tableau, basis, i, bj)
     while True:
-        entering = -1
-        for j in range(ncols):
-            if j not in banned and obj[j] < 0:
-                entering = j
-                break
-        if entering < 0:
-            return STATUS_OPTIMAL, iterations
-        leaving = -1
-        for i, trow in enumerate(tableau):
-            coeff = trow[entering]
-            if coeff > 0:
-                if leaving >= 0:
-                    here, there = trow[-2] * best_coeff, best_rhs * coeff
-                    if here > there or (here == there and basis[i] > basis[leaving]):
-                        continue
-                leaving, best_rhs, best_coeff = i, trow[-2], coeff
-        if leaving < 0:
-            return STATUS_UNBOUNDED, iterations
-        _pivot(tableau, obj, basis, leaving, entering)
+        negative = (tableau[-1, :width] < 0).nonzero()[0]
+        if not negative.size:
+            return tableau, STATUS_OPTIMAL, iterations
+        entering = int(negative[0])
+        candidates = (tableau[:-1, entering] > 0).nonzero()[0]
+        if not candidates.size:
+            return tableau, STATUS_UNBOUNDED, iterations
+        coeffs, rhs = tableau[candidates, entering].tolist(), tableau[candidates, -2].tolist()
+        best = 0
+        for k in range(1, len(coeffs)):
+            here, there = rhs[k] * coeffs[best], rhs[best] * coeffs[k]
+            if here < there or (here == there and basis[candidates[k]] < basis[candidates[best]]):
+                best = k
+        tableau = _pivot(tableau, basis, int(candidates[best]), entering)
         iterations += 1
         SIMPLEX_PIVOTS.check(iterations, "simplex pivots")
 
@@ -137,73 +139,69 @@ def solve_exact_lp(costs, rows) -> SimplexResult:
             raise ParameterRangeError(f"unknown sense {sense!r}")
 
     # Columns: structural, then one slack or surplus per inequality, then the
-    # artificials.  A row with negative rhs is negated first.  Each row starts
-    # the basis on an identity column: its slack when that enters with +1,
-    # otherwise an artificial of its own.
-    nslack = sum(1 for _, sense, _ in rows if sense != "==")
-    ncols = nstruct + nslack
-    tableau: list[list[int]] = []
-    row_sign: list[int] = []
+    # artificials, then rhs and denominator.  A row with negative rhs is
+    # negated first.  Each row starts the basis on an identity column: its
+    # slack when that enters with +1, otherwise an artificial of its own.
+    block, rhs, dens = _integer_rows(rows, nstruct)
+    cost_line = _integer_line(costs)
+    row_sign = [-1 if b < 0 else 1 for b in rhs]
+    slack = [0 if s == "==" else sign if s == "<=" else -sign for (_, s, _), sign in zip(rows, row_sign)]
+    ncols = nstruct + sum(1 for v in slack if v)
+    total_cols = ncols + sum(1 for v in slack if v <= 0)
+    top = max(int(np.abs(block).max(initial=0)), *map(abs, rhs), *dens, *map(abs, cost_line))
+    tableau = np.zeros((len(rows) + 1, total_cols + 2), dtype=int_dtype(top))
+    tableau[:-1, :nstruct] = block * np.array(row_sign, dtype=block.dtype)[:, None]
+    tableau[:-1, -2] = [sign * b for sign, b in zip(row_sign, rhs)]
+    tableau[:-1, -1] = dens
     identity_col: list[int] = []
-    slack_at = nstruct
-    art_at = ncols
-    for coeffs, sense, rhs in rows:
-        *ints, rhs, den = _integer_line([*coeffs, rhs])
-        sign = -1 if rhs < 0 else 1
-        line = [sign * v for v in ints] + [0] * nslack + [sign * rhs, den]
-        if sense != "==":
-            line[slack_at] = (sign if sense == "<=" else -sign) * den
+    slack_at, art_at = nstruct, ncols
+    for i, (v, den) in enumerate(zip(slack, dens)):
+        if v:
+            tableau[i, slack_at] = v * den
             slack_at += 1
-        if sense != "==" and line[slack_at - 1] > 0:
+        if v > 0:
             identity_col.append(slack_at - 1)
         else:
+            tableau[i, art_at] = den
             identity_col.append(art_at)
             art_at += 1
-        tableau.append(line)
-        row_sign.append(sign)
-    total_cols = art_at
-    art_cols = set(range(ncols, total_cols))
-    for line, col in zip(tableau, identity_col):
-        line[-2:-2] = [0] * len(art_cols)  # artificials go before the rhs
-        line[col] = line[-1]
     basis = list(identity_col)
 
     iterations = 0
-    if art_cols:
-        obj = [0] * ncols + [1] * len(art_cols) + [0, 1]
-        status, iterations = _run_phase(tableau, obj, basis, set(), iterations)
+    if total_cols > ncols:
+        tableau[-1, ncols:total_cols] = tableau[-1, -1] = 1
+        tableau, status, iterations = _run_phase(tableau, basis, total_cols, iterations)
         if status != STATUS_OPTIMAL:
             raise ConvergenceError(f"phase 1 ended {status}; its objective is bounded below by 0")
-        if any(tableau[i][-2] > 0 for i in range(len(basis)) if basis[i] >= ncols):
+        if any(tableau[i, -2] > 0 for i, bj in enumerate(basis) if bj >= ncols):
             return SimplexResult(STATUS_INFEASIBLE, None, (), (), iterations)
         # Drive zero-valued artificials out; a row with no real pivot is
         # redundant and leaves the tableau.  No later pivot could change it:
         # phase 2 pivots only on structural and slack columns, where it is 0.
         for i, bj in enumerate(basis):
             if bj >= ncols:
-                pivot_col = next((j for j in range(ncols) if tableau[i][j]), None)
-                if pivot_col is not None:
-                    _pivot(tableau, obj, basis, i, pivot_col)
+                nonzero = tableau[i, :ncols].nonzero()[0]
+                if nonzero.size:
+                    tableau = _pivot(tableau, basis, i, int(nonzero[0]))
                     iterations += 1
         kept = [i for i, bj in enumerate(basis) if bj < ncols]
-        tableau, basis = [tableau[i] for i in kept], [basis[i] for i in kept]
+        tableau, basis = tableau[kept + [-1]], [basis[i] for i in kept]
 
-    *cost_ints, cost_den = _integer_line(costs)
-    obj = cost_ints + [0] * (total_cols - nstruct) + [0, cost_den]
-    status, iterations = _run_phase(tableau, obj, basis, art_cols, iterations)
+    tableau[-1] = cost_line[:-1] + [0] * (total_cols - nstruct + 1) + cost_line[-1:]
+    tableau, status, iterations = _run_phase(tableau, basis, ncols, iterations)
     if status == STATUS_UNBOUNDED:
         return SimplexResult(STATUS_UNBOUNDED, None, (), (), iterations)
     if any(bj >= ncols for bj in basis):
         raise ConvergenceError("artificial column left in the final basis")
 
     x = [Fraction(0)] * nstruct
-    for line, bj in zip(tableau, basis):
+    for (rhs, den), bj in zip(tableau[:-1, -2:].tolist(), basis):
         if bj < nstruct:
-            x[bj] = Fraction(line[-2], line[-1])
-    den = obj[-1]
-    # The objective line's rhs is -c_B B^-1 b, and an identity column costs 0
+            x[bj] = Fraction(rhs, den)
+    obj = tableau[-1].tolist()
+    # The objective row's rhs is -c_B B^-1 b, and an identity column costs 0
     # in phase 2, so its reduced cost is minus the row's multiplier in c_B B^-1
     # (see the module docstring).
-    objective = Fraction(-obj[-2], den)
-    duals = tuple(Fraction(-sign * obj[col], den) for sign, col in zip(row_sign, identity_col))
+    objective = Fraction(-obj[-2], obj[-1])
+    duals = tuple(Fraction(-sign * obj[col], obj[-1]) for sign, col in zip(row_sign, identity_col))
     return SimplexResult(STATUS_OPTIMAL, objective, tuple(x), duals, iterations)

@@ -87,9 +87,9 @@ def solve_full_enumeration(lp: LPInstance) -> LPResult:
 
     live = cover[np.ix_(live_rows, keep)].astype(np.int8)
     rows = []
-    for ridx, coeffs in zip(live_rows.tolist(), live.tolist()):
+    for ridx, coeffs in zip(live_rows.tolist(), live):
         c = lp.constraints[ridx]
-        if not any(coeffs) and c.sense == SENSE_GE and c.rhs > 0:
+        if not coeffs.any() and c.sense == SENSE_GE and c.rhs > 0:
             return LPResult(
                 status=STATUS_INFEASIBLE,
                 solver=SOLVER_EXACT,

@@ -375,6 +375,8 @@ def test_malformed_cap_override_is_a_plain_error(capsys, monkeypatch, raw):
 
 
 _PERMUTE = "protocol --proto trivial-search-kfold --n 4 --k 2 --compose permute --choose 1"
+_NDISJ_MC = "protocol --proto trivial-ndisj-kfold --n 8 --k 2"
+_NDISJ_EXACT = "protocol --proto trivial-ndisj-kfold --n 2 --k 2"
 _SEARCH_CERT = "certify --kind search --n 3 --k 1 --m 1 --alpha 1 --beta 1/3"
 _SMOOTH_CERT = "certify --kind smooth --n 4 --beta 1/4"
 _LOAD_CERT = "certify --certificate {tmp}/cert.json"
@@ -398,6 +400,9 @@ def _saved_certificate(phi) -> bytes:
         pytest.param("scan --n 8 --seed 1 --densities ,", {}, {}, id="densities-comma"),
         pytest.param(f"{_PERMUTE} --perm-samples 0 --seed 1", {}, {}, id="perm-samples-0"),
         pytest.param(f"{_PERMUTE} --perm-samples -3 --seed 1", {}, {}, id="perm-samples-neg"),
+        pytest.param(f"{_NDISJ_MC} --samples 0 --seed 1", {}, {}, id="samples-0"),
+        pytest.param(f"{_NDISJ_MC} --samples -3 --seed 1", {}, {}, id="samples-neg"),
+        pytest.param(f"{_NDISJ_EXACT} --samples 0 --seed 1", {}, {}, id="samples-0-exact"),
         pytest.param(f"{_SEARCH_CERT} --eps 1/4 --save {{tmp}}/cert.json", {}, {}, id="eps-save"),
         pytest.param(f"{_SMOOTH_CERT} --eps 2 --save {{tmp}}/cert.json", {}, {}, id="eps-past-one-half"),
         pytest.param(f"{_SMOOTH_CERT} --eps=-1 --save {{tmp}}/cert.json", {}, {}, id="eps-negative"),
@@ -455,6 +460,42 @@ def test_bad_invocations_are_refused_cleanly(capsys, monkeypatch, tmp_path, comm
     assert err.splitlines()[-1].startswith("rectbound")
     # a refused run writes no file
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(files)
+
+
+@pytest.mark.parametrize("command", [f"{_NDISJ_MC} --samples 0", f"{_NDISJ_MC} --samples -3", f"{_NDISJ_EXACT} --samples 0"])
+def test_protocol_samples_below_one_names_the_flag(capsys, command):
+    # refused before any protocol runs, also where an exact run would not sample
+    code, out, err = run_cli(capsys, *command.split(), "--seed", "1")
+    assert code == 1
+    assert out == ""
+    assert "--samples must be at least 1" in err
+
+
+def test_one_parser_per_process(capsys, monkeypatch):
+    # build_parser runs on the first main call only; the later calls, a usage
+    # error among them, reuse its parser.
+    import rectbound.cli as cli
+
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(real())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        runs = [run_cli(capsys, "bound", "--lp", "lovasz", "--family", "AND", "--n", "1") for _ in range(2)]
+        code, out, err = run_cli(capsys, "bound", "--lp", "nonesuch")
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert [code for code, _, _ in runs] == [0, 0]
+    assert runs[0][1] == runs[1][1] != ""
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage: rectbound bound")
 
 
 def test_protocol_mc_requires_seed(capsys):

@@ -1,23 +1,33 @@
-"""Hand-check LPs for the exact rational simplex, and differential tests
-against HiGHS on random small LPs, with integer and with rational rows."""
+"""Hand-check LPs for the exact rational simplex, differential tests against
+HiGHS on random small LPs, with integer and with rational rows, and the array
+tableau against the list tableau of tests/list_simplex.py."""
 
+import sys
 from fractions import Fraction
+from functools import partial
 from math import gcd
+from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from rectbound.errors import ConvergenceError, ParameterRangeError
-from rectbound.lp_bounds import exact
-from rectbound.lp_bounds.exact import (
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+import list_simplex  # noqa: E402
+from perfbench.jobs import _base_table  # noqa: E402
+from rectbound.errors import ConvergenceError, ParameterRangeError  # noqa: E402
+from rectbound.lp_bounds import build_lovasz_lp, build_search_lp, build_smooth_lp, exact, solve  # noqa: E402
+from rectbound.lp_bounds.exact import (  # noqa: E402
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
     solve_exact_lp,
 )
+from rectbound.truth_tables import TruthTable, family  # noqa: E402
 
 F = Fraction
 
@@ -106,7 +116,7 @@ def test_dual_feasibility_on_a_square_system():
 def test_phase_one_failure_raises_convergence_error(monkeypatch):
     # A >= row starts on an artificial, so phase 1 runs; a phase 1 that does
     # not end optimal is a solver fault, reported as a typed error.
-    monkeypatch.setattr(exact, "_run_phase", lambda tableau, obj, basis, banned, it: (STATUS_UNBOUNDED, it))
+    monkeypatch.setattr(exact, "_run_phase", lambda tableau, basis, width, it: (tableau, STATUS_UNBOUNDED, it))
     with pytest.raises(ConvergenceError):
         solve_exact_lp([F(1)], [([F(1)], ">=", F(2))])
 
@@ -166,6 +176,7 @@ def _highs(costs, rows):
 def test_exact_simplex_agrees_with_highs_and_its_duals_certify(lp):
     costs, rows = lp
     res = solve_exact_lp(costs, rows)
+    assert res == list_simplex.solve_exact_lp(costs, rows)
     ref = _highs(costs, rows)
     assert ref.status in (0, 2)  # nonnegative costs: optimal or infeasible
     assert res.status == (STATUS_OPTIMAL if ref.status == 0 else STATUS_INFEASIBLE)
@@ -197,14 +208,21 @@ def _near_integers(low):
     return st.builds(lambda k, j: Fraction(k * _M61 + j, _M61), st.integers(low, 3), st.integers(0, 3))
 
 
-def _pivot_checking_lines(tableau, obj, basis, row, col):
-    """The pivot, then: every denominator is positive, and every line the
-    pivot eliminated from is in lowest terms."""
-    lines = (*tableau, obj)
-    eliminated = [line for line in lines if line[col] and line is not tableau[row]]
-    _PIVOT(tableau, obj, basis, row, col)
-    assert all(line[-1] > 0 for line in lines)
-    assert all(gcd(*line) == 1 for line in eliminated)
+def _pivot_checking_rows(seen):
+    """The pivot, recording each tableau's dtype in seen, then: every
+    denominator is positive, and every row the pivot eliminated from is in
+    lowest terms."""
+
+    def pivot(tableau, basis, row, col):
+        eliminated = [i for i in np.flatnonzero(tableau[:, col]).tolist() if i != row]
+        seen.add(tableau.dtype)
+        tableau = _PIVOT(tableau, basis, row, col)
+        seen.add(tableau.dtype)
+        assert all(den > 0 for den in tableau[:, -1].tolist())
+        assert all(gcd(*tableau[i].tolist()) == 1 for i in eliminated)
+        return tableau
+
+    return pivot
 
 
 @st.composite
@@ -241,12 +259,25 @@ def _rational_lps(draw):
     return draw(st.lists(_near_integers(0), min_size=nvars, max_size=nvars)), rows
 
 
-@settings(max_examples=200, deadline=None)
-@given(_rational_lps())
-def test_exact_simplex_on_fractions_and_negative_rhs_agrees_with_highs(lp):
+def test_exact_simplex_on_fractions_and_negative_rhs_agrees_with_highs():
+    # The examples with a 2^61 - 1 denominator start past the int64 bound,
+    # the others stay below it: both tableau dtypes must be reached.
+    seen = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_rational_lps())
+    def check(lp):
+        _check_rational_lp(lp, seen)
+
+    check()
+    assert seen == {np.dtype(np.int64), np.dtype(object)}
+
+
+def _check_rational_lp(lp, seen):
     costs, rows = lp
-    with mock.patch.object(exact, "_pivot", _pivot_checking_lines):
+    with mock.patch.object(exact, "_pivot", _pivot_checking_rows(seen)):
         res = solve_exact_lp(costs, rows)
+    assert res == list_simplex.solve_exact_lp(costs, rows)
     ref = _highs([float(c) for c in costs], [([float(v) for v in a], s, b) for a, s, b in rows])
     assert ref.status in (0, 2)
     assert res.status == (STATUS_OPTIMAL if ref.status == 0 else STATUS_INFEASIBLE)
@@ -265,3 +296,71 @@ def test_exact_simplex_on_fractions_and_negative_rhs_agrees_with_highs(lp):
         assert sum(yi * coeffs[j] for yi, (coeffs, _, _) in zip(y, rows)) <= c
     for yi, (_, sense, _) in zip(y, rows):
         assert {"<=": yi <= 0, ">=": yi >= 0, "==": True}[sense]
+
+
+# The array tableau against the list tableau it replaced (tests/list_simplex.py):
+# equal objective, x, duals and pivot count, so equal values and the same
+# Bland pivots, on every LP solve_full_enumeration hands over below.
+
+# the table of the benchmark's exact-rational job list
+_RANDOM_N2 = TruthTable.from_text(_base_table("exact-rational", 2))
+
+_REFERENCE_LPS = [
+    *(
+        (f"{kind}-{name}-n{n}-eps{str(eps).replace('/', '_')}", partial(build, family(name, n), eps))
+        for kind, build in (("smooth", build_smooth_lp), ("lovasz", build_lovasz_lp))
+        for name in ("AND", "NDISJ", "DISJ", "EQ", "IP")
+        for n in (1, 2)
+        for eps in (F(0), F(1, 4))
+    ),
+    ("search-n2-k1-sigma-1", partial(build_search_lp, 2, 1, F(1))),
+    ("search-n2-k1-sigma-1_2", partial(build_search_lp, 2, 1, F(1, 2))),
+    ("smooth-random-n2", partial(build_smooth_lp, _RANDOM_N2, F(1, 4))),
+    ("lovasz-random-n2", partial(build_lovasz_lp, _RANDOM_N2, F(1, 4))),
+]
+
+
+@pytest.mark.parametrize("make", [make for _, make in _REFERENCE_LPS], ids=[name for name, _ in _REFERENCE_LPS])
+def test_array_tableau_equals_the_list_tableau(monkeypatch, make):
+    handed = []
+
+    def spy(costs, rows):
+        handed.append((costs, rows))
+        return solve_exact_lp(costs, rows)
+
+    monkeypatch.setattr(solve, "solve_exact_lp", spy)
+    solve.solve_full_enumeration(make())
+    ((costs, rows),) = handed
+    assert all(coeffs.dtype == np.int8 for coeffs, _, _ in rows)
+    reference = list_simplex.solve_exact_lp(costs, [(coeffs.tolist(), s, b) for coeffs, s, b in rows])
+    assert solve_exact_lp(costs, rows) == reference
+
+
+def test_a_tableau_crossing_the_int64_bound_mid_solve_equals_the_list_tableau():
+    # Entries near 2^20 start in int64; the first elimination leaves entries
+    # near 2^40, so the next bound passes 2^62 and the tableau turns object.
+    a, b, c, d, e, g = 1000003, 999983, 1048573, 1048571, 1000033, 1048559
+    costs = [-3, -5, -4]
+    rows = [([a, b, 7], "<=", c), ([5, d, e], "<=", g), ([b, 11, a], "<=", d)]
+    seen = set()
+    with mock.patch.object(exact, "_pivot", _pivot_checking_rows(seen)):
+        res = solve_exact_lp(costs, rows)
+    assert seen == {np.dtype(np.int64), np.dtype(object)}
+    assert res.status == STATUS_OPTIMAL and res.iterations == 3
+    assert res == list_simplex.solve_exact_lp(costs, rows)
+
+
+def test_int8_rows_over_a_large_denominator_equal_the_list_tableau():
+    # A 2^61 - 1 rhs denominator is scaled in Python ints (2^61 * 2^7 may pass
+    # 2^62); the tableau still starts in int64 and leaves it at its first
+    # elimination.
+    rows = [
+        (np.array([1, 0, 1], dtype=np.int8), ">=", Fraction(3, _M61)),
+        (np.array([0, 1, 1], dtype=np.int8), "<=", Fraction(5, 7)),
+        (np.array([1, 1, 0], dtype=np.int8), "==", Fraction(2, 3)),
+    ]
+    seen = set()
+    with mock.patch.object(exact, "_pivot", _pivot_checking_rows(seen)):
+        res = solve_exact_lp([1, 1, 1], rows)
+    assert seen == {np.dtype(np.int64), np.dtype(object)}
+    assert res == list_simplex.solve_exact_lp([1, 1, 1], [(a.tolist(), s, b) for a, s, b in rows])
