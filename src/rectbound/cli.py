@@ -258,6 +258,8 @@ def _build_certificate(args) -> DualCertificate:
 
 
 def cmd_certify(args) -> tuple[dict, int]:
+    if args.tol < 0:
+        raise ParameterRangeError(f"--tol must be nonnegative, got {args.tol}")
     cert = _build_certificate(args)
     eps = Fraction(0) if args.eps is None else args.eps
     if eps != 0 and cert.kind != KIND_SMOOTH:
@@ -299,7 +301,14 @@ def cmd_certify(args) -> tuple[dict, int]:
 # ----------------------------------------------------------------- scan
 
 
+def _check_samples(samples: int | None) -> None:
+    """Refuse --samples below 1 before any work, also where a run would not sample."""
+    if samples is not None and samples < 1:
+        raise ParameterRangeError(f"--samples must be at least 1, got {samples}")
+
+
 def cmd_scan(args) -> tuple[str, int]:
+    _check_samples(args.samples)
     m = args.n // 4 if args.m is None else args.m
     cfg = ScanConfig(
         gamma=args.gamma,
@@ -349,8 +358,7 @@ def _bits_doc(proto, rep) -> dict:
 
 
 def cmd_protocol(args) -> tuple[dict, int]:
-    if args.samples is not None and args.samples < 1:
-        raise ParameterRangeError(f"--samples must be at least 1, got {args.samples}")
+    _check_samples(args.samples)
     if args.s is not None and args.compose != "halving":
         raise ParameterRangeError("--s applies to --compose halving only")
     if (args.choose is not None or args.perm_samples is not None) and args.compose != "permute":

@@ -39,8 +39,8 @@ from ..caps import ENUMERATION_CELLS
 from ..errors import ConvergenceError, ParameterRangeError
 from ..rectangles import Rectangle, WeightMatrix
 from .exact import STATUS_INFEASIBLE, STATUS_OPTIMAL, solve_exact_lp
-from .model import CLASS_COVER, FAMILY_WITNESS, LPInstance, SENSE_GE, SENSE_LE
-from .model import coverage_matrix, max_violation
+from .model import CLASS_COVER, FAMILY_AVOID_DISJOINT, FAMILY_WITNESS, LPInstance, SENSE_GE
+from .model import SENSE_LE, coverage_matrix, max_violation
 
 SOLVER_EXACT = "exact-simplex"
 SOLVER_CG = "highs-constraint-generation"
@@ -72,12 +72,21 @@ class LPResult:
 
 def solve_full_enumeration(lp: LPInstance) -> LPResult:
     """Exact optimum over the explicitly enumerated rectangle family."""
+
+    def check_cells(columns: int, least: str = "") -> None:
+        ENUMERATION_CELLS.check(
+            columns * max(1, len(lp.constraints)),
+            f"LP cells ({least}{columns} columns x {len(lp.constraints)} rows)",
+            "use constraint generation",
+        )
+
+    if lp.family.kind != FAMILY_AVOID_DISJOINT:
+        # Every nonempty rectangle inside the largest block is a member, so
+        # that count refuses an oversized LP before any member is enumerated.
+        side = max((strings.bit_count() for _, strings in lp.family.blocks(lp.n)), default=0)
+        check_cells((2**side - 1) ** 2, "at least ")
     members = lp.family.members(lp.n)
-    ENUMERATION_CELLS.check(
-        len(members) * max(1, len(lp.constraints)),
-        f"LP cells ({len(members)} columns x {len(lp.constraints)} rows)",
-        "use constraint generation",
-    )
+    check_cells(len(members))
 
     # Presolve: a <= row with rhs 0 pins every covering column at zero.
     cover = coverage_matrix([c.pair for c in lp.constraints], members)

@@ -30,7 +30,7 @@ from .core import (
     as_randomized,
     unpack_transcript,
 )
-from .tasks import TaskSpec, Verdict, classify, measured_inputs
+from .tasks import TaskSpec, Verdict, check_width, classify, measured_inputs
 
 MODE_EXACT = "exact-rational"
 MODE_MONTE_CARLO = "monte-carlo-ci"
@@ -93,10 +93,7 @@ def success_probability(
     Fractions are built once, for the report.
     """
     rand = as_randomized(proto)
-    if rand.n_alice != task.input_bits or rand.n_bob != task.input_bits:
-        raise ParameterRangeError(
-            f"protocol inputs are {rand.n_alice}x{rand.n_bob} bits, task needs {task.input_bits}"
-        )
+    check_width(task, rand)
     if inputs is not None:
         pairs, sampled = list(inputs), False
     else:

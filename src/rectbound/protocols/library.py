@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from ..errors import ParameterRangeError
 from .core import ProgramProtocol
-from .tasks import block
+from .tasks import KIND_NDISJ_KFOLD, KIND_SEARCH_KFOLD, TaskSpec, block, ndisj_truth
 
 
 def index_bits(n: int) -> int:
@@ -19,18 +19,22 @@ def index_bits(n: int) -> int:
     return (n - 1).bit_length()
 
 
+def name_lowest(shared: int, bits: int, length: int, idx_bits: int) -> tuple[int, int, int]:
+    """Bob's validity bit, then the index of `shared`'s lowest position in `idx_bits`
+    bits (zero-padded when empty): the 1-based position or 0, and the new transcript."""
+    if not shared:
+        return 0, bits, length + 1 + idx_bits
+    lowest = (shared & -shared).bit_length() - 1
+    return lowest + 1, bits | (1 | lowest << 1) << length, length + 1 + idx_bits
+
+
 def trivial_ndisj_kfold(n: int, k: int) -> ProgramProtocol:
     """Alice sends all k blocks, Bob answers one bit per block: kn + k bits."""
-    if n < 1 or k < 1:
-        raise ParameterRangeError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    width = n * k
+    task = TaskSpec(KIND_NDISJ_KFOLD, n, k)
+    width = task.input_bits
 
     def run_fn(x: int, y: int):
-        answers = 0
-        meet = x & y
-        for j in range(k):
-            if block(meet, j, n):
-                answers |= 1 << j
+        answers = ndisj_truth(task, x, y)
         return answers, x | answers << width, width + k
 
     return ProgramProtocol(
@@ -48,9 +52,7 @@ def trivial_search_kfold(n: int, k: int) -> ProgramProtocol:
     Per block Bob spends one validity bit plus an index of ceil(log2 n) bits,
     zero-padded when the block is disjoint: kn + k(1 + ceil(log2 n)) total.
     """
-    if n < 1 or k < 1:
-        raise ParameterRangeError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    width = n * k
+    width = TaskSpec(KIND_SEARCH_KFOLD, n, k).input_bits
     idx_bits = index_bits(n)
 
     def run_fn(x: int, y: int):
@@ -58,14 +60,8 @@ def trivial_search_kfold(n: int, k: int) -> ProgramProtocol:
         shared = x & y
         out = []
         for j in range(k):
-            meet = block(shared, j, n)
-            if meet:
-                lowest = (meet & -meet).bit_length() - 1
-                bits |= (1 | lowest << 1) << length  # validity bit, then the index
-                out.append(lowest + 1)
-            else:
-                out.append(0)
-            length += 1 + idx_bits
+            found, bits, length = name_lowest(block(shared, j, n), bits, length, idx_bits)
+            out.append(found)
         return tuple(out), bits, length
 
     return ProgramProtocol(

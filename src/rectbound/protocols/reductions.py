@@ -12,13 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from math import factorial
+from math import factorial, prod
 from random import Random
 
 from ..caps import EXACT_PERMUTATION_WIDTH, HALVING_BRANCHES, MIXTURE_BRANCHES
 from ..errors import ParameterRangeError
 from .core import AnyProtocol, ProgramProtocol, RandomizedProtocol, as_randomized
-from .library import index_bits
+from .library import index_bits, name_lowest
+from .tasks import KIND_SEARCH_CHOOSE, KIND_SEARCH_KFOLD, TaskSpec, check_width, claims, marks
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -44,6 +45,16 @@ class CostBreakdown:
             + self.final_alice_bits
             + self.final_bob_bits
         )
+
+
+def _mixture(width: int, label: str, branches) -> RandomizedProtocol:
+    """One branch per (probability, run_fn, worst_cost), in order, all on `width`-bit inputs."""
+    return RandomizedProtocol(
+        tuple(
+            (prob, ProgramProtocol(width, width, run_fn, worst_cost, label))
+            for prob, run_fn, worst_cost in branches
+        )
+    )
 
 
 def ndisj_to_search_cost(n: int, k: int, s: int, base_cost: int) -> CostBreakdown:
@@ -76,16 +87,11 @@ def reduce_ndisj_to_search(
     sigma^(s+1).  Coins multiply: the mixture runs one independent base
     draw per call.
     """
-    if n < 1 or k < 1:
-        raise ParameterRangeError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    task = TaskSpec(KIND_SEARCH_KFOLD, n, k)
     if s < 0 or s > 30:
         raise ParameterRangeError(f"need 0 <= s <= 30 halving rounds, got {s}")
     rand = as_randomized(base)
-    width = n * k
-    if rand.n_alice != width or rand.n_bob != width:
-        raise ParameterRangeError(
-            f"base inputs are {rand.n_alice}x{rand.n_bob} bits, expected {width}"
-        )
+    check_width(task, rand)
     breakdown = ndisj_to_search_cost(n, k, s, rand.worst_cost)
     wsize = breakdown.window
     idx_width = index_bits(wsize)
@@ -117,39 +123,17 @@ def reduce_ndisj_to_search(
                 length += wsize
             out = []
             for j, (lo, sent) in enumerate(dumps):
-                shared = sent & (y >> lo)
-                claim = 0
-                if shared:
-                    idx = (shared & -shared).bit_length() - 1
-                    bits |= (1 | idx << 1) << length  # validity bit, then the index
-                    if (live >> j) & 1:
-                        claim = lo - j * n + idx + 1
-                length += 1 + idx_width
-                out.append(claim)
+                found, bits, length = name_lowest(sent & (y >> lo), bits, length, idx_width)
+                out.append(lo - j * n + found if found and (live >> j) & 1 else 0)
             return tuple(out), bits, length
 
         return run_fn
 
-    branches = []
-    for combo in product(rand.branches, repeat=s + 1):
-        prob = Fraction(1)
-        draws = []
-        for p, det in combo:
-            prob *= p
-            draws.append(det)
-        branches.append(
-            (
-                prob,
-                ProgramProtocol(
-                    n_alice=width,
-                    n_bob=width,
-                    run_fn=make_run(tuple(draws)),
-                    worst_cost=breakdown.total,
-                    label=f"halving-search(s={s})",
-                ),
-            )
-        )
-    return RandomizedProtocol(tuple(branches)), breakdown
+    branches = (
+        (prod(p for p, _ in combo), make_run(tuple(det for _, det in combo)), breakdown.total)
+        for combo in product(rand.branches, repeat=s + 1)
+    )
+    return _mixture(task.input_bits, f"halving-search(s={s})", branches), breakdown
 
 
 def _apply_permutation(perm: tuple[int, ...], mask: int) -> int:
@@ -213,18 +197,12 @@ def reduce_search_from_kfold(
     be measured only up to k*n = 11: 2^(2kn) input pairs must fit
     EXACT_PROTOCOL_INPUTS (2^22).
     """
-    if n < 1 or k < 1 or not 1 <= choose <= k:
-        raise ParameterRangeError(
-            f"need n, k >= 1 and 1 <= choose <= k, got n={n}, k={k}, choose={choose}"
-        )
+    width = TaskSpec(KIND_SEARCH_CHOOSE, n, k, choose).input_bits
     if perm_samples is not None and perm_samples < 1:
         raise ParameterRangeError(f"need perm_samples >= 1, got {perm_samples}")
+    kfold = TaskSpec(KIND_SEARCH_KFOLD, n, k)
     rand = as_randomized(base)
-    width = n * k
-    if rand.n_alice != width or rand.n_bob != width:
-        raise ParameterRangeError(
-            f"base inputs are {rand.n_alice}x{rand.n_bob} bits, expected {width}"
-        )
+    check_width(kfold, rand)
     if perm_samples is not None and seed is not None and not EXACT_PERMUTATION_WIDTH.fits(width):
         rng = Random(seed)
         perms = []
@@ -243,35 +221,28 @@ def reduce_search_from_kfold(
         f"mixture branches ({len(perms)} permutations x {len(rand.branches)} coin branches)",
     )
 
+    # A side holding every coordinate marks exactly the well-formed claims.
+    everything = (1 << width) - 1
+
     def make_run(perm, det):
         def run_fn(x: int, y: int):
             res = det.run(_apply_permutation(perm, x), _apply_permutation(perm, y))
-            claims = []
-            if isinstance(res.output, tuple):
-                for j, entry in enumerate(res.output):
-                    if isinstance(entry, int) and entry >= 1:
-                        original = perm[j * n + (entry - 1)]
-                        claims.append((original // n, original % n + 1))
-            if len(claims) >= choose:
-                claims.sort()
-                return tuple(claims[:choose]), res.bits, res.length
+            found = []
+            for claim in claims(kfold, res.output):
+                if marks(kfold, everything, claim):
+                    j, c = claim
+                    original = perm[j * n + c - 1]
+                    found.append((original // n, original % n + 1))
+            if len(found) >= choose:
+                found.sort()
+                return tuple(found[:choose]), res.bits, res.length
             return 0, res.bits, res.length
 
         return run_fn
 
-    branches = []
-    for perm in perms:
-        for prob, det in rand.branches:
-            branches.append(
-                (
-                    perm_prob * prob,
-                    ProgramProtocol(
-                        n_alice=width,
-                        n_bob=width,
-                        run_fn=make_run(perm, det),
-                        worst_cost=det.worst_cost,
-                        label=f"choose-{choose}",
-                    ),
-                )
-            )
-    return RandomizedProtocol(tuple(branches))
+    branches = (
+        (perm_prob * prob, make_run(perm, det), det.worst_cost)
+        for perm in perms
+        for prob, det in rand.branches
+    )
+    return _mixture(width, f"choose-{choose}", branches)

@@ -13,6 +13,11 @@ Rejection is always available: None rejects, a search-kfold tuple rejects if
 any entry is None, and search-choose also treats 0 as a reject.  Verdicts
 separate giving up from being wrong because the two are priced differently
 everywhere rejection appears in this package.
+
+Every other module reads the task rules here: `TaskSpec` refuses bad n, k and
+choose, `check_width` a protocol of the wrong input width, and `ndisj_truth`,
+`claims` and `marks` say which blocks meet, what a search output claims and
+whether a side marks a claimed coordinate.
 """
 
 from __future__ import annotations
@@ -87,10 +92,45 @@ def intersecting_blocks(task: TaskSpec, x: int, y: int) -> int:
     return ndisj_truth(task, x, y).bit_count()
 
 
-def _coordinate_genuine(task: TaskSpec, x: int, y: int, j: int, c: int) -> bool:
-    if not 0 <= j < task.k or not 1 <= c <= task.n:
-        return False
-    return bool((block(x & y, j, task.n) >> (c - 1)) & 1)
+def check_width(task: TaskSpec, proto) -> None:
+    """Refuse a protocol whose inputs are not the task's packed blocks on both sides."""
+    if proto.n_alice != task.input_bits or proto.n_bob != task.input_bits:
+        raise ParameterRangeError(
+            f"protocol inputs are {proto.n_alice}x{proto.n_bob} bits, task needs {task.input_bits}"
+        )
+
+
+# Fills every slot of an output of the wrong shape; block -1 is marked by no side.
+_FAILED = (-1, 0)
+
+
+def claims(task: TaskSpec, output) -> list:
+    """The claim in each slot of a search output, None where a slot claims nothing.
+
+    search-kfold slot j holds (j, entry j) unless the entry is 0 or None;
+    search-choose has one slot per claim, all empty when the output gives up.
+    An output that is not a tuple of one entry per slot fails every slot, and
+    `marks` fails a claim that is not a (block, coordinate) pair in range.
+    """
+    count = task.choose or task.k
+    if output is None or (task.kind == KIND_SEARCH_CHOOSE and output == 0):
+        return [None] * count
+    if not isinstance(output, tuple) or len(output) != count:
+        return [_FAILED] * count
+    if task.kind == KIND_SEARCH_CHOOSE:
+        return list(output)
+    return [None if entry is None or entry == 0 else (j, entry) for j, entry in enumerate(output)]
+
+
+def marks(task: TaskSpec, held: int, claim) -> int:
+    """1 when `held` contains the coordinate a (block, 1-based coordinate) claim
+    names, 0 for anything else; a claim is genuine when marks(task, x & y, claim)."""
+    if not isinstance(claim, tuple) or len(claim) != 2:
+        return 0
+    j, c = claim
+    if isinstance(j, int) and isinstance(c, int) and 0 <= j < task.k and 1 <= c <= task.n:
+        return (held >> (j * task.n + c - 1)) & 1
+    return 0
 
 
 def classify(task: TaskSpec, x: int, y: int, output) -> Verdict:
@@ -101,32 +141,25 @@ def classify(task: TaskSpec, x: int, y: int, output) -> Verdict:
         if not isinstance(output, int):
             return Verdict.WRONG
         return Verdict.CORRECT if output == ndisj_truth(task, x, y) else Verdict.WRONG
+    meet = x & y
     if task.kind == KIND_SEARCH_KFOLD:
-        if not isinstance(output, tuple) or len(output) != task.k:
-            return Verdict.WRONG
-        if any(entry is None for entry in output):
+        slots = claims(task, output)
+        if _FAILED not in slots and None in output:
             return Verdict.REJECT
-        for j, entry in enumerate(output):
-            if entry == 0:
-                if block(x & y, j, task.n):
+        for j, claim in enumerate(slots):
+            if claim is None:  # entry 0 declares block j disjoint
+                if block(meet, j, task.n):
                     return Verdict.WRONG
-            elif not _coordinate_genuine(task, x, y, j, entry):
+            elif not marks(task, meet, claim):
                 return Verdict.WRONG
         return Verdict.CORRECT
     # search-choose
     if output == 0:
         return Verdict.REJECT
-    if not isinstance(output, tuple) or len(output) != task.choose:
-        return Verdict.WRONG
-    if len(set(output)) != task.choose:
-        return Verdict.WRONG
-    for claim in output:
-        if not isinstance(claim, tuple) or len(claim) != 2:
+    for claim in claims(task, output):
+        if not marks(task, meet, claim):
             return Verdict.WRONG
-        j, c = claim
-        if not _coordinate_genuine(task, x, y, j, c):
-            return Verdict.WRONG
-    return Verdict.CORRECT
+    return Verdict.CORRECT if len(set(output)) == task.choose else Verdict.WRONG
 
 
 def enumerate_inputs(task: TaskSpec) -> Iterator[tuple[int, int]]:

@@ -15,45 +15,18 @@ Two audit budgets:
   failure rejects the whole output since nobody said which slot broke.
 
 Zero claims (block declared disjoint) are not auditable this way; their
-slots carry vacuous passes and the claim stays as made.
+slots carry vacuous passes and the claim stays as made.  An output of the
+wrong shape fails every slot (`tasks.claims`).
 """
 
 from __future__ import annotations
 
 from ..errors import KindMismatchError, ParameterRangeError
 from .core import ProgramProtocol, RandomizedProtocol
-from .tasks import KIND_SEARCH_CHOOSE, KIND_SEARCH_KFOLD, TaskSpec, block
+from .tasks import KIND_SEARCH_CHOOSE, KIND_SEARCH_KFOLD, TaskSpec, check_width, claims, marks
 
 VERIFY_EXPLICIT = "explicit"
 VERIFY_TWO_BIT = "two_bit"
-
-
-def _claim_slots(task: TaskSpec) -> int:
-    return task.choose if task.kind == KIND_SEARCH_CHOOSE else task.k
-
-
-def _slot_claims(task: TaskSpec, output) -> list[tuple[int, int] | None]:
-    """One (block, coordinate) entry per audit slot; None marks a vacuous slot."""
-    slots: list[tuple[int, int] | None] = [None] * _claim_slots(task)
-    if output is None or output == 0:
-        return slots
-    if task.kind == KIND_SEARCH_KFOLD:
-        for j, entry in enumerate(output):
-            if isinstance(entry, int) and entry >= 1:
-                slots[j] = (j, entry)
-    else:
-        for pos, claim in enumerate(output[: len(slots)]):
-            slots[pos] = claim
-    return slots
-
-
-def _membership(task: TaskSpec, held: int, claim: tuple[int, int] | None) -> int:
-    if claim is None:
-        return 1
-    j, c = claim
-    if not 0 <= j < task.k or not 1 <= c <= task.n:
-        return 0
-    return (block(held, j, task.n) >> (c - 1)) & 1
 
 
 def make_verified(
@@ -70,20 +43,16 @@ def make_verified(
         return RandomizedProtocol(
             tuple((prob, make_verified(proto, task, mode)) for prob, proto in base.branches)
         )
-    if base.n_alice != task.input_bits or base.n_bob != task.input_bits:
-        raise ParameterRangeError(
-            f"base protocol inputs are {base.n_alice}x{base.n_bob} bits, "
-            f"task needs {task.input_bits}"
-        )
-    slots = _claim_slots(task)
-    extra = 2 * slots + 2 if mode == VERIFY_EXPLICIT else 2
+    check_width(task, base)
+    # A give-up's claims are every slot, all empty.
+    extra = 2 * len(claims(task, None)) + 2 if mode == VERIFY_EXPLICIT else 2
 
     def run_fn(x: int, y: int):
         res = base.run(x, y)
         bits, length = res.bits, res.length
-        claims = _slot_claims(task, res.output)
-        alice_bits = [_membership(task, x, claim) for claim in claims]
-        bob_bits = [_membership(task, y, claim) for claim in claims]
+        slot_claims = claims(task, res.output)
+        alice_bits = [1 if claim is None else marks(task, x, claim) for claim in slot_claims]
+        bob_bits = [1 if claim is None else marks(task, y, claim) for claim in slot_claims]
         if mode == VERIFY_EXPLICIT:
             for bit in alice_bits + bob_bits:
                 bits |= bit << length
@@ -94,17 +63,13 @@ def make_verified(
         length += 2
 
         output = res.output
-        if output is not None and output != 0:
-            if mode == VERIFY_EXPLICIT:
-                ok = [a and b for a, b in zip(alice_bits, bob_bits)]
-                if task.kind == KIND_SEARCH_KFOLD:
-                    output = tuple(
-                        entry if claims[j] is None or ok[j] else None
-                        for j, entry in enumerate(output)
-                    )
-                elif not all(ok):
-                    output = None
-            elif not (a_ok and b_ok):
+        if not (a_ok and b_ok):
+            if mode == VERIFY_EXPLICIT and task.kind == KIND_SEARCH_KFOLD:
+                # Each failed slot rejects alone; an output of the wrong
+                # shape fails every slot, so only a k-tuple is indexed.
+                passed = [a and b for a, b in zip(alice_bits, bob_bits)]
+                output = tuple(output[j] if ok else None for j, ok in enumerate(passed))
+            else:
                 output = None
         return output, bits, length
 

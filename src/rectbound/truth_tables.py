@@ -19,14 +19,18 @@ from .errors import ParameterRangeError
 FAMILIES = ("NDISJ", "DISJ", "EQ", "IP", "AND")
 
 
+def _check_universe(n: int) -> None:
+    if n < 0:
+        raise ParameterRangeError(f"universe size must be nonnegative, got {n}")
+
+
 @dataclass(frozen=True)
 class TruthTable:
     n: int
     rows: tuple[int, ...]  # rows[x_mask] bit y_mask set iff f(x, y) = 1
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ParameterRangeError(f"universe size must be nonnegative, got {self.n}")
+        _check_universe(self.n)
         if len(self.rows) != 1 << self.n:
             raise ParameterRangeError(
                 f"table needs {1 << self.n} rows for n={self.n}, got {len(self.rows)}"
@@ -39,8 +43,7 @@ class TruthTable:
     @classmethod
     def from_function(cls, n: int, fn: Callable[[int, int], int]) -> TruthTable:
         """The table of `fn` on every pair of n-bit masks, all 4^n of them."""
-        if n < 0:
-            raise ParameterRangeError(f"universe size must be nonnegative, got {n}")
+        _check_universe(n)
         SUPPORT_PAIRS.check(1 << 2 * n, "input pairs in a truth table")
         rows = []
         for x in range(1 << n):
@@ -128,6 +131,7 @@ def ip(n: int) -> TruthTable:
 
 def and_all(n: int) -> TruthTable:
     """1 iff both sides mark every coordinate; for n=1 this is binary AND."""
+    _check_universe(n)  # before the shift below
     full = (1 << n) - 1
     return TruthTable.from_function(n, lambda x, y: x == full and y == full)
 

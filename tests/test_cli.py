@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import shlex
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 
 from rectbound.cli import main
 from rectbound.lp_bounds import build_search_dual_certificate, certificate_to_json
+from rectbound.truth_tables import FAMILIES
 
 
 def run_cli(capsys, *argv):
@@ -403,6 +405,10 @@ def _saved_certificate(phi) -> bytes:
         pytest.param(f"{_NDISJ_MC} --samples 0 --seed 1", {}, {}, id="samples-0"),
         pytest.param(f"{_NDISJ_MC} --samples -3 --seed 1", {}, {}, id="samples-neg"),
         pytest.param(f"{_NDISJ_EXACT} --samples 0 --seed 1", {}, {}, id="samples-0-exact"),
+        pytest.param("scan --n 8 --seed 1 --samples 0", {}, {}, id="scan-samples-0"),
+        pytest.param("scan --n 8 --seed 1 --samples -3", {}, {}, id="scan-samples-neg"),
+        pytest.param("scan --n 4 --m 1 --seed 1 --samples 0", {}, {}, id="scan-samples-0-exhaustive"),
+        pytest.param(f"{_SEARCH_CERT} --tol -1", {}, {}, id="tol-negative"),
         pytest.param(f"{_SEARCH_CERT} --eps 1/4 --save {{tmp}}/cert.json", {}, {}, id="eps-save"),
         pytest.param(f"{_SMOOTH_CERT} --eps 2 --save {{tmp}}/cert.json", {}, {}, id="eps-past-one-half"),
         pytest.param(f"{_SMOOTH_CERT} --eps=-1 --save {{tmp}}/cert.json", {}, {}, id="eps-negative"),
@@ -425,7 +431,10 @@ def _saved_certificate(phi) -> bytes:
         pytest.param("bound --lp search --n 2 --k 1 --sigma 1/0", {}, {}, id="sigma-div-zero"),
         pytest.param("bound --lp lovasz --table {tmp}/missing.txt", {}, {}, id="missing-table"),
         pytest.param(_SEARCH_CERT, {"RECTBOUND_SUPPORT_CAP": "1.5"}, {}, id="support-cap"),
-        pytest.param("bound --lp smooth --family DISJ --n -1", {}, {}, id="family-n-negative"),
+        *(
+            pytest.param(f"bound --lp lovasz --family {name} --n -1", {}, {}, id=f"family-{name}-n-negative")
+            for name in FAMILIES
+        ),
         pytest.param("bound --lp smooth --family EQ --n 30", {}, {}, id="family-n-past-the-limit"),
         pytest.param(
             "bound --lp lovasz --table {tmp}/t.txt", {}, {"t.txt": _NOT_UTF8}, id="table-not-utf8"
@@ -469,6 +478,44 @@ def test_protocol_samples_below_one_names_the_flag(capsys, command):
     assert code == 1
     assert out == ""
     assert "--samples must be at least 1" in err
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("scan --n 8 --seed 1 --samples 0", "--samples must be at least 1"),
+        ("scan --n 8 --seed 1 --samples -3", "--samples must be at least 1"),
+        (f"{_SEARCH_CERT} --tol -1", "--tol must be nonnegative"),
+    ],
+    ids=["scan-samples-0", "scan-samples-neg", "certify-tol-neg"],
+)
+def test_scan_samples_and_certify_tol_refusals_name_the_flag(capsys, monkeypatch, command, message):
+    import rectbound.cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before checking the flag")
+
+    # refused before the scan runs or the certificate is built
+    monkeypatch.setattr(rectbound.cli, "sampling_lemma_scan", no_work)
+    monkeypatch.setattr(rectbound.cli, "build_search_dual_certificate", no_work)
+    code, out, err = run_cli(capsys, *command.split())
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["bound --lp smooth --family DISJ --n 4 --solver exact", "bound --lp search --n 4 --k 1 --solver exact"],
+)
+def test_exact_lp_past_the_cells_limit_is_refused_before_enumeration(capsys, command):
+    start = time.process_time()
+    code, out, err = run_cli(capsys, *command.split())
+    assert time.process_time() - start < 1
+    assert code == 1
+    assert out == ""
+    assert "LP cells" in err
+    assert "use constraint generation" in err
 
 
 def test_one_parser_per_process(capsys, monkeypatch):

@@ -245,3 +245,20 @@ def test_cg_stalls_when_the_priced_column_is_already_in_the_master(monkeypatch, 
     assert res.columns > 0
     assert main(["bound", "--lp", "search", "--n", "2", "--k", "1", "--solver", "cg"]) == 2
     assert '"status": "stalled"' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "kind, k, n",
+    [("full", None, 1), ("full", None, 2)]
+    + [("witness", k, n) for n in (1, 2, 3) for k in range(n + 1)],
+)
+def test_largest_block_never_overcounts_the_members(kind, k, n):
+    # The exact solver refuses on (2^s - 1)^2 columns, s the largest block's
+    # string count, before enumerating; that must not exceed the member count,
+    # so no LP that fits the cells limit is refused early.
+    fam = RectangleFamily(kind, k)
+    side = max(strings.bit_count() for _, strings in fam.blocks(n))
+    members = len(fam.members(n))
+    assert (2**side - 1) ** 2 <= members
+    if kind == "full":
+        assert (2**side - 1) ** 2 == members

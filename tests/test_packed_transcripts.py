@@ -12,6 +12,7 @@ from rectbound.protocols import (
     RandomizedProtocol,
     TaskSpec,
     as_randomized,
+    block,
     index_bits,
     leaf_rectangle_check,
     make_verified,
@@ -21,7 +22,6 @@ from rectbound.protocols import (
     trivial_ndisj_kfold,
     trivial_search_kfold,
 )
-from rectbound.protocols.verify import _membership, _slot_claims
 
 F = Fraction
 
@@ -91,6 +91,34 @@ def _reference_halving(draws, n: int, k: int, s: int, wsize: int):
         return tuple(out), tuple(transcript)
 
     return run_fn
+
+
+def _slot_claims(task: TaskSpec, output) -> list[tuple[int, int] | None]:
+    """One (block, coordinate) entry per audit slot; None marks a vacuous slot.
+
+    Kept apart from `tasks.claims` so the reference shares no claim logic with
+    the code it checks; it reads well-formed outputs only.
+    """
+    slots: list[tuple[int, int] | None] = [None] * (task.choose if task.kind == "search-choose" else task.k)
+    if output is None or output == 0:
+        return slots
+    if task.kind == "search-kfold":
+        for j, entry in enumerate(output):
+            if isinstance(entry, int) and entry >= 1:
+                slots[j] = (j, entry)
+    else:
+        for pos, claim in enumerate(output[: len(slots)]):
+            slots[pos] = claim
+    return slots
+
+
+def _membership(task: TaskSpec, held: int, claim: tuple[int, int] | None) -> int:
+    if claim is None:
+        return 1
+    j, c = claim
+    if not 0 <= j < task.k or not 1 <= c <= task.n:
+        return 0
+    return (block(held, j, task.n) >> (c - 1)) & 1
 
 
 def _reference_verified(base, task: TaskSpec, mode: str):

@@ -13,6 +13,7 @@ from rectbound.protocols import (
     Verdict,
     choose_success_bound,
     classify,
+    constant_protocol,
     make_verified,
     ndisj_to_search_cost,
     reduce_ndisj_to_search,
@@ -45,6 +46,44 @@ def test_verified_cost_overhead():
     ch = TaskSpec("search-choose", 2, 3, choose=2)
     lied = _liar(2, 3)
     assert make_verified(lied, ch, "explicit").worst_cost == 2 * 2 + 2
+
+
+_CHOOSE_1 = TaskSpec("search-choose", 2, 2, choose=1)
+_KFOLD = TaskSpec("search-kfold", 2, 2)
+
+
+@pytest.mark.parametrize("mode", ["explicit", "two_bit"])
+@pytest.mark.parametrize(
+    "task, output",
+    [
+        (_CHOOSE_1, (5,)),  # the claim is not a pair
+        (_CHOOSE_1, ((5,),)),
+        (_CHOOSE_1, ((0, 1), (1, 1))),  # one claim too many
+        (_CHOOSE_1, ((0, 3),)),  # past the block
+        (_KFOLD, 7),  # not a tuple
+        (_KFOLD, 0),
+        (_KFOLD, (1, 1, 1)),  # one entry too many
+        (_KFOLD, ("a", 0)),
+        (_KFOLD, (-1, 0)),
+    ],
+)
+def test_malformed_search_output_is_wrong_and_audited_away(task, output, mode):
+    # One claim rule for both: classify judges the output WRONG on every
+    # input, and the audit fails it instead of raising, so nothing wrong survives.
+    for x in range(1 << task.input_bits):
+        for y in range(1 << task.input_bits):
+            assert classify(task, x, y, output) is Verdict.WRONG
+    base = constant_protocol(task.input_bits, task.input_bits, output)
+    report = success_probability(make_verified(base, task, mode), task)
+    assert report.wrong == 0
+    assert report.rejected == 1
+
+
+def test_chooser_drops_claims_that_name_no_coordinate():
+    # Block 0's entry is past the block and block 1's is not a coordinate:
+    # neither maps through the permutation, so the chooser gives up.
+    chooser = reduce_search_from_kfold(constant_protocol(4, 4, (3, "a")), 2, 2, 1)
+    assert success_probability(chooser, _CHOOSE_1).rejected == 1
 
 
 def test_verified_honest_protocol_stays_correct():
