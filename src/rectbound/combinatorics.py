@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from random import Random
-from typing import Iterable, Iterator, NamedTuple, TypeVar
+from typing import Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -102,7 +102,7 @@ class MuParams:
 
     Construction validates only basic sanity (0 <= m <= n, k >= 0); a
     parameter triple whose support is empty (k > m, or m - k > n - m) is
-    representable so callers can ask for the support and get [].
+    representable so callers can ask for the support and get an empty one.
     """
 
     k: int
@@ -182,18 +182,55 @@ def subset_masks(n: int, m: int) -> np.ndarray:
     return _bit_values(n)[_subset_coords(n, m)].sum(axis=1)
 
 
-def enumerate_support(p: MuParams) -> list[InputPair]:
+class SupportView(Sequence[InputPair]):
+    """A read-only sequence of support pairs held as two mask arrays.
+
+    `x` and `y` are the pairs' masks, with `int_dtype` of the universe; the
+    view yields them as `InputPair`s of Python ints and compares equal,
+    element by element, to any sequence of the same pairs.
+    """
+
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
+        x.flags.writeable = y.flags.writeable = False
+        self.x = x
+        self.y = y
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __getitem__(self, i: int | slice):
+        if isinstance(i, slice):
+            return SupportView(self.x[i], self.y[i])
+        return InputPair(int(self.x[i]), int(self.y[i]))
+
+    def __iter__(self) -> Iterator[InputPair]:
+        return map(InputPair._make, zip(self.x.tolist(), self.y.tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"SupportView({len(self)} pairs)"
+
+
+def enumerate_support(p: MuParams) -> SupportView:
     """All support pairs of mu(p), in a fixed deterministic order.
 
     x runs over the m-subsets in lexicographic order; for each x, y is each
     k-subset of x (lexicographic) joined with each (m-k)-subset of x's
-    complement (lexicographic, innermost).  Returns [] when the support is
-    empty; raises CapExceededError above the support cap (default 10^7,
+    complement (lexicographic, innermost).  The pairs come as a view over
+    their two mask arrays, empty when the support is; raises
+    CapExceededError above the support cap (default 10^7,
     RECTBOUND_SUPPORT_CAP to override).
     """
     size = p.support_size
     if size == 0:
-        return []
+        empty = np.empty(0, dtype=int_dtype(1 << p.n))
+        return SupportView(empty, empty)
     SUPPORT_PAIRS.check(size, f"support pairs of {p!r}")
     bit_values = _bit_values(p.n)
     x_coords = _subset_coords(p.n, p.m)
@@ -204,7 +241,7 @@ def enumerate_support(p: MuParams) -> list[InputPair]:
     outside = bit_values[rest_coords[:, _subset_coords(p.n - p.m, p.m - p.k)]].sum(axis=2)
     y_masks = shared[:, :, None] | outside[:, None, :]
     x_masks = np.broadcast_to(subset_masks(p.n, p.m)[:, None, None], y_masks.shape)
-    out = list(map(InputPair._make, zip(x_masks.ravel().tolist(), y_masks.ravel().tolist())))
+    out = SupportView(x_masks.ravel(), y_masks.ravel())
     if len(out) != size:
         raise AssertionError(f"support enumeration produced {len(out)} pairs, expected {size}")
     return out
@@ -327,8 +364,7 @@ def check_lemma4(identity: str, p: MuParams) -> IdentityReport:
     # Indexed by the membership code 2 * (on the left) + (on the right).
     deviation = (Fraction(0), rhs_mass, lhs_mass, abs(lhs_mass - rhs_mass))
     support = enumerate_support(lhs)
-    flat = np.fromiter(chain.from_iterable(support), dtype=int_dtype(1 << lhs.n), count=2 * len(support))
-    x, y = flat.reshape(-1, 2).T
+    x, y = support.x, support.y
     shared = x & y
     on_right = rhs.contains(_delete_lowest(x, shared, sides.removed), _delete_lowest(y, shared, sides.removed))
     codes = np.unique(2 * lhs.contains(x, y) + on_right).tolist()

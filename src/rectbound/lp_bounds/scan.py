@@ -8,17 +8,22 @@ equal-size sets.  Rows flag the combinations the theory rules out for large
 rectangles: base mass above the bar 2^(-gamma n) with a target/base ratio
 below 2/3.  `slack` softens the same comparison additively by 2^(-delta n).
 
-Counting is exact.  The meet matrices are 0/1 floats and the membership
-rows are bools, which the matmul promotes to float64 one block of rows at a
-time; every matmul entry is an integer far below 2^53, so the float pipeline
-commits no rounding and a fixed seed reproduces the report byte for byte.
+Counting is exact.  Rectangles are drawn, counted and printed one block
+of rows at a time, and the report keeps only four integer columns per
+rectangle.  The meet matrices are 0/1 floats and a block's membership rows
+are bools, which the matmul promotes to float64; every matmul entry is an
+integer far below 2^53, so the float pipeline commits no rounding.  The bar,
+the flag and the ratios are tested and printed from the integer counts, and
+a fixed seed reproduces the report byte for byte.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -65,38 +70,139 @@ class ScanRow:
     slack: float
 
 
-@dataclass(frozen=True)
+# Rectangles drawn, counted and printed together.  A block's draws and its
+# float64 membership copies stay under a MB, and at most one block of
+# per-row Python objects (labels, CSV lines) is alive at a time: larger
+# blocks free multi-MB buffers, after which glibc raises its mmap threshold
+# and later blocks land on, and pin, the heap.
+_ROW_BLOCK = 256
+
+
+@dataclass(frozen=True, eq=False)
 class ScanReport:
+    """One scan as integer columns, one entry per rectangle, the full rectangle first.
+
+    Entry i of `row_sizes` and `col_sizes` counts rectangle i's strings per
+    side, and `count_base` and `count_target` its pairs with meet zero and
+    with the target meet.  `rows` reads the same rectangles as `ScanRow`s,
+    each built when it is read.
+    """
+
     params: MuParams
     target_k: int
     config: ScanConfig
     mode: str
     bar: float
     relief: float
-    rows: tuple[ScanRow, ...] = field(default_factory=tuple)
+    row_sizes: np.ndarray
+    col_sizes: np.ndarray
+    count_base: np.ndarray
+    count_target: np.ndarray
+
+    @property
+    def rows(self) -> Sequence[ScanRow]:
+        return _ScanRows(self)
+
+    @cached_property
+    def _support_sizes(self) -> tuple[int, int]:
+        p = self.params
+        return p.support_size, MuParams(self.target_k, p.n, p.m).support_size
+
+    # Every count is at most SCAN_STRINGS^2 = 2^24, so the products below
+    # stay far inside int64 and every count is exact as a float64.
+    @cached_property
+    def _above(self) -> np.ndarray:
+        """Base mass count_base / S_base is at least the bar, tested on integers."""
+        return self.count_base >= math.ceil(Fraction(self.bar) * self._support_sizes[0])
+
+    @cached_property
+    def _flagged(self) -> np.ndarray:
+        """Above the bar with target/base ratio below 2/3, tested on integers."""
+        s_base, s_target = self._support_sizes
+        cb, ct = self.count_base, self.count_target
+        return self._above & (cb > 0) & (3 * ct * s_base < 2 * s_target * cb)
+
+    @cached_property
+    def _slack(self) -> np.ndarray:
+        s_base, s_target = self._support_sizes
+        return self.count_target / s_target - (2.0 / 3.0) * (self.count_base / s_base) + self.relief
 
     @property
     def flagged_count(self) -> int:
-        return sum(1 for row in self.rows if row.flagged)
+        return int(np.count_nonzero(self._flagged))
 
     @property
     def above_bar_count(self) -> int:
-        return sum(1 for row in self.rows if row.above_bar)
+        return int(np.count_nonzero(self._above))
 
     @property
     def min_ratio(self) -> Fraction | None:
         """Smallest target/base ratio among rectangles clearing the bar."""
-        ratios = [row.ratio for row in self.rows if row.above_bar and row.ratio is not None]
-        return min(ratios) if ratios else None
+        live = self._above & (self.count_base > 0)
+        if not live.any():
+            return None
+        s_base, s_target = self._support_sizes
+        ct, cb = self.count_target[live], self.count_base[live]
+        # Correctly rounded division is monotone, so the exact minimum is
+        # among the rows whose float quotient is the smallest.
+        quotient = ct / cb
+        tied = quotient == quotient.min()
+        return min(Fraction(t * s_base, s_target * b) for t, b in zip(ct[tied].tolist(), cb[tied].tolist()))
 
     @property
     def min_slack(self) -> float:
-        return min(row.slack for row in self.rows)
+        # argmin keeps the first of equal values, as min() over the rows does.
+        return float(self._slack[np.argmin(self._slack)])
+
+    def _labels(self, start: int, stop: int) -> tuple[list[str], list[str]]:
+        """Label and density texts of rectangles start..stop-1."""
+        labels, densities = (["full"], ["full"]) if start == 0 else ([], [])
+        scanned = range(max(start, 1) - 1, stop - 1)
+        if self.mode == MODE_EXHAUSTIVE:
+            subsets = (1 << binom(self.params.n, self.params.m)) - 1
+            labels += [f"exh-{i // subsets + 1}-{i % subsets + 1}" for i in scanned]
+            densities += ["exhaustive"] * len(scanned)
+        else:
+            cycle = self.config.densities
+            labels += [f"sample-{i:05d}" for i in scanned]
+            densities += [repr(cycle[i % len(cycle)]) for i in scanned]
+        return labels, densities
+
+    def _row(self, i: int) -> ScanRow:
+        s_base, s_target = self._support_sizes
+        cb, ct = int(self.count_base[i]), int(self.count_target[i])
+        (label,), (density,) = self._labels(i, i + 1)
+        return ScanRow(
+            label=label,
+            density=density,
+            rows=int(self.row_sizes[i]),
+            cols=int(self.col_sizes[i]),
+            count_base=cb,
+            count_target=ct,
+            mass_base=Fraction(cb, s_base),
+            mass_target=Fraction(ct, s_target),
+            ratio=Fraction(ct * s_base, s_target * cb) if cb else None,
+            above_bar=bool(self._above[i]),
+            flagged=bool(self._flagged[i]),
+            slack=float(self._slack[i]),
+        )
 
 
-# Rectangles whose counts are taken in one matmul: the float64 copy of a
-# block's membership rows stays a few MB instead of the whole scan's.
-_ROW_BLOCK = 1024
+class _ScanRows(Sequence[ScanRow]):
+    """A report's rectangles as `ScanRow`s, each built when it is read."""
+
+    __slots__ = ("_report",)
+
+    def __init__(self, report: ScanReport) -> None:
+        self._report = report
+
+    def __len__(self) -> int:
+        return len(self._report.count_base)
+
+    def __getitem__(self, i: int | slice):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        return self._report._row(range(len(self))[i])
 
 
 def sampling_lemma_scan(p: MuParams, target_k: int, cfg: ScanConfig | None = None) -> ScanReport:
@@ -105,7 +211,8 @@ def sampling_lemma_scan(p: MuParams, target_k: int, cfg: ScanConfig | None = Non
     `p` fixes the base distribution and must have meet zero; `target_k` picks
     the comparison meet.  Small string sets are swept exhaustively, larger
     ones sampled with seeded density-cycled membership draws, and the full
-    rectangle always leads the report as an anchor row.
+    rectangle always leads the report as an anchor row.  Rectangles are
+    drawn and counted one block at a time.
     """
     cfg = ScanConfig() if cfg is None else cfg
     if p.k != 0:
@@ -126,82 +233,66 @@ def sampling_lemma_scan(p: MuParams, target_k: int, cfg: ScanConfig | None = Non
     e_base = (meets == 0).astype(np.float64)
     e_target = (meets == target_k).astype(np.float64)
 
-    labels = ["full"]
-    densities = ["full"]
     if EXHAUSTIVE_SCAN_STEPS.fits(1 << (2 * count)):
         mode = MODE_EXHAUSTIVE
         subsets = (1 << count) - 1
+        scanned = subsets * subsets
         # Row s - 1 marks the strings in the nonempty string set s.
         members = np.arange(1, 1 << count)[:, None] >> np.arange(count) & 1 == 1
-        ra = np.ones((1 + subsets * subsets, count), dtype=bool)
-        cb = np.ones_like(ra)
-        ra[1:] = np.repeat(members, subsets, axis=0)
-        cb[1:] = np.tile(members, (subsets, 1))
-        labels += [f"exh-{smask}-{cmask}" for smask in range(1, 1 << count) for cmask in range(1, 1 << count)]
-        densities += ["exhaustive"] * (subsets * subsets)
+
+        def draw(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+            picks = np.arange(start, stop)
+            return members[picks // subsets], members[picks % subsets]
+
     else:
         mode = MODE_SAMPLED
-        ra = np.ones((1 + cfg.samples, count), dtype=bool)
-        cb = np.ones_like(ra)
+        scanned = cfg.samples
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
-        for i in range(cfg.samples):
-            d = cfg.densities[i % len(cfg.densities)]
-            ra[1 + i] = rng.random(count) < d
-            cb[1 + i] = rng.random(count) < d
-            labels.append(f"sample-{i:05d}")
-            densities.append(repr(d))
+        cycle = np.array(cfg.densities)
 
-    counts_base = np.empty(len(ra))
-    counts_target = np.empty(len(ra))
-    for start in range(0, len(ra), _ROW_BLOCK):
-        block = slice(start, start + _ROW_BLOCK)
-        counts_base[block] = ((ra[block] @ e_base) * cb[block]).sum(axis=1)
-        counts_target[block] = ((ra[block] @ e_target) * cb[block]).sum(axis=1)
-    n_rows = ra.sum(axis=1)
-    n_cols = cb.sum(axis=1)
+        def draw(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+            # Sample i draws its row strings, then its column strings, at
+            # density i mod len(cycle): one stream, however it is blocked.
+            density = cycle[np.arange(start, stop) % len(cycle)]
+            picks = rng.random((stop - start, 2, count)) < density[:, None, None]
+            return picks[:, 0], picks[:, 1]
 
-    bar = 2.0 ** (-cfg.gamma * p.n)
-    relief = 2.0 ** (-cfg.delta * p.n)
-    two_thirds = Fraction(2, 3)
-    rows: list[ScanRow] = []
-    for idx, label in enumerate(labels):
-        cb_count = int(counts_base[idx])
-        ct_count = int(counts_target[idx])
-        mass_base = Fraction(cb_count, p.support_size)
-        mass_target = Fraction(ct_count, target.support_size)
-        ratio = mass_target / mass_base if cb_count else None
-        above = mass_base >= bar
-        flagged = above and ratio is not None and ratio < two_thirds
-        slack = float(mass_target) - (2.0 / 3.0) * float(mass_base) + relief
-        rows.append(
-            ScanRow(
-                label=label,
-                density=densities[idx],
-                rows=int(n_rows[idx]),
-                cols=int(n_cols[idx]),
-                count_base=cb_count,
-                count_target=ct_count,
-                mass_base=mass_base,
-                mass_target=mass_target,
-                ratio=ratio,
-                above_bar=above,
-                flagged=flagged,
-                slack=slack,
-            )
-        )
+    row_sizes, col_sizes, count_base, count_target = np.empty((4, 1 + scanned), dtype=np.int64)
+
+    def fill(at: int, ra: np.ndarray, cb: np.ndarray) -> None:
+        out = slice(at, at + len(ra))
+        row_sizes[out] = ra.sum(axis=1)
+        col_sizes[out] = cb.sum(axis=1)
+        count_base[out] = ((ra @ e_base) * cb).sum(axis=1)
+        count_target[out] = ((ra @ e_target) * cb).sum(axis=1)
+
+    full = np.ones((1, count), dtype=bool)
+    fill(0, full, full)
+    for start in range(0, scanned, _ROW_BLOCK):
+        fill(1 + start, *draw(start, min(start + _ROW_BLOCK, scanned)))
+
     return ScanReport(
         params=p,
         target_k=target_k,
         config=cfg,
         mode=mode,
-        bar=bar,
-        relief=relief,
-        rows=tuple(rows),
+        bar=2.0 ** (-cfg.gamma * p.n),
+        relief=2.0 ** (-cfg.delta * p.n),
+        row_sizes=row_sizes,
+        col_sizes=col_sizes,
+        count_base=count_base,
+        count_target=count_target,
     )
 
 
+def _fraction_texts(num: np.ndarray, den: np.ndarray | int) -> list[str]:
+    """The text of each Fraction(num, den), reduced by one gcd array."""
+    g = np.gcd(num, den)
+    return [f"{a}/{b}" if b != 1 else str(a) for a, b in zip((num // g).tolist(), (den // g).tolist())]
+
+
 def scan_to_csv(report: ScanReport) -> str:
-    """Deterministic text form: summary comments, then one line per row."""
+    """Deterministic text form: summary comments, then one line per row, printed a block at a time."""
     p = report.params
     cfg = report.config
     lines = [
@@ -220,11 +311,31 @@ def scan_to_csv(report: ScanReport) -> str:
         "label,density,rows,cols,count_base,count_target,mass_base,mass_target,"
         "ratio,above_bar,flagged,slack"
     )
-    for row in report.rows:
-        ratio = "" if row.ratio is None else str(row.ratio)
-        lines.append(
-            f"{row.label},{row.density},{row.rows},{row.cols},"
-            f"{row.count_base},{row.count_target},{row.mass_base},{row.mass_target},"
-            f"{ratio},{int(row.above_bar)},{int(row.flagged)},{row.slack!r}"
-        )
-    return "\n".join(lines) + "\n"
+    chunks = ["\n".join(lines)]
+    s_base, s_target = report._support_sizes
+    total = len(report.count_base)
+    for start in range(0, total, _ROW_BLOCK):
+        block = slice(start, min(start + _ROW_BLOCK, total))
+        cb, ct = report.count_base[block], report.count_target[block]
+        labels, densities = report._labels(block.start, block.stop)
+        # A rectangle with no base pair has no ratio; its denominator is kept nonzero for the gcd.
+        ratios = _fraction_texts(ct * s_base, s_target * np.maximum(cb, 1))
+        chunks.append("\n".join(
+            f"{label},{density},{rows},{cols},{b},{t},{mass_base},{mass_target},"
+            f"{ratio if b else ''},{above:d},{flagged:d},{slack!r}"
+            for label, density, rows, cols, b, t, mass_base, mass_target, ratio, above, flagged, slack in zip(
+                labels,
+                densities,
+                report.row_sizes[block].tolist(),
+                report.col_sizes[block].tolist(),
+                cb.tolist(),
+                ct.tolist(),
+                _fraction_texts(cb, s_base),
+                _fraction_texts(ct, s_target),
+                ratios,
+                report._above[block].tolist(),
+                report._flagged[block].tolist(),
+                report._slack[block].tolist(),
+            )
+        ))
+    return "\n".join(chunks) + "\n"

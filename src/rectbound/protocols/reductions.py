@@ -84,7 +84,9 @@ def reduce_ndisj_to_search(
 
     When every call answers correctly the result is correct, so a base
     that succeeds with probability sigma on every input gives at least
-    sigma^(s+1).  Coins multiply: the mixture runs one independent base
+    sigma^(s+1).  When any call gives up (answers anything but an int mask),
+    the run still speaks the same transcript, reading that answer as 0, and
+    gives up too.  Coins multiply: the mixture runs one independent base
     draw per call.
     """
     task = TaskSpec(KIND_SEARCH_KFOLD, n, k)
@@ -101,9 +103,12 @@ def reduce_ndisj_to_search(
 
     def make_run(draws):
         def run_fn(x: int, y: int):
+            gave_up = False
             res = draws[0].run(x, y)
             bits, length = res.bits, res.length
-            live = res.output if isinstance(res.output, int) else 0
+            live = res.output
+            if not isinstance(live, int):
+                gave_up, live = True, 0
             # Block j's window is the interval of `size` positions from bit `lo`.
             windows = [(j * n, n) for j in range(k)]
             for t in range(1, s + 1):
@@ -111,7 +116,9 @@ def reduce_ndisj_to_search(
                 for lo, size in windows:
                     mask |= ((1 << ((size + 1) >> 1)) - 1) << lo  # the left half, ceiling split
                 res = draws[t].run(x & mask, y & mask)
-                answers = res.output if isinstance(res.output, int) else 0
+                answers = res.output
+                if not isinstance(answers, int):
+                    gave_up, answers = True, 0
                 bits |= (res.bits | (answers & ((1 << k) - 1)) << res.length) << length
                 length += res.length + k
                 for j, (lo, size) in enumerate(windows):
@@ -125,7 +132,7 @@ def reduce_ndisj_to_search(
             for j, (lo, sent) in enumerate(dumps):
                 found, bits, length = name_lowest(sent & (y >> lo), bits, length, idx_width)
                 out.append(lo - j * n + found if found and (live >> j) & 1 else 0)
-            return tuple(out), bits, length
+            return None if gave_up else tuple(out), bits, length
 
         return run_fn
 

@@ -51,6 +51,7 @@ def _reference_halving(draws, n: int, k: int, s: int, wsize: int):
         transcript: list[int] = []
         res = draws[0].run(x, y)
         transcript.extend(res.transcript)
+        outputs = [res.output]
         live = res.output if isinstance(res.output, int) else 0
         windows = [list(range(n)) for _ in range(k)]
         for t in range(1, s + 1):
@@ -60,6 +61,7 @@ def _reference_halving(draws, n: int, k: int, s: int, wsize: int):
                 for pos in left:
                     mask |= 1 << (j * n + pos)
             res = draws[t].run(x & mask, y & mask)
+            outputs.append(res.output)
             answers = res.output if isinstance(res.output, int) else 0
             transcript.extend(res.transcript)
             for j in range(k):
@@ -88,6 +90,9 @@ def _reference_halving(draws, n: int, k: int, s: int, wsize: int):
                 out.append(windows[j][idx] + 1)
             else:
                 out.append(0)
+        # A base that gives up on any call makes the whole run give up.
+        if not all(isinstance(o, int) for o in outputs):
+            return None, tuple(transcript)
         return tuple(out), tuple(transcript)
 
     return run_fn

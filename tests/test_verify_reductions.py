@@ -175,6 +175,16 @@ def test_halving_reduction_two_blocks():
     assert report.wrong == 0
 
 
+def test_halving_reduction_gives_up_when_its_base_gives_up():
+    # Read as the mask 0, "every block disjoint", a rejection would make the
+    # halving answer all-zero claims: wrong on 7 of the 16 inputs.
+    n, k, s = 2, 1, 1
+    refuser = ProgramProtocol(n * k, n * k, lambda x, y: (None, 0, 0), worst_cost=0, label="refuser")
+    reduced, _ = reduce_ndisj_to_search(refuser, n, k, s)
+    report = success_probability(reduced, TaskSpec("search-kfold", n, k))
+    assert (report.rejected, report.wrong) == (1, 0)
+
+
 def test_halving_reduction_guards():
     base = trivial_ndisj_kfold(2, 1)
     with pytest.raises(ParameterRangeError):
