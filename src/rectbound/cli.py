@@ -43,7 +43,7 @@ from .lp_bounds import (
     verify_dual_certificate,
 )
 from .lp_bounds.model import KIND_SMOOTH
-from .lp_bounds.scan import ScanConfig
+from .lp_bounds.scan import ScanConfig, exponent_scale
 from .lp_bounds.solve import ARITH_EXACT, ARITH_FLOAT, LPResult
 from .protocols import (
     MODE_EXACT,
@@ -309,6 +309,9 @@ def _check_samples(samples: int | None) -> None:
 
 def cmd_scan(args) -> tuple[str, int]:
     _check_samples(args.samples)
+    # A scale past the float range is refused by flag name before any work.
+    exponent_scale("--gamma", args.gamma, args.n)
+    exponent_scale("--delta", args.delta, args.n)
     m = args.n // 4 if args.m is None else args.m
     cfg = ScanConfig(
         gamma=args.gamma,

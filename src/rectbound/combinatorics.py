@@ -341,6 +341,11 @@ class IdentityReport:
         return self.max_abs_diff == 0
 
 
+# Support pairs per slice of the lifting check: its temporaries stay near a
+# few hundred kB while the per-slice numpy overhead stays small.
+_LEMMA4_BLOCK = 8192
+
+
 def check_lemma4(identity: str, p: MuParams) -> IdentityReport:
     """Verify one lifting identity over every left-side support pair.
 
@@ -349,8 +354,9 @@ def check_lemma4(identity: str, p: MuParams) -> IdentityReport:
     depend only on sizes, so any choice of shared coordinates is equivalent.
     Each side's value at a pair is its point mass or 0, so a pair's deviation
     is one of four Fractions, chosen by its two support-membership bits.
-    The pairs are checked all at once as two mask arrays, and only the
-    membership codes that occur are looked up.
+    The pairs are checked as slices of the support's two mask arrays,
+    `_LEMMA4_BLOCK` pairs at a time, so the temporaries stay small however
+    large the support; only the membership codes that occur are looked up.
     """
     sides = identity_sides(identity, p)
     lhs, rhs = sides.lhs, sides.rhs
@@ -364,10 +370,15 @@ def check_lemma4(identity: str, p: MuParams) -> IdentityReport:
     # Indexed by the membership code 2 * (on the left) + (on the right).
     deviation = (Fraction(0), rhs_mass, lhs_mass, abs(lhs_mass - rhs_mass))
     support = enumerate_support(lhs)
-    x, y = support.x, support.y
-    shared = x & y
-    on_right = rhs.contains(_delete_lowest(x, shared, sides.removed), _delete_lowest(y, shared, sides.removed))
-    codes = np.unique(2 * lhs.contains(x, y) + on_right).tolist()
+    seen = np.zeros(len(deviation), dtype=np.int64)
+    for start in range(0, len(support), _LEMMA4_BLOCK):
+        x = support.x[start : start + _LEMMA4_BLOCK]
+        y = support.y[start : start + _LEMMA4_BLOCK]
+        shared = x & y
+        removed_x = _delete_lowest(x, shared, sides.removed)
+        removed_y = _delete_lowest(y, shared, sides.removed)
+        code = 2 * lhs.contains(x, y) + rhs.contains(removed_x, removed_y)
+        seen += np.bincount(code, minlength=len(deviation))
     return IdentityReport(
         identity=identity,
         params=p,
@@ -375,7 +386,7 @@ def check_lemma4(identity: str, p: MuParams) -> IdentityReport:
         rhs_params=rhs,
         factor=sides.factor,
         pairs_checked=len(support),
-        max_abs_diff=max(deviation[code] for code in codes),
+        max_abs_diff=max(deviation[code] for code in np.flatnonzero(seen).tolist()),
     )
 
 

@@ -205,6 +205,23 @@ class _ScanRows(Sequence[ScanRow]):
         return self._report._row(range(len(self))[i])
 
 
+def exponent_scale(name: str, exponent: float, n: int) -> float:
+    """2^(-exponent n), the bar for gamma and the relief for delta.
+
+    A negative exponent raises the scale past 1; one that takes it past the
+    float range is refused by `name` before any rectangle is drawn.
+    """
+    try:
+        scale = 2.0 ** (-exponent * n)
+    except OverflowError:
+        scale = math.inf
+    if math.isinf(scale):
+        raise ParameterRangeError(
+            f"{name} {exponent!r} is out of range at n={n}: 2 ** {-exponent * n!r} overflows a float"
+        )
+    return scale
+
+
 def sampling_lemma_scan(p: MuParams, target_k: int, cfg: ScanConfig | None = None) -> ScanReport:
     """Scan rectangles over the size-m strings, comparing two meet classes.
 
@@ -224,6 +241,8 @@ def sampling_lemma_scan(p: MuParams, target_k: int, cfg: ScanConfig | None = Non
         raise ParameterRangeError(f"target meet must be at least 1, got {target_k}")
     target = MuParams(target_k, p.n, p.m)
     target.validate()
+    bar = exponent_scale("gamma", cfg.gamma, p.n)
+    relief = exponent_scale("delta", cfg.delta, p.n)
 
     count = binom(p.n, p.m)
     SCAN_STRINGS.check(count, "strings per side")
@@ -276,8 +295,8 @@ def sampling_lemma_scan(p: MuParams, target_k: int, cfg: ScanConfig | None = Non
         target_k=target_k,
         config=cfg,
         mode=mode,
-        bar=2.0 ** (-cfg.gamma * p.n),
-        relief=2.0 ** (-cfg.delta * p.n),
+        bar=bar,
+        relief=relief,
         row_sizes=row_sizes,
         col_sizes=col_sizes,
         count_base=count_base,

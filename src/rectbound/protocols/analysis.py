@@ -74,6 +74,23 @@ def _wilson(successes: int, trials: int) -> tuple[float, float]:
     return max(0.0, (center - spread) / denom), min(1.0, (center + spread) / denom)
 
 
+def _exact_tuple(output) -> bool:
+    """The output is a tuple whose entries are each None or an exact int.
+
+    Such tuples, exact ints and None are the outputs whose value alone fixes
+    their verdict, so equal ones may share one judgement.  Any other output,
+    a bool, a float, a list or a nested tuple, is judged afresh: `1 == 1.0 ==
+    True` hash alike, yet `classify` judges `1.0` and `(1.0, 0)` WRONG where
+    `1` and `(1, 0)` may be CORRECT.
+    """
+    if type(output) is not tuple:
+        return False
+    for entry in output:
+        if entry is not None and type(entry) is not int:
+            return False
+    return True
+
+
 def success_probability(
     proto: AnyProtocol,
     task: TaskSpec,
@@ -90,7 +107,8 @@ def success_probability(
     that a uniform input is answered correctly on every branch.  The same
     runs record each input's transcript lengths for `cost_profile`.  Branch
     probabilities are summed as integers over their lcm denominator, and
-    Fractions are built once, for the report.
+    Fractions are built once, for the report.  An output whose value fixes
+    its verdict is judged once per (x & y, output) in a pass.
     """
     rand = as_randomized(proto)
     check_width(task, rand)
@@ -103,40 +121,53 @@ def success_probability(
 
     denom = lcm(*(prob.denominator for prob, _ in rand.branches))
     weighted = [(prob.numerator * (denom // prob.denominator), det) for prob, det in rand.branches]
-    worst, worst_input = None, pairs[0]
-    total = total_reject = total_wrong = 0
-    perfect = 0
+    # classify reads (x, y) only through x & y, so an output whose value
+    # fixes its verdict is judged once per (x & y, output) in this pass.
+    judged: dict[tuple[int, object], Verdict] = {}
+    correct, reject = Verdict.CORRECT, Verdict.REJECT
+    # Every run's length is in [0, worst_cost], which `run` checks.
+    most = rand.worst_cost
+    # p_ok never exceeds denom, so the first input sets the worst.
+    worst, worst_input = denom + 1, None
+    total = total_reject = perfect = 0
     shortest, longest = array("I"), array("I")
     for x, y in pairs:
-        p_ok = p_reject = p_wrong = 0
-        costs = []
+        p_ok = p_reject = 0
+        low, high = most, 0
         for weight, det in weighted:
-            run = det.run(x, y)
-            costs.append(run.length)
-            verdict = classify(task, x, y, run.output)
-            if verdict is Verdict.CORRECT:
-                p_ok += weight
-            elif verdict is Verdict.REJECT:
-                p_reject += weight
+            output, _, length = det.run(x, y)
+            if length < low:
+                low = length
+            if length > high:
+                high = length
+            if type(output) is int or output is None or _exact_tuple(output):
+                key = (x & y, output)
+                verdict = judged.get(key)
+                if verdict is None:
+                    verdict = judged[key] = classify(task, x, y, output)
             else:
-                p_wrong += weight
-        if worst is None or p_ok < worst:
-            worst = p_ok
-            worst_input = (x, y)
+                verdict = classify(task, x, y, output)
+            if verdict is correct:
+                p_ok += weight
+            elif verdict is reject:
+                p_reject += weight
+        if p_ok < worst:
+            worst, worst_input = p_ok, (x, y)
         total += p_ok
         total_reject += p_reject
-        total_wrong += p_wrong
         if p_ok == denom:
             perfect += 1
-        shortest.append(min(costs))
-        longest.append(max(costs))
+        shortest.append(low)
+        longest.append(high)
     count = len(pairs)
     return SuccessReport(
         mode=MODE_MONTE_CARLO if sampled else MODE_EXACT,
         worst=Fraction(worst, denom),
         average=Fraction(total, denom * count),
         rejected=Fraction(total_reject, denom * count),
-        wrong=Fraction(total_wrong, denom * count),
+        # The weights of one input's branches sum to denom: what is neither
+        # correct nor rejected is wrong.
+        wrong=Fraction(denom * count - total - total_reject, denom * count),
         inputs_checked=count,
         worst_input=worst_input,
         shortest=shortest,

@@ -134,7 +134,12 @@ def marks(task: TaskSpec, held: int, claim) -> int:
 
 
 def classify(task: TaskSpec, x: int, y: int, output) -> Verdict:
-    """Judge one output for one input."""
+    """Judge one output for one input.
+
+    The verdict reads the input only through `x & y`: which blocks meet and
+    which coordinates both sides mark.  So equal outputs on inputs with the
+    same meet get the same verdict, which `success_probability` relies on.
+    """
     if output is None:
         return Verdict.REJECT
     if task.kind == KIND_NDISJ_KFOLD:

@@ -408,6 +408,8 @@ def _saved_certificate(phi) -> bytes:
         pytest.param("scan --n 8 --seed 1 --samples 0", {}, {}, id="scan-samples-0"),
         pytest.param("scan --n 8 --seed 1 --samples -3", {}, {}, id="scan-samples-neg"),
         pytest.param("scan --n 4 --m 1 --seed 1 --samples 0", {}, {}, id="scan-samples-0-exhaustive"),
+        pytest.param("scan --n 8 --samples 5 --seed 1 --gamma -200", {}, {}, id="scan-gamma-overflow"),
+        pytest.param("scan --n 8 --samples 5 --seed 1 --delta -200", {}, {}, id="scan-delta-overflow"),
         pytest.param(f"{_SEARCH_CERT} --tol -1", {}, {}, id="tol-negative"),
         pytest.param(f"{_SEARCH_CERT} --eps 1/4 --save {{tmp}}/cert.json", {}, {}, id="eps-save"),
         pytest.param(f"{_SMOOTH_CERT} --eps 2 --save {{tmp}}/cert.json", {}, {}, id="eps-past-one-half"),
@@ -486,8 +488,10 @@ def test_protocol_samples_below_one_names_the_flag(capsys, command):
         ("scan --n 8 --seed 1 --samples 0", "--samples must be at least 1"),
         ("scan --n 8 --seed 1 --samples -3", "--samples must be at least 1"),
         (f"{_SEARCH_CERT} --tol -1", "--tol must be nonnegative"),
+        ("scan --n 8 --samples 5 --seed 1 --gamma -200", "--gamma -200.0 is out of range at n=8"),
+        ("scan --n 8 --samples 5 --seed 1 --delta -200", "--delta -200.0 is out of range at n=8"),
     ],
-    ids=["scan-samples-0", "scan-samples-neg", "certify-tol-neg"],
+    ids=["scan-samples-0", "scan-samples-neg", "certify-tol-neg", "scan-gamma-overflow", "scan-delta-overflow"],
 )
 def test_scan_samples_and_certify_tol_refusals_name_the_flag(capsys, monkeypatch, command, message):
     import rectbound.cli

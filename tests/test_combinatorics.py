@@ -1,7 +1,7 @@
 """Distribution layer: point masses, supports, lifting identities."""
 
 import hashlib
-from dataclasses import replace
+from dataclasses import astuple, replace
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -460,6 +460,51 @@ def test_check_lemma4_matches_the_per_pair_loop_on_tampered_sides(monkeypatch):
     for check in (check_lemma4, _reference_check):
         with pytest.raises(DimensionMismatchError):
             check("III", MuParams(1, 4, 2))
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_check_lemma4_in_small_blocks_matches_the_per_pair_loop(monkeypatch, block):
+    # Many slices and a short last one; a deviation seen in any slice counts.
+    monkeypatch.setattr(combinatorics, "_LEMMA4_BLOCK", block)
+    real = combinatorics.identity_sides
+
+    def doubled(name, p):
+        return replace(real(name, p), factor=2 * real(name, p).factor)
+
+    for sides in (real, doubled):
+        monkeypatch.setattr(combinatorics, "identity_sides", sides)
+        for name, p in [(name, p) for p in (MuParams(1, 4, 2), MuParams(2, 7, 3)) for name in LIFTING_IDENTITIES] + [
+            ("I", MuParams(1, 69, 1)),
+            ("III", MuParams(1, 70, 1)),
+        ]:
+            rep = check_lemma4(name, p)
+            assert rep.holds == (sides is real)
+            assert _report_pair(rep) == _reference_check(name, p), (sides.__name__, name, p)
+
+    # A pair outside the right universe is refused from whichever slice holds it.
+    monkeypatch.setattr(combinatorics, "identity_sides", lambda name, p: replace(real(name, p), removed=0))
+    with pytest.raises(DimensionMismatchError):
+        check_lemma4("III", MuParams(1, 6, 3))
+
+
+@pytest.mark.parametrize("block", [1, 7, 10**6])
+def test_check_lemma4_counts_a_deviation_seen_only_in_the_first_slice(monkeypatch, block):
+    monkeypatch.setattr(combinatorics, "_LEMMA4_BLOCK", block)
+    real = combinatorics.identity_sides
+    sides = real("I", MuParams(1, 4, 2))
+    first_x = enumerate_support(sides.lhs).x[0]
+
+    class OffAtFirstX(MuParams):
+        """The left side, except that the pairs of its first x, the first 6 of 60, are off."""
+
+        def contains(self, x, y):
+            return super().contains(x, y) & (x != first_x)
+
+    lhs = OffAtFirstX(*astuple(sides.lhs))
+    monkeypatch.setattr(combinatorics, "identity_sides", lambda name, p: replace(sides, lhs=lhs))
+    rep = check_lemma4("I", MuParams(1, 4, 2))
+    assert rep.pairs_checked == 60
+    assert rep.max_abs_diff == sides.factor / sides.rhs.support_size
 
 
 # SHA-256 of the benchmark's lifting-sweep job output: the JSON records

@@ -1,5 +1,6 @@
 """Protocol mechanics: programs, mixtures, tasks, and measurement."""
 
+from array import array
 from fractions import Fraction
 from random import Random
 
@@ -276,37 +277,49 @@ def _disagreeing_mixture(task):
     )
 
 
-def _fraction_reference(mix, task, pairs):
-    """The success figures by a plain Fraction loop, and the count of inputs right on every branch."""
+def _reference_report(mix, task, pairs, sampled=False):
+    """The report of a plain per-input loop in Fractions, every output judged by classify
+    afresh, and the count of inputs right on every branch."""
     worst = worst_input = None
     total = {verdict: F(0) for verdict in Verdict}
     perfect = 0
+    shortest, longest = array("I"), array("I")
     for x, y in pairs:
         mass = {verdict: F(0) for verdict in Verdict}
+        lengths = []
         for prob, det in mix.branches:
-            mass[classify(task, x, y, det.run(x, y).output)] += prob
+            run = det.run(x, y)
+            mass[classify(task, x, y, run.output)] += prob
+            lengths.append(run.length)
         if worst is None or mass[Verdict.CORRECT] < worst:
             worst, worst_input = mass[Verdict.CORRECT], (x, y)
         for verdict in Verdict:
             total[verdict] += mass[verdict]
         perfect += mass[Verdict.CORRECT] == 1
+        shortest.append(min(lengths))
+        longest.append(max(lengths))
     count = len(pairs)
-    return {
-        "worst": worst,
-        "worst_input": worst_input,
-        "average": total[Verdict.CORRECT] / count,
-        "rejected": total[Verdict.REJECT] / count,
-        "wrong": total[Verdict.WRONG] / count,
-    }, perfect
+    report = analysis.SuccessReport(
+        mode="monte-carlo-ci" if sampled else "exact-rational",
+        worst=worst,
+        average=total[Verdict.CORRECT] / count,
+        rejected=total[Verdict.REJECT] / count,
+        wrong=total[Verdict.WRONG] / count,
+        inputs_checked=count,
+        worst_input=worst_input,
+        shortest=shortest,
+        longest=longest,
+        wilson=analysis._wilson(perfect, count) if sampled else None,
+    )
+    return report, perfect
 
 
 def test_success_probability_integer_sums_match_a_fraction_loop():
     task = TaskSpec("ndisj-kfold", 3, 1)
     mix = _disagreeing_mixture(task)
     report = success_probability(mix, task)
-    want, _ = _fraction_reference(mix, task, [(x, y) for x in range(8) for y in range(8)])
-    got = {name: getattr(report, name) for name in want}
-    assert got == want
+    want, _ = _reference_report(mix, task, [(x, y) for x in range(8) for y in range(8)])
+    assert report == want
     # The branches disagree: the figures are neither all 0 nor all 1.
     assert report.worst < report.average < 1 and report.rejected > 0 and report.wrong > 0
     assert report.worst_input != (0, 0)
@@ -319,10 +332,41 @@ def test_success_probability_sampled_integer_sums_and_perfect_count_match_a_frac
     report = success_probability(mix, task, samples=300, seed=4)
     pairs, sampled = measured_inputs(task, 300, 4)
     assert sampled and report.mode == "monte-carlo-ci"
-    want, perfect = _fraction_reference(mix, task, pairs)
-    assert {name: getattr(report, name) for name in want} == want
+    want, perfect = _reference_report(mix, task, pairs, sampled)
+    assert report == want
     assert 0 < perfect < len(pairs)
     assert report.wilson == analysis._wilson(perfect, len(pairs))
+
+
+# 1 == True == 1.0 and (1, 0) == (True, 0) == (1.0, 0), each group hashing
+# alike, yet classify judges 1.0 and (1.0, 0) WRONG wherever 1 and (1, 0)
+# are right; the list is unhashable.
+_LOOKALIKE_OUTPUTS = (1, True, 1.0, (1, 0), (1.0, 0), (True, 0), [1], None)
+
+
+def _lookalike_mixture(width):
+    """Eight branches, weights 1/36 to 8/36; on every input each branch gives one of
+    the look-alike outputs, all eight once, after 0 to 2 bits."""
+
+    def branch(i):
+        return lambda x, y: (_LOOKALIKE_OUTPUTS[(i + x + y) % 8], 0, i % 3)
+
+    return RandomizedProtocol(
+        tuple((F(i + 1, 36), ProgramProtocol(width, width, branch(i), worst_cost=2)) for i in range(8))
+    )
+
+
+@pytest.mark.parametrize("kind", ["ndisj-kfold", "search-kfold"])
+@pytest.mark.parametrize("n, samples", [(2, None), (6, 300)], ids=["exact", "sampled"])
+def test_success_probability_matches_judging_every_output_afresh(kind, n, samples):
+    task = TaskSpec(kind, n, 2)
+    mix = _lookalike_mixture(task.input_bits)
+    report = success_probability(mix, task, samples=samples, seed=5)
+    pairs, sampled = measured_inputs(task, samples, 5)
+    assert sampled == (samples is not None)
+    want, _ = _reference_report(mix, task, pairs, sampled)
+    assert report == want
+    assert 0 < want.average < 1 and 0 < want.rejected < 1 and want.wrong > 0
 
 
 def test_success_probability_sampling_contract():

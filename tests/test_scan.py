@@ -104,6 +104,17 @@ def test_scan_parameter_guards():
         sampling_lemma_scan(MuParams(0, 16, 8), 1)  # 12870 strings per side
 
 
+def test_scan_refuses_a_bar_or_relief_past_the_float_range():
+    # 2.0 ** 1600 overflows; the refusal names the exponent.
+    for name in ("gamma", "delta"):
+        with pytest.raises(ParameterRangeError, match=f"^{name} -200.0 is out of range at n=8"):
+            sampling_lemma_scan(MuParams(0, 8, 2), 1, ScanConfig(samples=5, **{name: -200.0}))
+    with pytest.raises(ParameterRangeError, match=r"2 \*\* inf"):
+        sampling_lemma_scan(MuParams(0, 8, 2), 1, ScanConfig(samples=5, gamma=-1e308))
+    # A huge positive exponent only drops the scale to 0.
+    assert sampling_lemma_scan(MuParams(0, 4, 1), 1, ScanConfig(gamma=1e308)).bar == 0.0
+
+
 def test_zero_samples_leaves_only_the_anchor():
     report = sampling_lemma_scan(MuParams(0, 8, 2), 1, ScanConfig(samples=0))
     assert report.mode == "sampled"

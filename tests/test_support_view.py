@@ -76,3 +76,16 @@ def test_check_lemma4_peak_memory_stays_small():
         tracemalloc.stop()
     assert report.pairs_checked == 92_400 and report.holds
     assert peak < 10**7, f"check_lemma4 peaked at {peak / 1e6:.1f} MB"
+
+
+def test_check_lemma4_reads_its_support_in_bounded_slices():
+    # The same 92,400 pairs in slices of 8,192: the two mask arrays (1.5 MB)
+    # plus one slice's temporaries.  Whole-array temporaries reach about 7.4 MB.
+    tracemalloc.start()
+    try:
+        report = check_lemma4("II", MuParams(3, 8, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.pairs_checked == 92_400 and report.holds
+    assert peak < 3.5e6, f"check_lemma4 peaked at {peak / 1e6:.2f} MB"
