@@ -357,4 +357,6 @@ def scan_to_csv(report: ScanReport) -> str:
                 report._slack[block].tolist(),
             )
         ))
-    return "\n".join(chunks) + "\n"
+    # The empty last chunk ends the text with a newline in the one join.
+    chunks.append("")
+    return "\n".join(chunks)

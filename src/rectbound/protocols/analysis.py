@@ -30,7 +30,7 @@ from .core import (
     as_randomized,
     unpack_transcript,
 )
-from .tasks import TaskSpec, Verdict, check_width, classify, measured_inputs
+from .tasks import TaskSpec, Verdict, _measured_stream, check_width, classify
 
 MODE_EXACT = "exact-rational"
 MODE_MONTE_CARLO = "monte-carlo-ci"
@@ -91,6 +91,14 @@ def _exact_tuple(output) -> bool:
     return True
 
 
+def _same_output(a, b) -> bool:
+    """Equal outputs that `classify` cannot tell apart: equal, of one type,
+    and for tuples of one type entry by entry (`_exact_tuple`'s reason)."""
+    if type(a) is not type(b) or a != b:
+        return False
+    return type(a) is not tuple or all(_same_output(p, q) for p, q in zip(a, b))
+
+
 def success_probability(
     proto: AnyProtocol,
     task: TaskSpec,
@@ -108,16 +116,16 @@ def success_probability(
     runs record each input's transcript lengths for `cost_profile`.  Branch
     probabilities are summed as integers over their lcm denominator, and
     Fractions are built once, for the report.  An output whose value fixes
-    its verdict is judged once per (x & y, output) in a pass.
+    its verdict is judged once per (x & y, output) in a pass.  The inputs
+    are read once, in order, as a stream: only the length arrays grow with
+    them.
     """
     rand = as_randomized(proto)
     check_width(task, rand)
     if inputs is not None:
-        pairs, sampled = list(inputs), False
+        pairs, sampled = inputs, False
     else:
-        pairs, sampled = measured_inputs(task, samples, seed)
-    if not pairs:
-        raise ParameterRangeError("no inputs to evaluate")
+        pairs, sampled = _measured_stream(task, samples, seed)
 
     denom = lcm(*(prob.denominator for prob, _ in rand.branches))
     weighted = [(prob.numerator * (denom // prob.denominator), det) for prob, det in rand.branches]
@@ -159,7 +167,9 @@ def success_probability(
             perfect += 1
         shortest.append(low)
         longest.append(high)
-    count = len(pairs)
+    count = len(longest)
+    if not count:
+        raise ParameterRangeError("no inputs to evaluate")
     return SuccessReport(
         mode=MODE_MONTE_CARLO if sampled else MODE_EXACT,
         worst=Fraction(worst, denom),
@@ -207,7 +217,8 @@ def leaf_rectangle_check(proto: ProgramProtocol) -> LeafReport:
 
     Every input pair runs through `proto.run`, so the transcript contract is
     checked as in any other run.
-    `partition_ok` holds when each group is a product rectangle with one output.
+    `partition_ok` holds when each group is a product rectangle with one
+    output: equal outputs of different types, such as `1` and `1.0`, are two.
     """
     if not isinstance(proto, ProgramProtocol):
         raise ParameterRangeError(
@@ -222,7 +233,7 @@ def leaf_rectangle_check(proto: ProgramProtocol) -> LeafReport:
             g = groups.setdefault(
                 (res.bits, res.length), {"output": res.output, "xs": 0, "ys": 0, "pairs": 0}
             )
-            if g["output"] != res.output:
+            if not _same_output(g["output"], res.output):
                 consistent = False
             g["xs"] |= 1 << x
             g["ys"] |= 1 << y

@@ -44,6 +44,10 @@ class RunResult(NamedTuple):
         return unpack_transcript(self.bits, self.length)
 
 
+# The tuple constructor, without NamedTuple's Python-level __new__.
+_new_result = tuple.__new__
+
+
 def _check_input(n_alice: int, n_bob: int, x: int, y: int) -> None:
     if not 0 <= x < (1 << n_alice):
         raise ParameterRangeError(f"x={x} is not a {n_alice}-bit input")
@@ -70,17 +74,20 @@ class ProgramProtocol:
     label: str = ""
 
     def run(self, x: int, y: int) -> RunResult:
-        _check_input(self.n_alice, self.n_bob, x, y)
+        # A negative mask shifted right stays negative, so one shift per side
+        # tests the whole range; the messages are built only on failure.
+        if x >> self.n_alice or y >> self.n_bob:
+            _check_input(self.n_alice, self.n_bob, x, y)
         output, bits, length = self.run_fn(x, y)
+        if not 0 <= length <= self.worst_cost or bits >> length:
+            raise self._broken_contract(bits, length)
+        return _new_result(RunResult, (output, bits, length))
+
+    def _broken_contract(self, bits: int, length: int) -> ProtocolContractError:
+        name = self.label or "program"
         if length < 0 or bits < 0 or bits >> length:
-            raise ProtocolContractError(
-                f"{self.label or 'program'} returned bits {bits} outside its length {length}"
-            )
-        if length > self.worst_cost:
-            raise ProtocolContractError(
-                f"{self.label or 'program'} used {length} bits, declared at most {self.worst_cost}"
-            )
-        return RunResult(output, bits, length)
+            return ProtocolContractError(f"{name} returned bits {bits} outside its length {length}")
+        return ProtocolContractError(f"{name} used {length} bits, declared at most {self.worst_cost}")
 
 
 @dataclass(frozen=True)

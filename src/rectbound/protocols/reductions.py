@@ -101,26 +101,27 @@ def reduce_ndisj_to_search(
         len(rand.branches) ** (s + 1), f"coin branches ({len(rand.branches)}^{s + 1})"
     )
 
+    answer_mask = (1 << k) - 1
+
     def make_run(draws):
+        first, rounds = draws[0], draws[1:]
+
         def run_fn(x: int, y: int):
-            gave_up = False
-            res = draws[0].run(x, y)
-            bits, length = res.bits, res.length
-            live = res.output
-            if not isinstance(live, int):
-                gave_up, live = True, 0
+            live, bits, length = first.run(x, y)
+            gave_up = not isinstance(live, int)
+            if gave_up:
+                live = 0
             # Block j's window is the interval of `size` positions from bit `lo`.
             windows = [(j * n, n) for j in range(k)]
-            for t in range(1, s + 1):
+            for det in rounds:
                 mask = 0
                 for lo, size in windows:
                     mask |= ((1 << ((size + 1) >> 1)) - 1) << lo  # the left half, ceiling split
-                res = draws[t].run(x & mask, y & mask)
-                answers = res.output
+                answers, sub_bits, sub_length = det.run(x & mask, y & mask)
                 if not isinstance(answers, int):
                     gave_up, answers = True, 0
-                bits |= (res.bits | (answers & ((1 << k) - 1)) << res.length) << length
-                length += res.length + k
+                bits |= (sub_bits | (answers & answer_mask) << sub_length) << length
+                length += sub_length + k
                 for j, (lo, size) in enumerate(windows):
                     half = (size + 1) >> 1
                     windows[j] = (lo, half) if (answers >> j) & 1 else (lo + half, size - half)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from random import Random
 from typing import Iterator
 
@@ -67,6 +68,11 @@ class TaskSpec:
     def input_bits(self) -> int:
         return self.n * self.k
 
+    @cached_property
+    def _block_masks(self) -> tuple[int, ...]:
+        """The packed mask of each block, block 0 first."""
+        return tuple(((1 << self.n) - 1) << (j * self.n) for j in range(self.k))
+
     def describe(self) -> str:
         if self.kind == KIND_SEARCH_CHOOSE:
             return f"{self.kind}(n={self.n}, k={self.k}, choose={self.choose})"
@@ -80,10 +86,12 @@ def block(mask: int, j: int, n: int) -> int:
 
 def ndisj_truth(task: TaskSpec, x: int, y: int) -> int:
     """k-bit mask, bit j set iff block j of x and y intersect."""
-    out = 0
     meet = x & y
-    for j in range(task.k):
-        if block(meet, j, task.n):
+    if not meet:
+        return 0
+    out = 0
+    for j, mask in enumerate(task._block_masks):
+        if meet & mask:
             out |= 1 << j
     return out
 
@@ -122,15 +130,20 @@ def claims(task: TaskSpec, output) -> list:
     return [None if entry is None or entry == 0 else (j, entry) for j, entry in enumerate(output)]
 
 
+def _position(task: TaskSpec, claim) -> int:
+    """The packed bit position a (block, 1-based coordinate) claim names, -1 for anything else."""
+    if isinstance(claim, tuple) and len(claim) == 2:
+        j, c = claim
+        if isinstance(j, int) and isinstance(c, int) and 0 <= j < task.k and 1 <= c <= task.n:
+            return j * task.n + c - 1
+    return -1
+
+
 def marks(task: TaskSpec, held: int, claim) -> int:
     """1 when `held` contains the coordinate a (block, 1-based coordinate) claim
     names, 0 for anything else; a claim is genuine when marks(task, x & y, claim)."""
-    if not isinstance(claim, tuple) or len(claim) != 2:
-        return 0
-    j, c = claim
-    if isinstance(j, int) and isinstance(c, int) and 0 <= j < task.k and 1 <= c <= task.n:
-        return (held >> (j * task.n + c - 1)) & 1
-    return 0
+    pos = _position(task, claim)
+    return (held >> pos) & 1 if pos >= 0 else 0
 
 
 def classify(task: TaskSpec, x: int, y: int, output) -> Verdict:
@@ -168,7 +181,7 @@ def classify(task: TaskSpec, x: int, y: int, output) -> Verdict:
 
 
 def enumerate_inputs(task: TaskSpec) -> Iterator[tuple[int, int]]:
-    """Every (x, y), y fastest; refuses spaces past the exact-run cap.
+    """Every (x, y), y fastest; refuses spaces past the exact-run cap at the call.
 
     search-choose yields only its promise, the pairs where at least `choose`
     blocks intersect (outside it no output is correct), and is never sampled.
@@ -178,10 +191,31 @@ def enumerate_inputs(task: TaskSpec) -> Iterator[tuple[int, int]]:
     sampling = "past it, only a seeded sample is measured (samples= and seed=, --samples and --seed)"
     hint = "search-choose is measured on its promise, never sampled" if choose else sampling
     EXACT_PROTOCOL_INPUTS.check(side * side, "input pairs", hint)
+    return _pairs(task, side, choose)
+
+
+def _pairs(task: TaskSpec, side: int, choose: int) -> Iterator[tuple[int, int]]:
     for x in range(side):
         for y in range(side):
             if not choose or intersecting_blocks(task, x, y) >= choose:
                 yield x, y
+
+
+def _draws(side: int, samples: int, seed: int) -> Iterator[tuple[int, int]]:
+    rng = Random(seed)
+    for _ in range(samples):
+        yield rng.randrange(side), rng.randrange(side)
+
+
+def _measured_stream(
+    task: TaskSpec, samples: int | None, seed: int | None
+) -> tuple[Iterator[tuple[int, int]], bool]:
+    """`measured_inputs` as a lazy stream; a refusal is raised here, before any pair."""
+    side = 1 << task.input_bits
+    exact = samples is None or seed is None or EXACT_PROTOCOL_INPUTS.fits(side * side)
+    if exact or task.kind == KIND_SEARCH_CHOOSE:
+        return enumerate_inputs(task), False
+    return _draws(side, samples, seed), True
 
 
 def measured_inputs(
@@ -194,9 +228,5 @@ def measured_inputs(
     Random(seed), so fewer samples with the same seed are a prefix of more;
     without both, the enumeration's refusal.
     """
-    side = 1 << task.input_bits
-    exact = samples is None or seed is None or EXACT_PROTOCOL_INPUTS.fits(side * side)
-    if exact or task.kind == KIND_SEARCH_CHOOSE:
-        return list(enumerate_inputs(task)), False
-    rng = Random(seed)
-    return [(rng.randrange(side), rng.randrange(side)) for _ in range(samples)], True
+    pairs, sampled = _measured_stream(task, samples, seed)
+    return list(pairs), sampled

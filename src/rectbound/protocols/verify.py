@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from ..errors import KindMismatchError, ParameterRangeError
 from .core import ProgramProtocol, RandomizedProtocol
-from .tasks import KIND_SEARCH_CHOOSE, KIND_SEARCH_KFOLD, TaskSpec, check_width, claims, marks
+from .tasks import KIND_SEARCH_CHOOSE, KIND_SEARCH_KFOLD, TaskSpec, _position, check_width, claims
 
 VERIFY_EXPLICIT = "explicit"
 VERIFY_TWO_BIT = "two_bit"
@@ -44,31 +44,41 @@ def make_verified(
             tuple((prob, make_verified(proto, task, mode)) for prob, proto in base.branches)
         )
     check_width(task, base)
+    explicit = mode == VERIFY_EXPLICIT
+    salvage = explicit and task.kind == KIND_SEARCH_KFOLD
     # A give-up's claims are every slot, all empty.
-    extra = 2 * len(claims(task, None)) + 2 if mode == VERIFY_EXPLICIT else 2
+    slots = len(claims(task, None))
+    passes = (1 << slots) - 1
+    extra = 2 * slots + 2 if explicit else 2
 
     def run_fn(x: int, y: int):
-        res = base.run(x, y)
-        bits, length = res.bits, res.length
-        slot_claims = claims(task, res.output)
-        alice_bits = [1 if claim is None else marks(task, x, claim) for claim in slot_claims]
-        bob_bits = [1 if claim is None else marks(task, y, claim) for claim in slot_claims]
-        if mode == VERIFY_EXPLICIT:
-            for bit in alice_bits + bob_bits:
-                bits |= bit << length
-                length += 1
-        a_ok = 1 if all(alice_bits) else 0
-        b_ok = 1 if all(bob_bits) else 0
+        output, bits, length = base.run(x, y)
+        # Bit i of each word is that side's membership bit for slot i; an
+        # empty slot passes vacuously and a malformed claim fails on both sides.
+        alice = bob = 0
+        for i, claim in enumerate(claims(task, output)):
+            if claim is None:
+                alice |= 1 << i
+                bob |= 1 << i
+            else:
+                pos = _position(task, claim)
+                if pos >= 0:
+                    alice |= ((x >> pos) & 1) << i
+                    bob |= ((y >> pos) & 1) << i
+        if explicit:
+            bits |= (alice | bob << slots) << length
+            length += 2 * slots
+        a_ok = int(alice == passes)
+        b_ok = int(bob == passes)
         bits |= (a_ok | b_ok << 1) << length
         length += 2
 
-        output = res.output
         if not (a_ok and b_ok):
-            if mode == VERIFY_EXPLICIT and task.kind == KIND_SEARCH_KFOLD:
+            if salvage:
                 # Each failed slot rejects alone; an output of the wrong
                 # shape fails every slot, so only a k-tuple is indexed.
-                passed = [a and b for a, b in zip(alice_bits, bob_bits)]
-                output = tuple(output[j] if ok else None for j, ok in enumerate(passed))
+                passed = alice & bob
+                output = tuple(output[j] if (passed >> j) & 1 else None for j in range(slots))
             else:
                 output = None
         return output, bits, length

@@ -1,5 +1,6 @@
 """Protocol mechanics: programs, mixtures, tasks, and measurement."""
 
+import tracemalloc
 from array import array
 from fractions import Fraction
 from random import Random
@@ -24,8 +25,11 @@ from rectbound.protocols import (
     enumerate_inputs,
     intersecting_blocks,
     leaf_rectangle_check,
+    make_verified,
     measured_inputs,
     ndisj_truth,
+    reduce_ndisj_to_search,
+    reduce_search_from_kfold,
     success_probability,
     trivial_ndisj_kfold,
     trivial_search_kfold,
@@ -208,6 +212,42 @@ def test_transcript_census_groups_by_conversation():
     assert census_pairs == 4
 
 
+@pytest.mark.parametrize(
+    "first, second", [(1, 1.0), (1, True), ((1, 0), (1.0, 0))], ids=["float", "bool", "tuple-entry"]
+)
+def test_census_tells_equal_outputs_of_different_types_apart(first, second):
+    # One transcript for every input, answered `first` when x is set and
+    # `second` otherwise: equal under ==, yet not one output.
+    proto = ProgramProtocol(1, 1, lambda x, y: (first if x else second, 0, 0), 0)
+    assert first == second
+    report = leaf_rectangle_check(proto)
+    assert not report.partition_ok
+    assert report.leaf_count == 1
+    assert leaf_rectangle_check(constant_protocol(1, 1, first)).partition_ok
+
+
+@pytest.mark.parametrize(
+    "proto",
+    [
+        trivial_ndisj_kfold(2, 1),
+        trivial_search_kfold(2, 1),
+        make_verified(trivial_search_kfold(1, 2), TaskSpec("search-kfold", 1, 2)),
+        reduce_ndisj_to_search(trivial_ndisj_kfold(2, 1), 2, 1, 1)[0].branches[0][1],
+        reduce_search_from_kfold(trivial_search_kfold(1, 2), 1, 2, 1).branches[1][1],
+    ],
+    ids=["ndisj", "search", "verified", "halving", "chooser"],
+)
+def test_census_keeps_the_leaves_of_honest_protocols(proto):
+    # Every transcript's inputs share one output, tuples of tuples included.
+    report = leaf_rectangle_check(proto)
+    assert report.partition_ok
+    assert sum(leaf.pair_count for leaf in report.leaves) == 1 << (proto.n_alice + proto.n_bob)
+    for leaf in report.leaves:
+        x = (leaf.rows & -leaf.rows).bit_length() - 1
+        y = (leaf.cols & -leaf.cols).bit_length() - 1
+        assert proto.run(x, y).output == leaf.output
+
+
 def test_census_rejects_mixtures():
     mix = as_randomized(constant_protocol(1, 1, 0))
     with pytest.raises(ParameterRangeError):
@@ -387,6 +427,61 @@ def test_success_probability_sampling_contract():
     probed = success_probability(proto, task, inputs=[(0, 0), (4095, 4095)])
     assert probed.mode == "exact-rational"
     assert probed.inputs_checked == 2
+
+
+def test_success_probability_refuses_a_space_past_the_cap_before_any_run():
+    task = TaskSpec("ndisj-kfold", 6, 2)  # 2^24 pairs, past the exact cap
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return 0, 0, 0
+
+    proto = ProgramProtocol(12, 12, counted, worst_cost=0)
+    with pytest.raises(CapExceededError):
+        enumerate_inputs(task)  # refused at the call, not at the first pair
+    with pytest.raises(CapExceededError):
+        success_probability(proto, task)
+    with pytest.raises(CapExceededError):
+        success_probability(proto, task, samples=50)
+    assert calls == []
+
+
+def test_success_probability_refuses_an_empty_input_stream():
+    proto = trivial_ndisj_kfold(2, 1)
+    task = TaskSpec("ndisj-kfold", 2, 1)
+    for inputs in ([], iter([])):
+        with pytest.raises(ParameterRangeError, match="no inputs to evaluate"):
+            success_probability(proto, task, inputs=inputs)
+    big = TaskSpec("ndisj-kfold", 6, 2)
+    with pytest.raises(ParameterRangeError, match="no inputs to evaluate"):
+        success_probability(trivial_ndisj_kfold(6, 2), big, samples=0, seed=1)
+
+
+def test_success_probability_reads_an_input_stream_once_in_order():
+    task = TaskSpec("ndisj-kfold", 2, 1)
+    proto = trivial_ndisj_kfold(2, 1)
+    pairs = [(3, 1), (0, 0), (2, 2), (1, 2)]
+    streamed = success_probability(proto, task, inputs=iter(pairs))
+    assert streamed == success_probability(proto, task, inputs=pairs)
+    assert streamed.inputs_checked == 4
+    assert streamed.worst_input == (3, 1)
+    assert list(streamed.longest) == [proto.run(x, y).length for x, y in pairs]
+
+
+def test_success_probability_holds_no_input_list():
+    # 65,536 inputs: the pass keeps two 4-byte lengths per input, 0.5 MB,
+    # where a list of the input tuples peaked at 4.5 MB.
+    proto, task = trivial_ndisj_kfold(8, 1), TaskSpec("ndisj-kfold", 8, 1)
+    success_probability(proto, task, inputs=[(0, 0)])
+    tracemalloc.start()
+    try:
+        report = success_probability(proto, task)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.inputs_checked == 1 << 16
+    assert peak < 1.5 * 10**6, f"peak {peak / 1e6:.2f} MB"
 
 
 def test_success_probability_size_mismatch():

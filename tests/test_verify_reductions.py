@@ -1,11 +1,17 @@
 """Verification wrappers and the two protocol compositions."""
 
+import re
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from rectbound.errors import CapExceededError, KindMismatchError, ParameterRangeError
+from rectbound.errors import (
+    CapExceededError,
+    KindMismatchError,
+    ParameterRangeError,
+    ProtocolContractError,
+)
 from rectbound.protocols import (
     ProgramProtocol,
     RandomizedProtocol,
@@ -14,6 +20,7 @@ from rectbound.protocols import (
     choose_success_bound,
     classify,
     constant_protocol,
+    leaf_rectangle_check,
     make_verified,
     ndisj_to_search_cost,
     reduce_ndisj_to_search,
@@ -275,3 +282,55 @@ def test_permutation_reduction_guards():
     big = trivial_search_kfold(4, 2)
     with pytest.raises(CapExceededError):
         reduce_search_from_kfold(big, 4, 2, 1, perm_samples=40000, seed=1)
+
+
+# Two ways a base breaks its contract on every input: its label, the bits
+# and length it returns, and the message its own checked run raises.  At
+# width 2 it fits n=1, k=2 and n=2, k=1.
+_BROKEN_BASES = {
+    "bits-past-length": ("loose", 0b100, 2, "loose returned bits 4 outside its length 2"),
+    "past-worst-cost": ("long", 0, 3, "long used 3 bits, declared at most 2"),
+}
+
+
+def _broken_base(case: str, output) -> ProgramProtocol:
+    label, bits, length, _ = _BROKEN_BASES[case]
+    return ProgramProtocol(2, 2, lambda x, y: (output, bits, length), worst_cost=2, label=label)
+
+
+def _composed(kind: str, base_case: str):
+    """A composition over a broken base, the task it is measured on, and one deterministic branch."""
+    if kind == "verified":
+        task = TaskSpec("search-kfold", 1, 2)
+        proto = make_verified(_broken_base(base_case, (0, 0)), task)
+        return proto, task, proto
+    if kind == "halving":
+        mix, _ = reduce_ndisj_to_search(_broken_base(base_case, 0), 2, 1, 1)
+        return mix, TaskSpec("search-kfold", 2, 1), mix.branches[0][1]
+    mix = reduce_search_from_kfold(_broken_base(base_case, (0, 0)), 1, 2, 1)
+    return mix, TaskSpec("search-choose", 1, 2, choose=1), mix.branches[0][1]
+
+
+@pytest.mark.parametrize("base_case", list(_BROKEN_BASES))
+@pytest.mark.parametrize("kind", ["verified", "halving", "chooser"])
+def test_nested_runs_still_check_their_contract(kind, base_case):
+    proto, task, branch = _composed(kind, base_case)
+    message = re.escape(_BROKEN_BASES[base_case][3])
+    with pytest.raises(ProtocolContractError, match=message):
+        success_probability(proto, task)
+    with pytest.raises(ProtocolContractError, match=message):
+        leaf_rectangle_check(branch)
+
+
+@pytest.mark.parametrize("kind", ["verified", "halving", "chooser"])
+def test_composed_runs_refuse_inputs_out_of_range(kind):
+    _, _, branch = _composed(kind, "past-worst-cost")
+    for x, y, message in (
+        (-1, 0, "x=-1 is not a 2-bit input"),
+        (4, 0, "x=4 is not a 2-bit input"),
+        (0, -1, "y=-1 is not a 2-bit input"),
+        (0, 4, "y=4 is not a 2-bit input"),
+        (-8, -8, "x=-8 is not a 2-bit input"),
+    ):
+        with pytest.raises(ParameterRangeError, match=f"^{re.escape(message)}$"):
+            branch.run(x, y)
