@@ -267,7 +267,7 @@ def cmd_certify(args) -> tuple[dict, int]:
     value = cert.objective_value(eps) if cert.kind == KIND_SMOOTH else cert.objective_value()
     doc = certificate_to_json(cert)
     if args.save is not None:
-        Path(args.save).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _emit_json(doc, args.save)
     rep = verify_dual_certificate(cert, mode=args.verify_mode, tol=args.tol)
 
     cert_doc = {key: value for key, value in doc.items() if key not in ("phi", "psi")}
@@ -544,16 +544,13 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         payload, code = args.handler(args)
-    except RectboundError as exc:
+        if isinstance(payload, str):
+            _emit(payload, args.out)
+        else:
+            _emit_json(payload, args.out)
+    except (RectboundError, OSError) as exc:
         print(f"rectbound: error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"rectbound: error: {exc}", file=sys.stderr)
-        return 1
-    if isinstance(payload, str):
-        _emit(payload, args.out)
-    else:
-        _emit_json(payload, args.out)
     print(f"runtime: {time.perf_counter() - start:.3f}s", file=sys.stderr)
     return code
 

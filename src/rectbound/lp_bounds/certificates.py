@@ -34,10 +34,10 @@ from .model import (
     KIND_SEARCH,
     KIND_SMOOTH,
     RectangleFamily,
-    _as_fraction,
-    _error_rate,
-    _pow2,
+    as_fraction,
     avoid_disjoint_family,
+    error_rate,
+    pow2,
     witness_family,
 )
 
@@ -74,10 +74,10 @@ class DualCertificate:
 
     def objective_value(self, eps=Fraction(0)) -> Fraction:
         if self.kind == KIND_SEARCH:
-            if _as_fraction(eps, "eps"):
+            if as_fraction(eps, "eps"):
                 raise ParameterRangeError("search certificates take no error parameter")
             return self.sigma * self.phi.total() + self.psi.total()
-        return (1 - _error_rate(eps)) * self.phi.total() + self.psi.total()
+        return (1 - error_rate(eps)) * self.phi.total() + self.psi.total()
 
     def support_classes(self) -> tuple[int, int]:
         """Intersection sizes phi and psi are allowed to touch."""
@@ -98,12 +98,12 @@ def build_search_dual_certificate(n: int, k: int, m: int, alpha, beta) -> DualCe
         raise ParameterRangeError(f"need 0 <= k <= m, got k={k}, m={m}")
     if 2 * m > n:
         raise ParameterRangeError(f"need 2m <= n so disjoint pairs exist, got m={m}, n={n}")
-    alpha_f = _as_fraction(alpha, "alpha")
-    beta_f = _as_fraction(beta, "beta")
+    alpha_f = as_fraction(alpha, "alpha")
+    beta_f = as_fraction(beta, "beta")
     if alpha_f < 0:
         raise ParameterRangeError(f"alpha must be nonnegative, got {alpha_f}")
-    lift = _pow2(beta_f * n, "beta * n")
-    shrink = _pow2(-alpha_f * k, "alpha * k")
+    lift = pow2(beta_f * n, "beta * n")
+    shrink = pow2(-alpha_f * k, "alpha * k")
     degenerate = k == 0
     if degenerate:
         sigma = Fraction(1)
@@ -148,8 +148,8 @@ def build_smooth_dual_ndisj(n: int, beta) -> DualCertificate:
     """
     if n <= 0 or n % 4 != 0:
         raise ParameterRangeError(f"universe size must be a positive multiple of 4, got {n}")
-    beta_f = _as_fraction(beta, "beta")
-    lift = _pow2(beta_f * n, "beta * n")
+    beta_f = as_fraction(beta, "beta")
+    lift = pow2(beta_f * n, "beta * n")
     m = n // 4
     cover = MuParams(1, n, m)
     capped = MuParams(2, n, m)
@@ -184,13 +184,6 @@ class FeasibilityReport:
     sign_ok: bool
     mode: str
     tol: Fraction | float
-
-    def describe(self) -> str:
-        verdict = "feasible" if self.feasible else "infeasible"
-        return (
-            f"{verdict} ({self.mode}): max rectangle weight {self.max_weight}, "
-            f"signs {'ok' if self.sign_ok else 'violated'}"
-        )
 
 
 def _signs_ok(cert: DualCertificate) -> bool:

@@ -54,7 +54,7 @@ FAMILY_WITNESS = "witness"
 FAMILY_AVOID_DISJOINT = "avoid-disjoint"
 
 
-def _as_fraction(value, name: str) -> Fraction:
+def as_fraction(value, name: str) -> Fraction:
     if isinstance(value, float):
         raise ParameterRangeError(
             f"{name} must be an exact rational (int, Fraction, or 'p/q' string), got float {value}"
@@ -66,15 +66,15 @@ def _as_fraction(value, name: str) -> Fraction:
     raise ParameterRangeError(f"{name} must be an exact rational, got {type(value).__name__}")
 
 
-def _error_rate(eps) -> Fraction:
+def error_rate(eps) -> Fraction:
     """eps as an exact rational, refused outside [0, 1/2)."""
-    eps_f = _as_fraction(eps, "eps")
+    eps_f = as_fraction(eps, "eps")
     if not 0 <= eps_f < Fraction(1, 2):
         raise ParameterRangeError(f"eps must lie in [0, 1/2), got {eps_f}")
     return eps_f
 
 
-def _pow2(exponent: Fraction, what: str) -> Fraction:
+def pow2(exponent: Fraction, what: str) -> Fraction:
     """2^exponent, refused unless the exponent is an integer (so it stays exact)."""
     if exponent.denominator != 1:
         raise ParameterRangeError(
@@ -245,19 +245,21 @@ def coverage_matrix(pairs: Sequence[InputPair], rects: Sequence[Rectangle]) -> n
 _COVER_CELLS = 1 << 18
 
 
-def max_violation(lp: LPInstance, weights: Mapping[Rectangle, object], zero):
-    """The largest amount by which the weighted rectangles miss a row, or `zero`.
+def max_violation(lp: LPInstance, weights: Mapping[Rectangle, object]):
+    """The largest amount by which the weighted rectangles miss a row, or 0.
 
-    A float `zero` sums each row's coverage in float64, one matrix product
-    per block of rows; any other sums the weights exactly, in column order.
+    When every weight is exact (an int or a Fraction), the weights are summed
+    exactly, in column order, and the answer is a Fraction; otherwise each
+    row's coverage is summed in float64, one matrix product per block of
+    rows, and the answer is a float.
     """
     rects = list(weights)
-    exact = not isinstance(zero, float)
     values = list(weights.values())
+    exact = all(isinstance(v, (int, Fraction)) for v in values)
     if not exact:
         values = np.array(values, dtype=np.float64)
     block = max(1, _COVER_CELLS // max(1, len(rects)))
-    worst = zero
+    worst = Fraction(0) if exact else 0.0
     for start in range(0, len(lp.constraints), block):
         rows = lp.constraints[start:start + block]
         cover = coverage_matrix([c.pair for c in rows], rects)
@@ -289,7 +291,7 @@ def build_search_lp(n: int, k: int, sigma) -> LPInstance:
     """
     if not 0 <= k <= n:
         raise ParameterRangeError(f"need 0 <= k <= n, got k={k}, n={n}")
-    sigma_f = _as_fraction(sigma, "sigma")
+    sigma_f = as_fraction(sigma, "sigma")
     if not 0 <= sigma_f <= 1:
         raise ParameterRangeError(f"sigma must lie in [0, 1], got {sigma_f}")
     constraints: list[PairConstraint] = []
@@ -310,7 +312,7 @@ def build_search_lp(n: int, k: int, sigma) -> LPInstance:
 
 def build_lovasz_lp(f: TruthTable, eps) -> LPInstance:
     """Rectangle cover of the 1-pairs with error mass eps allowed on 0-pairs."""
-    eps_f = _error_rate(eps)
+    eps_f = error_rate(eps)
     constraints: list[PairConstraint] = []
     for pair, value in f.pairs():
         if value:
@@ -351,10 +353,10 @@ def apply_ambiguity_variant(lp: LPInstance, eps_rate, k: int) -> LPInstance:
     """
     if lp.kind != KIND_SEARCH:
         raise KindMismatchError(f"ambiguity variant applies to search programs, got {lp.kind!r}")
-    rate = _as_fraction(eps_rate, "eps_rate")
+    rate = as_fraction(eps_rate, "eps_rate")
     if rate < 0:
         raise ParameterRangeError(f"ambiguity rate must be nonnegative, got {rate}")
-    rhs = _pow2(rate * k, "eps_rate * k")
+    rhs = pow2(rate * k, "eps_rate * k")
     new_rows = tuple(
         replace(c, rhs=rhs) if c.klass == CLASS_PARTITION else c for c in lp.constraints
     )

@@ -50,6 +50,8 @@ class ScanConfig:
             raise ParameterRangeError("gamma and delta must be finite")
         if self.samples < 0:
             raise ParameterRangeError("samples must be nonnegative")
+        if self.seed < 0:
+            raise ParameterRangeError(f"seed must be nonnegative, got {self.seed}")
         if not self.densities or any(not 0 < d <= 1 for d in self.densities):
             raise ParameterRangeError("densities must be probabilities in (0, 1]")
 

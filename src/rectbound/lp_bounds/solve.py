@@ -126,7 +126,7 @@ def solve_full_enumeration(lp: LPInstance) -> LPResult:
         optimum=res.objective,
         weights=weights,
         duals=tuple(duals),
-        residual=max_violation(lp, weights, Fraction(0)),
+        residual=max_violation(lp, weights),
         solver=SOLVER_EXACT,
         arithmetic=ARITH_EXACT,
         iterations=res.iterations,
@@ -287,7 +287,7 @@ def solve_constraint_generation(lp: LPInstance, max_iters: int = 1000) -> LPResu
             status=STATUS_OPTIMAL,
             optimum=0.0,
             duals=tuple(0.0 for _ in lp.constraints),
-            residual=max_violation(lp, {}, 0.0),
+            residual=float(max_violation(lp, {})),
             solver=SOLVER_CG,
             arithmetic=ARITH_FLOAT,
             iterations=0,
@@ -333,7 +333,7 @@ def solve_constraint_generation(lp: LPInstance, max_iters: int = 1000) -> LPResu
         optimum=float(solution.objective),
         weights=weights,
         duals=tuple(solution.duals),
-        residual=float(max_violation(lp, weights, 0.0)),
+        residual=float(max_violation(lp, weights)),
         solver=SOLVER_CG,
         arithmetic=ARITH_FLOAT,
         iterations=iteration,

@@ -30,7 +30,7 @@ from .core import (
     as_randomized,
     unpack_transcript,
 )
-from .tasks import TaskSpec, Verdict, _measured_stream, check_width, classify
+from .tasks import TaskSpec, Verdict, check_width, classify, measured_inputs
 
 MODE_EXACT = "exact-rational"
 MODE_MONTE_CARLO = "monte-carlo-ci"
@@ -52,15 +52,6 @@ class SuccessReport:
     shortest: array = field(repr=False)
     longest: array = field(repr=False)
     wilson: tuple[float, float] | None = None
-
-    def describe(self) -> str:
-        out = (
-            f"success >= {self.worst} (avg {self.average}) over "
-            f"{self.inputs_checked} inputs [{self.mode}]"
-        )
-        if self.wilson is not None:
-            out += f", all-branch-correct rate CI [{self.wilson[0]:.4f}, {self.wilson[1]:.4f}]"
-        return out
 
 
 def _wilson(successes: int, trials: int) -> tuple[float, float]:
@@ -122,10 +113,7 @@ def success_probability(
     """
     rand = as_randomized(proto)
     check_width(task, rand)
-    if inputs is not None:
-        pairs, sampled = inputs, False
-    else:
-        pairs, sampled = _measured_stream(task, samples, seed)
+    pairs, sampled = (inputs, False) if inputs is not None else measured_inputs(task, samples, seed)
 
     denom = lcm(*(prob.denominator for prob, _ in rand.branches))
     weighted = [(prob.numerator * (denom // prob.denominator), det) for prob, det in rand.branches]
@@ -290,7 +278,7 @@ def check_weights_against_lp(lp, weights: Mapping[Rectangle, Fraction], cost: in
     """Do these protocol-derived weights satisfy the LP rows and 2^cost cap?"""
     from ..lp_bounds.model import max_violation
 
-    worst = max_violation(lp, weights, Fraction(0))
+    worst = max_violation(lp, weights)
     family_ok = all(lp.family.contains(rect) for rect in weights)
     total = sum(weights.values(), Fraction(0))
     cap = Fraction(2) ** cost

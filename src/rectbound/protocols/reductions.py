@@ -19,7 +19,7 @@ from ..caps import EXACT_PERMUTATION_WIDTH, HALVING_BRANCHES, MIXTURE_BRANCHES
 from ..errors import ParameterRangeError
 from .core import AnyProtocol, ProgramProtocol, RandomizedProtocol, as_randomized
 from .library import index_bits, name_lowest
-from .tasks import KIND_SEARCH_CHOOSE, KIND_SEARCH_KFOLD, TaskSpec, check_width, claims, marks
+from .tasks import KIND_SEARCH_CHOOSE, KIND_SEARCH_KFOLD, TaskSpec, check_width, claims, position
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -163,15 +163,14 @@ class ChooseBound:
     scaled_inside: Fraction
 
 
-def choose_success_bound(sigma, k: int, choose: int, alpha=None) -> ChooseBound:
+def choose_success_bound(sigma, k: int, choose: int) -> ChooseBound:
+    """The bound at alpha = 4 choose / k, which 1 <= choose <= k keeps in (0, 4]."""
     sigma_f = Fraction(sigma)
     if not 0 <= sigma_f <= 1:
         raise ParameterRangeError(f"sigma must be a probability, got {sigma_f}")
     if not 1 <= choose <= k:
         raise ParameterRangeError(f"need 1 <= choose <= k, got choose={choose}, k={k}")
-    alpha_f = Fraction(4 * choose, k) if alpha is None else Fraction(alpha)
-    if not 0 <= alpha_f <= 4:
-        raise ParameterRangeError(f"need 0 <= alpha <= 4, got {alpha_f}")
+    alpha_f = Fraction(4 * choose, k)
     damp = 1 - alpha_f / 4
     return ChooseBound(
         sigma=sigma_f,
@@ -229,18 +228,15 @@ def reduce_search_from_kfold(
         f"mixture branches ({len(perms)} permutations x {len(rand.branches)} coin branches)",
     )
 
-    # A side holding every coordinate marks exactly the well-formed claims.
-    everything = (1 << width) - 1
-
     def make_run(perm, det):
         def run_fn(x: int, y: int):
             res = det.run(_apply_permutation(perm, x), _apply_permutation(perm, y))
             found = []
             for claim in claims(kfold, res.output):
-                if marks(kfold, everything, claim):
-                    j, c = claim
-                    original = perm[j * n + c - 1]
-                    found.append((original // n, original % n + 1))
+                pos = position(kfold, claim)
+                if pos >= 0:
+                    j, c = divmod(perm[pos], n)
+                    found.append((j, c + 1))
             if len(found) >= choose:
                 found.sort()
                 return tuple(found[:choose]), res.bits, res.length

@@ -16,8 +16,9 @@ everywhere rejection appears in this package.
 
 Every other module reads the task rules here: `TaskSpec` refuses bad n, k and
 choose, `check_width` a protocol of the wrong input width, and `ndisj_truth`,
-`claims` and `marks` say which blocks meet, what a search output claims and
-whether a side marks a claimed coordinate.
+`claims`, `position` and `marks` say which blocks meet, what a search output
+claims, which packed bit a claim names and whether a side marks it.
+`measured_inputs` is the one stream of inputs a protocol is measured on.
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ def claims(task: TaskSpec, output) -> list:
     return [None if entry is None or entry == 0 else (j, entry) for j, entry in enumerate(output)]
 
 
-def _position(task: TaskSpec, claim) -> int:
+def position(task: TaskSpec, claim) -> int:
     """The packed bit position a (block, 1-based coordinate) claim names, -1 for anything else."""
     if isinstance(claim, tuple) and len(claim) == 2:
         j, c = claim
@@ -142,7 +143,7 @@ def _position(task: TaskSpec, claim) -> int:
 def marks(task: TaskSpec, held: int, claim) -> int:
     """1 when `held` contains the coordinate a (block, 1-based coordinate) claim
     names, 0 for anything else; a claim is genuine when marks(task, x & y, claim)."""
-    pos = _position(task, claim)
+    pos = position(task, claim)
     return (held >> pos) & 1 if pos >= 0 else 0
 
 
@@ -150,8 +151,11 @@ def classify(task: TaskSpec, x: int, y: int, output) -> Verdict:
     """Judge one output for one input.
 
     The verdict reads the input only through `x & y`: which blocks meet and
-    which coordinates both sides mark.  So equal outputs on inputs with the
-    same meet get the same verdict, which `success_probability` relies on.
+    which coordinates both sides mark.  So on inputs with the same meet,
+    outputs equal in value and in type, entry by entry for a tuple, get the
+    same verdict, which `success_probability` relies on.  Equal values of
+    other types need not: `1.0` and `(1.0, 0)` are WRONG where `1` and
+    `(1, 0)` may be CORRECT.
     """
     if output is None:
         return Verdict.REJECT
@@ -180,18 +184,27 @@ def classify(task: TaskSpec, x: int, y: int, output) -> Verdict:
     return Verdict.CORRECT if len(set(output)) == task.choose else Verdict.WRONG
 
 
-def enumerate_inputs(task: TaskSpec) -> Iterator[tuple[int, int]]:
-    """Every (x, y), y fastest; refuses spaces past the exact-run cap at the call.
+def measured_inputs(
+    task: TaskSpec, samples: int | None = None, seed: int | None = None
+) -> tuple[Iterator[tuple[int, int]], bool]:
+    """The inputs a protocol is measured on, as a lazy stream, and whether they are a sample.
 
-    search-choose yields only its promise, the pairs where at least `choose`
-    blocks intersect (outside it no output is correct), and is never sampled.
+    Every (x, y), y fastest, when the input space fits the exact cap, and
+    always for search-choose, which yields only its promise: the pairs where
+    at least `choose` blocks intersect (outside it no output is correct).
+    Past the cap, `samples` uniform draws (x first, then y) from
+    Random(seed), so fewer samples with the same seed are a prefix of more;
+    without both, a refusal raised here, at the call, before any pair.
     """
     side = 1 << task.input_bits
     choose = task.choose if task.kind == KIND_SEARCH_CHOOSE else 0
-    sampling = "past it, only a seeded sample is measured (samples= and seed=, --samples and --seed)"
-    hint = "search-choose is measured on its promise, never sampled" if choose else sampling
-    EXACT_PROTOCOL_INPUTS.check(side * side, "input pairs", hint)
-    return _pairs(task, side, choose)
+    if choose or samples is None or seed is None or EXACT_PROTOCOL_INPUTS.fits(side * side):
+        sampling = "past it, only a seeded sample is measured (samples= and seed=, --samples and --seed)"
+        hint = "search-choose is measured on its promise, never sampled" if choose else sampling
+        EXACT_PROTOCOL_INPUTS.check(side * side, "input pairs", hint)
+        return _pairs(task, side, choose), False
+    rng = Random(seed)
+    return ((rng.randrange(side), rng.randrange(side)) for _ in range(samples)), True
 
 
 def _pairs(task: TaskSpec, side: int, choose: int) -> Iterator[tuple[int, int]]:
@@ -199,34 +212,3 @@ def _pairs(task: TaskSpec, side: int, choose: int) -> Iterator[tuple[int, int]]:
         for y in range(side):
             if not choose or intersecting_blocks(task, x, y) >= choose:
                 yield x, y
-
-
-def _draws(side: int, samples: int, seed: int) -> Iterator[tuple[int, int]]:
-    rng = Random(seed)
-    for _ in range(samples):
-        yield rng.randrange(side), rng.randrange(side)
-
-
-def _measured_stream(
-    task: TaskSpec, samples: int | None, seed: int | None
-) -> tuple[Iterator[tuple[int, int]], bool]:
-    """`measured_inputs` as a lazy stream; a refusal is raised here, before any pair."""
-    side = 1 << task.input_bits
-    exact = samples is None or seed is None or EXACT_PROTOCOL_INPUTS.fits(side * side)
-    if exact or task.kind == KIND_SEARCH_CHOOSE:
-        return enumerate_inputs(task), False
-    return _draws(side, samples, seed), True
-
-
-def measured_inputs(
-    task: TaskSpec, samples: int | None = None, seed: int | None = None
-) -> tuple[list[tuple[int, int]], bool]:
-    """The inputs a protocol is measured on, and whether they are a sample.
-
-    Every pair when the input space fits the exact cap, and always for
-    search-choose.  Past it, `samples` uniform draws (x first, then y) from
-    Random(seed), so fewer samples with the same seed are a prefix of more;
-    without both, the enumeration's refusal.
-    """
-    pairs, sampled = _measured_stream(task, samples, seed)
-    return list(pairs), sampled

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from ..errors import KindMismatchError, ParameterRangeError
 from .core import ProgramProtocol, RandomizedProtocol
-from .tasks import KIND_SEARCH_CHOOSE, KIND_SEARCH_KFOLD, TaskSpec, _position, check_width, claims
+from .tasks import KIND_SEARCH_CHOOSE, KIND_SEARCH_KFOLD, TaskSpec, check_width, claims, position
 
 VERIFY_EXPLICIT = "explicit"
 VERIFY_TWO_BIT = "two_bit"
@@ -61,7 +61,7 @@ def make_verified(
                 alice |= 1 << i
                 bob |= 1 << i
             else:
-                pos = _position(task, claim)
+                pos = position(task, claim)
                 if pos >= 0:
                     alice |= ((x >> pos) & 1) << i
                     bob |= ((y >> pos) & 1) << i

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from .caps import ORACLE_SUBSETS, RECTANGLES, SUPPORT_PAIRS
-from .combinatorics import InputPair, MuParams, bits, enumerate_support, int_dtype, parse_bits
+from .combinatorics import InputPair, MuParams, enumerate_support, int_dtype, parse_bits
 from .errors import DimensionMismatchError, ParameterRangeError
 
 Weight = Fraction | float | int
@@ -103,11 +103,6 @@ class Rectangle:
         """Deterministic sort key: the member masks of each side, ascending."""
         return (tuple(string_masks(self.rows)), tuple(string_masks(self.cols)))
 
-    def describe(self) -> str:
-        rows = ",".join(bits(s, self.n) for s in string_masks(self.rows)) or "-"
-        cols = ",".join(bits(s, self.n) for s in string_masks(self.cols)) or "-"
-        return f"{{{rows}}}x{{{cols}}}"
-
 
 @dataclass(frozen=True)
 class WitnessSet:
@@ -121,10 +116,6 @@ class WitnessSet:
             raise ParameterRangeError(f"witness coordinates {self.coords} outside 1..{self.n}")
         if tuple(sorted(set(self.coords))) != self.coords:
             raise ParameterRangeError(f"witness coordinates must be sorted and distinct: {self.coords}")
-
-    @property
-    def size(self) -> int:
-        return len(self.coords)
 
     @property
     def mask(self) -> int:

@@ -305,6 +305,7 @@ def _sampled_bits_run(capsys, proto):
     assert sum(doc["bits"]["histogram"].values()) == 512
     task = TaskSpec("ndisj-kfold", 8, 2)
     sample, sampled = measured_inputs(task, 600, 11)
+    sample = list(sample)
     assert sampled
 
     def bits(inputs):
@@ -410,7 +411,11 @@ def _saved_certificate(phi) -> bytes:
         pytest.param("scan --n 4 --m 1 --seed 1 --samples 0", {}, {}, id="scan-samples-0-exhaustive"),
         pytest.param("scan --n 8 --samples 5 --seed 1 --gamma -200", {}, {}, id="scan-gamma-overflow"),
         pytest.param("scan --n 8 --samples 5 --seed 1 --delta -200", {}, {}, id="scan-delta-overflow"),
+        pytest.param("scan --n 8 --seed -1 --samples 5", {}, {}, id="scan-seed-neg"),
+        pytest.param("scan --n 4 --m 1 --seed -1", {}, {}, id="scan-seed-neg-exhaustive"),
         pytest.param(f"{_SEARCH_CERT} --tol -1", {}, {}, id="tol-negative"),
+        pytest.param(f"{_SEARCH_CERT} --save {{tmp}}/missing/cert.json", {}, {}, id="save-unwritable"),
+        pytest.param("bound --lp search --n 2 --k 1 --out {tmp}/missing/x.json", {}, {}, id="out-unwritable"),
         pytest.param(f"{_SEARCH_CERT} --eps 1/4 --save {{tmp}}/cert.json", {}, {}, id="eps-save"),
         pytest.param(f"{_SMOOTH_CERT} --eps 2 --save {{tmp}}/cert.json", {}, {}, id="eps-past-one-half"),
         pytest.param(f"{_SMOOTH_CERT} --eps=-1 --save {{tmp}}/cert.json", {}, {}, id="eps-negative"),
@@ -490,8 +495,18 @@ def test_protocol_samples_below_one_names_the_flag(capsys, command):
         (f"{_SEARCH_CERT} --tol -1", "--tol must be nonnegative"),
         ("scan --n 8 --samples 5 --seed 1 --gamma -200", "--gamma -200.0 is out of range at n=8"),
         ("scan --n 8 --samples 5 --seed 1 --delta -200", "--delta -200.0 is out of range at n=8"),
+        ("scan --n 8 --samples 5 --seed -1", "seed must be nonnegative, got -1"),
+        ("scan --n 4 --m 1 --seed -1", "seed must be nonnegative, got -1"),
     ],
-    ids=["scan-samples-0", "scan-samples-neg", "certify-tol-neg", "scan-gamma-overflow", "scan-delta-overflow"],
+    ids=[
+        "scan-samples-0",
+        "scan-samples-neg",
+        "certify-tol-neg",
+        "scan-gamma-overflow",
+        "scan-delta-overflow",
+        "scan-seed-neg",
+        "scan-seed-neg-exhaustive",
+    ],
 )
 def test_scan_samples_and_certify_tol_refusals_name_the_flag(capsys, monkeypatch, command, message):
     import rectbound.cli

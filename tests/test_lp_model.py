@@ -220,5 +220,5 @@ def test_max_violation_matches_a_row_recount_in_both_arithmetics(monkeypatch, na
         floats = {r: float(v) for r, v in weights.items()}
         for cells in (1, 5, 1 << 18):
             monkeypatch.setattr(model, "_COVER_CELLS", cells)
-            assert model.max_violation(lp, weights, F(0)) == want
-            assert model.max_violation(lp, floats, 0.0) == pytest.approx(float(want), abs=1e-12)
+            assert model.max_violation(lp, weights) == want
+            assert model.max_violation(lp, floats) == pytest.approx(float(want), abs=1e-12)

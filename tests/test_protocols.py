@@ -22,7 +22,6 @@ from rectbound.protocols import (
     classify,
     constant_protocol,
     cost_profile,
-    enumerate_inputs,
     intersecting_blocks,
     leaf_rectangle_check,
     make_verified,
@@ -157,44 +156,51 @@ def test_task_validation():
 
 def test_enumerate_inputs_cap(monkeypatch):
     task = TaskSpec("ndisj-kfold", 2, 1)
-    pairs = list(enumerate_inputs(task))
+    pairs = list(measured_inputs(task)[0])
     assert len(pairs) == 16
     assert pairs[0] == (0, 0) and pairs[-1] == (3, 3)
     monkeypatch.setenv("RECTBOUND_EXACT_PROTOCOL_CAP", "15")
     with pytest.raises(CapExceededError):
-        list(enumerate_inputs(task))
+        measured_inputs(task)
 
 
 def test_measured_inputs_enumerates_within_the_cap_and_samples_past_it():
     small = TaskSpec("ndisj-kfold", 2, 1)
-    assert measured_inputs(small, samples=3, seed=1) == (list(enumerate_inputs(small)), False)
+    pairs, sampled = measured_inputs(small, samples=3, seed=1)
+    assert (list(pairs), sampled) == ([(x, y) for x in range(4) for y in range(4)], False)
     big = TaskSpec("ndisj-kfold", 6, 2)  # 2^24 pairs, past the exact cap
     with pytest.raises(CapExceededError, match="--samples and --seed"):
         measured_inputs(big, samples=5)
     pairs, sampled = measured_inputs(big, samples=600, seed=11)
+    assert iter(pairs) is pairs  # a lazy stream, not a list
+    pairs = list(pairs)
     rng = Random(11)
     assert sampled
     assert pairs == [(rng.randrange(4096), rng.randrange(4096)) for _ in range(600)]
-    assert measured_inputs(big, samples=512, seed=11) == (pairs[:512], True)
+    prefix, sampled = measured_inputs(big, samples=512, seed=11)
+    assert (list(prefix), sampled) == (pairs[:512], True)
 
 
 def test_search_choose_is_measured_on_its_promise(monkeypatch):
     task = TaskSpec("search-choose", 2, 2, choose=1)
     kfold = TaskSpec("search-kfold", 2, 2)
-    promise = [(x, y) for x, y in enumerate_inputs(kfold) if intersecting_blocks(kfold, x, y) >= 1]
+    promise = [
+        (x, y) for x, y in measured_inputs(kfold)[0] if intersecting_blocks(kfold, x, y) >= 1
+    ]
     assert len(promise) == 175
-    assert list(enumerate_inputs(task)) == promise
+    assert list(measured_inputs(task)[0]) == promise
     # never sampled, whatever samples and seed say
-    assert measured_inputs(task, samples=5, seed=1) == (promise, False)
+    pairs, sampled = measured_inputs(task, samples=5, seed=1)
+    assert (list(pairs), sampled) == (promise, False)
     both = TaskSpec("search-choose", 2, 2, choose=2)
-    assert [(x, y) for x, y in enumerate_inputs(both)] == [
+    assert list(measured_inputs(both)[0]) == [
         (x, y) for x, y in promise if intersecting_blocks(kfold, x, y) == 2
     ]
     monkeypatch.setenv("RECTBOUND_EXACT_PROTOCOL_CAP", "255")  # the space has 256 pairs
     with pytest.raises(CapExceededError, match="never sampled"):
         measured_inputs(task, samples=5, seed=1)
     pairs, sampled = measured_inputs(kfold, samples=5, seed=1)
-    assert sampled and len(pairs) == 5
+    assert sampled and len(list(pairs)) == 5
 
 
 def test_census_refuses_bits_past_the_length():
@@ -371,6 +377,7 @@ def test_success_probability_sampled_integer_sums_and_perfect_count_match_a_frac
     mix = _disagreeing_mixture(task)
     report = success_probability(mix, task, samples=300, seed=4)
     pairs, sampled = measured_inputs(task, 300, 4)
+    pairs = list(pairs)
     assert sampled and report.mode == "monte-carlo-ci"
     want, perfect = _reference_report(mix, task, pairs, sampled)
     assert report == want
@@ -403,6 +410,7 @@ def test_success_probability_matches_judging_every_output_afresh(kind, n, sample
     mix = _lookalike_mixture(task.input_bits)
     report = success_probability(mix, task, samples=samples, seed=5)
     pairs, sampled = measured_inputs(task, samples, 5)
+    pairs = list(pairs)
     assert sampled == (samples is not None)
     want, _ = _reference_report(mix, task, pairs, sampled)
     assert report == want
@@ -439,7 +447,7 @@ def test_success_probability_refuses_a_space_past_the_cap_before_any_run():
 
     proto = ProgramProtocol(12, 12, counted, worst_cost=0)
     with pytest.raises(CapExceededError):
-        enumerate_inputs(task)  # refused at the call, not at the first pair
+        measured_inputs(task)  # refused at the call, not at the first pair
     with pytest.raises(CapExceededError):
         success_probability(proto, task)
     with pytest.raises(CapExceededError):

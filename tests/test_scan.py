@@ -93,6 +93,13 @@ def test_scan_config_validation():
         ScanConfig(densities=(1.5,))
 
 
+def test_scan_config_refuses_a_negative_seed():
+    # by name, at construction: also where an exhaustive scan would draw nothing
+    for samples in (0, 5):
+        with pytest.raises(ParameterRangeError, match="seed must be nonnegative, got -1"):
+            ScanConfig(samples=samples, seed=-1)
+
+
 def test_scan_parameter_guards():
     with pytest.raises(ParameterRangeError):
         sampling_lemma_scan(MuParams(1, 4, 1), 1)  # baseline must be meet zero

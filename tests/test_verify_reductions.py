@@ -221,15 +221,10 @@ def test_choose_success_bound_values():
     assert b.alpha == 2
     assert b.scaled_outside == F(1, 2) * F(1, 4)
     assert b.scaled_inside == F(1, 16)
-    override = choose_success_bound(F(1), 2, 2, alpha=F(1))
-    assert override.alpha == 1
-    assert override.scaled_outside == F(9, 16)
     with pytest.raises(ParameterRangeError):
         choose_success_bound(F(3, 2), 2, 1)
     with pytest.raises(ParameterRangeError):
         choose_success_bound(F(1), 2, 3)
-    with pytest.raises(ParameterRangeError):
-        choose_success_bound(F(1), 2, 1, alpha=F(5))
 
 
 def test_permutation_reduction_exact():
