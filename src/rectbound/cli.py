@@ -150,27 +150,31 @@ def _optimum_of(res: LPResult):
     return res.optimum if res.status == "optimal" else None
 
 
-def _solve_lp(lp, solver: str):
-    """Returns (doc, representative optimum or None, ok).
+def _solve_lp(lp, solver: str, start=()):
+    """Returns (doc, representative optimum or None, ok, CG support).
 
     ok is False when a solver's status is not optimal, or when the two
-    solvers of `both` disagree by more than _AGREEMENT_TOL.
+    solvers of `both` disagree by more than _AGREEMENT_TOL.  `start` seeds
+    the CG master (`solve_constraint_generation`'s `start`); the exact
+    solver ignores it.  The CG support is the rectangles the CG optimum
+    weights, empty under `exact` or when CG did not reach an optimum;
+    `cmd_bound` passes the smooth LP's support as the Lovász LP's start.
     """
     if solver == "exact":
         res = solve_full_enumeration(lp)
-        return _result_doc(res), _optimum_of(res), res.status == "optimal"
+        return _result_doc(res), _optimum_of(res), res.status == "optimal", ()
     if solver == "cg":
-        res = solve_constraint_generation(lp)
-        return _result_doc(res), _optimum_of(res), res.status == "optimal"
+        res = solve_constraint_generation(lp, start=start)
+        return _result_doc(res), _optimum_of(res), res.status == "optimal", res.weights.keys()
     res_e = solve_full_enumeration(lp)
-    res_c = solve_constraint_generation(lp)
+    res_c = solve_constraint_generation(lp, start=start)
     doc = {"exact": _result_doc(res_e), "cg": _result_doc(res_c)}
     ok = res_e.status == "optimal" and res_c.status == "optimal"
     if ok:
         gap = abs(float(res_e.optimum) - res_c.optimum)
         doc["agreement_gap"] = _float(gap)
         ok = gap <= _AGREEMENT_TOL
-    return doc, _optimum_of(res_e), ok
+    return doc, _optimum_of(res_e), ok, res_c.weights.keys()
 
 
 def cmd_bound(args) -> tuple[dict, int]:
@@ -185,7 +189,7 @@ def cmd_bound(args) -> tuple[dict, int]:
         sigma = Fraction(1) if args.sigma is None else args.sigma
         lp = build_search_lp(args.n, args.k, sigma)
         report.update({"n": args.n, "k": args.k, "sigma": _exact(sigma)})
-        doc, _, ok = _solve_lp(lp, args.solver)
+        doc, _, ok, _ = _solve_lp(lp, args.solver)
         report["result"] = doc
         return report, 0 if ok else 2
 
@@ -211,12 +215,15 @@ def cmd_bound(args) -> tuple[dict, int]:
     report.update({"n": table.n, "eps": _exact(eps)})
 
     if args.lp == "lovasz":
-        doc, _, ok = _solve_lp(build_lovasz_lp(table, eps), args.solver)
+        doc, _, ok, _ = _solve_lp(build_lovasz_lp(table, eps), args.solver)
         report["result"] = doc
         return report, 0 if ok else 2
 
-    doc, smooth_opt, ok = _solve_lp(build_smooth_lp(table, eps), args.solver)
-    lov_doc, lov_opt, lov_ok = _solve_lp(build_lovasz_lp(table, eps), args.solver)
+    # The smooth LP is the Lovász LP's rows plus caps, over the same pairs
+    # and family, so its optimum is a feasible Lovász point: its support
+    # starts the Lovász CG master.
+    doc, smooth_opt, ok, support = _solve_lp(build_smooth_lp(table, eps), args.solver)
+    lov_doc, lov_opt, lov_ok, _ = _solve_lp(build_lovasz_lp(table, eps), args.solver, support)
     report["result"] = doc
     report["lovasz_result"] = lov_doc
     if smooth_opt is not None and lov_opt is not None:

@@ -214,7 +214,9 @@ def test_smooth_dominates_small_exact():
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_smooth_dominates_n3_via_column_generation(name):
     # the full rectangle family at three coordinates is past the exact
-    # enumeration limit, so both optima come from the same float solver
+    # enumeration limit, so both optima come from the same float solver.
+    # Both runs start cold: seeding the plain master from the smooth support,
+    # as `bound --lp smooth` does, would make the dominance hold by construction.
     plain = solve_constraint_generation(build_lovasz_lp(family(name, 3), F(0)))
     smooth = solve_constraint_generation(build_smooth_lp(family(name, 3), F(0)))
     assert plain.status == smooth.status == "optimal"

@@ -78,8 +78,8 @@ def test_bound_both_solvers_disagreeing_exits_2(capsys, monkeypatch):
 
     real = rectbound.cli.solve_constraint_generation
 
-    def shifted(lp):
-        res = real(lp)
+    def shifted(lp, **kwargs):
+        res = real(lp, **kwargs)
         return dataclasses.replace(res, optimum=res.optimum + 1e-6)
 
     monkeypatch.setattr(rectbound.cli, "solve_constraint_generation", shifted)
@@ -89,6 +89,20 @@ def test_bound_both_solvers_disagreeing_exits_2(capsys, monkeypatch):
     assert code == 2
     assert doc["result"]["exact"]["status"] == doc["result"]["cg"]["status"] == "optimal"
     assert doc["result"]["agreement_gap"]["value"] == pytest.approx(1e-6, rel=1e-6)
+
+
+def test_bound_smooth_seeds_the_lovasz_cg_from_the_smooth_support(capsys):
+    # The smooth optimum is a feasible Lovász point, so the Lovász master that
+    # starts from its support needs fewer rounds than a cold one (10 here).
+    args = ("--family", "DISJ", "--n", "3", "--solver", "cg", "--eps", "1/4")
+    code, smooth, _ = run_json(capsys, "bound", "--lp", "smooth", *args)
+    assert code == 0
+    code, lovasz, _ = run_json(capsys, "bound", "--lp", "lovasz", *args)
+    assert code == 0
+    seeded, cold = smooth["lovasz_result"], lovasz["result"]
+    assert seeded["status"] == cold["status"] == "optimal"
+    assert seeded["iterations"] < cold["iterations"]
+    assert abs(seeded["optimum"]["value"] - 33 / 16) <= 1e-9
 
 
 def test_bound_flag_conflicts_exit_1(capsys):

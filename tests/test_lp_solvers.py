@@ -4,7 +4,10 @@ The exact values below were computed by hand before the solvers existed:
 small enough instances that the optimal covers can be exhibited directly.
 """
 
+import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +30,10 @@ from rectbound.combinatorics import InputPair
 from rectbound.lp_bounds import solve
 from rectbound.rectangles import Rectangle
 from rectbound.truth_tables import TruthTable, family
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from perfbench.jobs import _base_table  # noqa: E402
 
 F = Fraction
 
@@ -262,3 +269,47 @@ def test_largest_block_never_overcounts_the_members(kind, k, n):
     assert (2**side - 1) ** 2 <= members
     if kind == "full":
         assert (2**side - 1) ** 2 == members
+
+
+# The smooth LP is the Lovász LP's rows plus caps, over the same pairs and
+# family, so the smooth optimum's support is a feasible start for the Lovász
+# master, as `bound --lp smooth` seeds it.  The start may save rounds but must
+# not move the optimum or weaken the run's own certificate.
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda name=name: family(name, 3), id=f"{name.lower()}-3")
+        for name in ("IP", "DISJ", "NDISJ", "EQ")
+    ]
+    + [pytest.param(lambda: TruthTable.from_text(_base_table("cg-n3", 3)), id="random-3")],
+)
+def test_cg_lovasz_seeded_from_the_smooth_support_keeps_its_optimum(make):
+    table = make()
+    smooth = solve_constraint_generation(build_smooth_lp(table, F(1, 4)))
+    cold = solve_constraint_generation(build_lovasz_lp(table, F(1, 4)))
+    seeded = solve_constraint_generation(build_lovasz_lp(table, F(1, 4)), start=smooth.weights)
+    assert smooth.status == cold.status == seeded.status == "optimal"
+    assert smooth.weights
+    assert abs(seeded.optimum - cold.optimum) <= 1e-9
+    assert seeded.oracle_max <= 1.0 + 1e-9
+    assert seeded.residual <= 1e-9
+
+
+def test_cg_refuses_a_start_column_outside_the_lp_by_name_before_any_master(monkeypatch):
+    built = []
+
+    class Counting(solve._Highs):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    monkeypatch.setattr(solve, "_Highs", Counting)
+    lovasz = build_lovasz_lp(family("DISJ", 3), F(1, 4))
+    search = build_search_lp(3, 1, F(1))
+    # Strings 001 and 010 mark no common coordinate: no size-1 witness.
+    no_witness = Rectangle(3, 1 << 0b001, 1 << 0b010)
+    member = Rectangle(3, 1 << 0b011, 1 << 0b001)
+    for lp, bad in [(lovasz, Rectangle.full(2)), (search, no_witness), (lovasz, Rectangle.empty(3))]:
+        with pytest.raises(ParameterRangeError, match=re.escape(repr(bad))):
+            solve_constraint_generation(lp, start=[member, bad])
+    assert built == []
