@@ -40,9 +40,7 @@ def main() -> None:
     print("verification wrapper")
     task = TaskSpec("search-kfold", 2, 2)
     # a protocol that always claims coordinate 1 in every block, silently
-    liar = ProgramProtocol(
-        n_alice=4, n_bob=4, run_fn=lambda x, y: ((1, 1), 0, 0), worst_cost=0, label="liar"
-    )
+    liar = ProgramProtocol(width=4, run_fn=lambda x, y: ((1, 1), 0, 0), worst_cost=0, label="liar")
     raw = success_probability(liar, task)
     ver = success_probability(make_verified(liar, task, "explicit"), task)
     print(f"  blind claimer: cost {liar.worst_cost}, wrong on {raw.wrong} of inputs")

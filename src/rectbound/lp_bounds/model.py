@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from ..combinatorics import InputPair
-from ..errors import KindMismatchError, ParameterRangeError
+from ..errors import DimensionMismatchError, KindMismatchError, ParameterRangeError
 from ..rectangles import (
     Rectangle,
     Weight,
@@ -251,9 +251,13 @@ def max_violation(lp: LPInstance, weights: Mapping[Rectangle, object]):
     When every weight is exact (an int or a Fraction), the weights are summed
     exactly, in column order, and the answer is a Fraction; otherwise each
     row's coverage is summed in float64, one matrix product per block of
-    rows, and the answer is a float.
+    rows, and the answer is a float.  A rectangle from another universe size
+    is refused before any coverage is computed.
     """
     rects = list(weights)
+    for rect in rects:
+        if rect.n != lp.n:
+            raise DimensionMismatchError(f"{rect} lives in universe size {rect.n}, the LP in {lp.n}")
     values = list(weights.values())
     exact = all(isinstance(v, (int, Fraction)) for v in values)
     if not exact:

@@ -176,22 +176,16 @@ def success_probability(
 
 @dataclass(frozen=True)
 class LeafRectangle:
-    """The inputs reaching one leaf; rows and cols are string sets over input masks."""
+    """The inputs reaching one leaf, the transcript's length as its depth."""
 
     output: object
-    rows: int
-    cols: int
+    rect: Rectangle
     depth: int
-
-    @property
-    def pair_count(self) -> int:
-        return self.rows.bit_count() * self.cols.bit_count()
 
 
 @dataclass(frozen=True)
 class LeafReport:
-    n_alice: int
-    n_bob: int
+    width: int
     leaves: tuple[LeafRectangle, ...]
     partition_ok: bool
 
@@ -209,54 +203,40 @@ def leaf_rectangle_check(proto: ProgramProtocol) -> LeafReport:
     output: equal outputs of different types, such as `1` and `1.0`, are two.
     """
     if not isinstance(proto, ProgramProtocol):
-        raise ParameterRangeError(
-            "census runs on a deterministic protocol; pass one branch of a mixture"
-        )
-    EXACT_PROTOCOL_INPUTS.check(1 << (proto.n_alice + proto.n_bob), "input pairs in a leaf census")
+        raise ParameterRangeError("census runs on a deterministic protocol; pass one branch of a mixture")
+    width = proto.width
+    EXACT_PROTOCOL_INPUTS.check(1 << 2 * width, "input pairs in a leaf census")
     groups: dict[tuple[int, int], dict] = {}
-    consistent = True
-    for x in range(1 << proto.n_alice):
-        for y in range(1 << proto.n_bob):
-            res = proto.run(x, y)
-            g = groups.setdefault(
-                (res.bits, res.length), {"output": res.output, "xs": 0, "ys": 0, "pairs": 0}
-            )
-            if not _same_output(g["output"], res.output):
-                consistent = False
+    partition_ok = True
+    for x in range(1 << width):
+        for y in range(1 << width):
+            output, bits, length = proto.run(x, y)
+            g = groups.setdefault((bits, length), {"output": output, "xs": 0, "ys": 0, "pairs": 0})
+            if not _same_output(g["output"], output):
+                partition_ok = False
             g["xs"] |= 1 << x
             g["ys"] |= 1 << y
             g["pairs"] += 1
     leaves = []
-    product_ok = consistent
     # Leaves in lexicographic order of the spoken bits, first bit first.
     for bits, length in sorted(groups, key=lambda key: unpack_transcript(*key)):
         g = groups[bits, length]
-        if g["pairs"] != g["xs"].bit_count() * g["ys"].bit_count():
-            product_ok = False
-        leaves.append(LeafRectangle(g["output"], g["xs"], g["ys"], length))
-    return LeafReport(
-        n_alice=proto.n_alice,
-        n_bob=proto.n_bob,
-        leaves=tuple(leaves),
-        partition_ok=product_ok,
-    )
+        rect = Rectangle(width, g["xs"], g["ys"])
+        if g["pairs"] != rect.pair_count:
+            partition_ok = False
+        leaves.append(LeafRectangle(g["output"], rect, length))
+    return LeafReport(width=width, leaves=tuple(leaves), partition_ok=partition_ok)
 
 
 def accepting_rectangle_weights(
     proto: AnyProtocol, accept: Callable[[object], bool]
 ) -> dict[Rectangle, Fraction]:
     """Branch-probability mass of every accepting leaf rectangle."""
-    rand = as_randomized(proto)
-    if rand.n_alice != rand.n_bob:
-        raise ParameterRangeError("rectangle weights need a square universe")
-    n = rand.n_alice
     weights: dict[Rectangle, Fraction] = {}
-    for prob, det in rand.branches:
+    for prob, det in as_randomized(proto).branches:
         for leaf in leaf_rectangle_check(det).leaves:
-            if not accept(leaf.output):
-                continue
-            rect = Rectangle(n, leaf.rows, leaf.cols)
-            weights[rect] = weights.get(rect, Fraction(0)) + prob
+            if accept(leaf.output):
+                weights[leaf.rect] = weights.get(leaf.rect, Fraction(0)) + prob
     return weights
 
 

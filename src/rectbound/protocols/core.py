@@ -1,9 +1,9 @@
 """Deterministic and public-coin two-party protocols.
 
-Inputs are plain bit masks: Alice holds x over `n_alice` coordinates, Bob
-holds y over `n_bob`, bit j marking coordinate j + 1 as in the rest of the
-package.  A protocol run produces an output and the transcript of exchanged
-bits, packed like the inputs: an int `bits` whose bit t is the t-th bit
+Inputs are plain bit masks of one width: Alice holds x and Bob holds y, each
+over `width` coordinates, bit j marking coordinate j + 1 as in the rest of
+the package.  A protocol run produces an output and the transcript of
+exchanged bits, packed like the inputs: an int `bits` whose bit t is the t-th bit
 spoken (LSB first) and a `length`.  Its cost is the length.
 
 A deterministic protocol is a `ProgramProtocol`: a closure that replays the
@@ -48,11 +48,10 @@ class RunResult(NamedTuple):
 _new_result = tuple.__new__
 
 
-def _check_input(n_alice: int, n_bob: int, x: int, y: int) -> None:
-    if not 0 <= x < (1 << n_alice):
-        raise ParameterRangeError(f"x={x} is not a {n_alice}-bit input")
-    if not 0 <= y < (1 << n_bob):
-        raise ParameterRangeError(f"y={y} is not a {n_bob}-bit input")
+def _check_input(width: int, x: int, y: int) -> None:
+    for side, mask in (("x", x), ("y", y)):
+        if not 0 <= mask < (1 << width):
+            raise ParameterRangeError(f"{side}={mask} is not a {width}-bit input")
 
 
 @dataclass(frozen=True)
@@ -67,17 +66,21 @@ class ProgramProtocol:
     `worst_cost` raise; runs under it are fine.
     """
 
-    n_alice: int
-    n_bob: int
+    width: int
     run_fn: Callable[[int, int], tuple[object, int, int]] = field(repr=False)
     worst_cost: int
     label: str = ""
 
+    def __post_init__(self) -> None:
+        if self.width < 0 or self.worst_cost < 0:
+            name = self.label or "program"
+            raise ParameterRangeError(f"{name}: negative width {self.width} or worst_cost {self.worst_cost}")
+
     def run(self, x: int, y: int) -> RunResult:
-        # A negative mask shifted right stays negative, so one shift per side
-        # tests the whole range; the messages are built only on failure.
-        if x >> self.n_alice or y >> self.n_bob:
-            _check_input(self.n_alice, self.n_bob, x, y)
+        # A negative mask shifted right stays negative, so one shift of x | y
+        # tests both ranges; the messages are built only on failure.
+        if (x | y) >> self.width:
+            _check_input(self.width, x, y)
         output, bits, length = self.run_fn(x, y)
         if not 0 <= length <= self.worst_cost or bits >> length:
             raise self._broken_contract(bits, length)
@@ -106,17 +109,12 @@ class RandomizedProtocol:
             total += prob
         if total != 1:
             raise ParameterRangeError(f"branch probabilities sum to {total}, expected 1")
-        sizes = {(proto.n_alice, proto.n_bob) for _, proto in self.branches}
-        if len(sizes) != 1:
-            raise ParameterRangeError("all branches must share the input sizes")
+        if len({proto.width for _, proto in self.branches}) != 1:
+            raise ParameterRangeError("all branches must share the input width")
 
     @property
-    def n_alice(self) -> int:
-        return self.branches[0][1].n_alice
-
-    @property
-    def n_bob(self) -> int:
-        return self.branches[0][1].n_bob
+    def width(self) -> int:
+        return self.branches[0][1].width
 
     @property
     def worst_cost(self) -> int:
@@ -133,6 +131,6 @@ def as_randomized(proto: AnyProtocol) -> RandomizedProtocol:
     return RandomizedProtocol(((Fraction(1), proto),))
 
 
-def constant_protocol(n_alice: int, n_bob: int, value: object) -> ProgramProtocol:
+def constant_protocol(width: int, value: object) -> ProgramProtocol:
     """Zero-bit protocol that outputs `value` on every input."""
-    return ProgramProtocol(n_alice, n_bob, lambda x, y: (value, 0, 0), worst_cost=0)
+    return ProgramProtocol(width, lambda x, y: (value, 0, 0), worst_cost=0)

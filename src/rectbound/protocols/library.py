@@ -38,8 +38,7 @@ def trivial_ndisj_kfold(n: int, k: int) -> ProgramProtocol:
         return answers, x | answers << width, width + k
 
     return ProgramProtocol(
-        n_alice=width,
-        n_bob=width,
+        width=width,
         run_fn=run_fn,
         worst_cost=width + k,
         label=f"trivial-ndisj-{k}fold(n={n})",
@@ -65,8 +64,7 @@ def trivial_search_kfold(n: int, k: int) -> ProgramProtocol:
         return tuple(out), bits, length
 
     return ProgramProtocol(
-        n_alice=width,
-        n_bob=width,
+        width=width,
         run_fn=run_fn,
         worst_cost=width + k * (1 + idx_bits),
         label=f"trivial-search-{k}fold(n={n})",

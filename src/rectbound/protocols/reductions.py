@@ -19,7 +19,7 @@ from ..caps import EXACT_PERMUTATION_WIDTH, HALVING_BRANCHES, MIXTURE_BRANCHES
 from ..errors import ParameterRangeError
 from .core import AnyProtocol, ProgramProtocol, RandomizedProtocol, as_randomized
 from .library import index_bits, name_lowest
-from .tasks import KIND_SEARCH_CHOOSE, KIND_SEARCH_KFOLD, TaskSpec, check_width, claims, position
+from .tasks import KIND_SEARCH_CHOOSE, KIND_SEARCH_KFOLD, TaskSpec, check_width, claim_at, claims, position
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -51,7 +51,7 @@ def _mixture(width: int, label: str, branches) -> RandomizedProtocol:
     """One branch per (probability, run_fn, worst_cost), in order, all on `width`-bit inputs."""
     return RandomizedProtocol(
         tuple(
-            (prob, ProgramProtocol(width, width, run_fn, worst_cost, label))
+            (prob, ProgramProtocol(width, run_fn, worst_cost, label))
             for prob, run_fn, worst_cost in branches
         )
     )
@@ -235,8 +235,7 @@ def reduce_search_from_kfold(
             for claim in claims(kfold, res.output):
                 pos = position(kfold, claim)
                 if pos >= 0:
-                    j, c = divmod(perm[pos], n)
-                    found.append((j, c + 1))
+                    found.append(claim_at(kfold, perm[pos]))
             if len(found) >= choose:
                 found.sort()
                 return tuple(found[:choose]), res.bits, res.length

@@ -16,8 +16,8 @@ everywhere rejection appears in this package.
 
 Every other module reads the task rules here: `TaskSpec` refuses bad n, k and
 choose, `check_width` a protocol of the wrong input width, and `ndisj_truth`,
-`claims`, `position` and `marks` say which blocks meet, what a search output
-claims, which packed bit a claim names and whether a side marks it.
+`claims`, `position`, `claim_at` and `marks` say which blocks meet, what a
+search output claims, which bit a claim names and back, whether a side marks it.
 `measured_inputs` is the one stream of inputs a protocol is measured on.
 """
 
@@ -102,11 +102,9 @@ def intersecting_blocks(task: TaskSpec, x: int, y: int) -> int:
 
 
 def check_width(task: TaskSpec, proto) -> None:
-    """Refuse a protocol whose inputs are not the task's packed blocks on both sides."""
-    if proto.n_alice != task.input_bits or proto.n_bob != task.input_bits:
-        raise ParameterRangeError(
-            f"protocol inputs are {proto.n_alice}x{proto.n_bob} bits, task needs {task.input_bits}"
-        )
+    """Refuse a protocol whose inputs are not the task's packed blocks."""
+    if proto.width != task.input_bits:
+        raise ParameterRangeError(f"protocol inputs are {proto.width} bits, task needs {task.input_bits}")
 
 
 # Fills every slot of an output of the wrong shape; block -1 is marked by no side.
@@ -138,6 +136,13 @@ def position(task: TaskSpec, claim) -> int:
         if isinstance(j, int) and isinstance(c, int) and 0 <= j < task.k and 1 <= c <= task.n:
             return j * task.n + c - 1
     return -1
+
+
+def claim_at(task: TaskSpec, pos: int) -> tuple[int, int]:
+    """The (block, 1-based coordinate) claim naming packed bit `pos`; the inverse of `position`."""
+    if not 0 <= pos < task.input_bits:
+        raise ParameterRangeError(f"bit {pos} is outside the {task.input_bits}-bit input")
+    return pos // task.n, pos % task.n + 1
 
 
 def marks(task: TaskSpec, held: int, claim) -> int:

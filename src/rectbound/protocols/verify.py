@@ -84,8 +84,7 @@ def make_verified(
         return output, bits, length
 
     return ProgramProtocol(
-        n_alice=base.n_alice,
-        n_bob=base.n_bob,
+        width=base.width,
         run_fn=run_fn,
         worst_cost=base.worst_cost + extra,
         label=f"verified[{mode}]",

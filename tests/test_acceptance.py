@@ -328,8 +328,7 @@ def test_trivial_decider_cost_and_success():
 def _always_claims_first(n: int, k: int) -> ProgramProtocol:
     width = n * k
     return ProgramProtocol(
-        n_alice=width,
-        n_bob=width,
+        width=width,
         run_fn=lambda x, y: (tuple(1 for _ in range(k)), 0, 0),
         worst_cost=0,
         label="always-claims",

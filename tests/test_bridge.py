@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from rectbound.errors import ParameterRangeError
+from rectbound.errors import DimensionMismatchError
 from rectbound.lp_bounds import build_search_lp, solve_full_enumeration
 from rectbound.protocols import (
     TaskSpec,
@@ -94,11 +94,13 @@ def test_bridge_flags_cost_overruns():
     assert not report.ok
 
 
-def test_accepting_weights_need_square_inputs():
-    from rectbound.protocols import ProgramProtocol
-
-    lopsided = ProgramProtocol(
-        n_alice=2, n_bob=1, run_fn=lambda x, y: (0, 0, 0), worst_cost=0, label="lopsided"
-    )
-    with pytest.raises(ParameterRangeError):
-        accepting_rectangle_weights(lopsided, _accepts_claim)
+@pytest.mark.parametrize("n", [2, 4])
+def test_bridge_refuses_rectangles_of_another_universe(n):
+    # A 3-bit searcher's leaves live in universe size 3: on a smaller LP they
+    # once passed as feasible, on a larger one they indexed past the rows.
+    proto = make_verified(trivial_search_kfold(3, 1), TaskSpec("search-kfold", 3, 1))
+    weights = accepting_rectangle_weights(proto, _accepts_claim)
+    with pytest.raises(DimensionMismatchError, match=f"universe size 3, the LP in {n}"):
+        check_weights_against_lp(build_search_lp(n, 1, 1), weights, proto.worst_cost)
+    report = check_weights_against_lp(build_search_lp(3, 1, 1), weights, proto.worst_cost)
+    assert report.feasible and report.family_ok

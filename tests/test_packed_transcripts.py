@@ -173,7 +173,7 @@ def _flaky_decider(n: int, k: int) -> ProgramProtocol:
         answers = ndisj_truth(task, x, y) ^ ((x ^ (y >> 1)) & ((1 << k) - 1))
         return answers, x | answers << width, width + k
 
-    return ProgramProtocol(width, width, run_fn, worst_cost=width + k, label="flaky")
+    return ProgramProtocol(width, run_fn, worst_cost=width + k, label="flaky")
 
 
 def _honest_or_flaky(n: int, k: int) -> RandomizedProtocol:
@@ -223,9 +223,7 @@ def test_halving_over_a_mixture_matches_list_reference(n, k, s):
 def _liar(n: int, k: int) -> ProgramProtocol:
     width = n * k
     # claims coordinate 1 in every block without looking
-    return ProgramProtocol(
-        width, width, lambda x, y: (tuple(1 for _ in range(k)), 0, 0), worst_cost=0
-    )
+    return ProgramProtocol(width, lambda x, y: (tuple(1 for _ in range(k)), 0, 0), worst_cost=0)
 
 
 @pytest.mark.parametrize("mode", ["explicit", "two_bit"])
@@ -282,15 +280,15 @@ def _short_on_odd_x(x: int, y: int):
     [
         trivial_ndisj_kfold(2, 1),
         trivial_search_kfold(2, 2),
-        ProgramProtocol(2, 2, _short_on_odd_x, worst_cost=3),
+        ProgramProtocol(2, _short_on_odd_x, worst_cost=3),
     ],
 )
 def test_census_leaves_in_lexicographic_transcript_order(proto):
     report = leaf_rectangle_check(proto)
     transcripts = []
     for leaf in report.leaves:
-        x = (leaf.rows & -leaf.rows).bit_length() - 1
-        y = (leaf.cols & -leaf.cols).bit_length() - 1
+        x = (leaf.rect.rows & -leaf.rect.rows).bit_length() - 1
+        y = (leaf.rect.cols & -leaf.rect.cols).bit_length() - 1
         res = proto.run(x, y)
         assert res.length == leaf.depth
         transcripts.append(res.transcript)

@@ -3,6 +3,7 @@
 import tracemalloc
 from array import array
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
@@ -33,6 +34,7 @@ from rectbound.protocols import (
     trivial_ndisj_kfold,
     trivial_search_kfold,
 )
+from rectbound.protocols.tasks import claim_at, position
 
 F = Fraction
 
@@ -60,16 +62,13 @@ def test_input_range_checked():
 
 
 def test_program_contract_enforced():
-    lying = ProgramProtocol(
-        n_alice=1, n_bob=1, run_fn=lambda x, y: (0, 0, 3), worst_cost=2, label="liar"
-    )
+    lying = ProgramProtocol(width=1, run_fn=lambda x, y: (0, 0, 3), worst_cost=2, label="liar")
     with pytest.raises(ProtocolContractError):
         lying.run(0, 0)
     # bits set at the length, past it, beyond an empty transcript, and negative bits
     for bits, length in ((0b100, 2), (0b1000, 2), (1, 0), (-1, 2)):
         loose = ProgramProtocol(
-            n_alice=1,
-            n_bob=1,
+            width=1,
             run_fn=lambda x, y, b=bits, n=length: (0, b, n),
             worst_cost=2,
             label="loose",
@@ -79,21 +78,31 @@ def test_program_contract_enforced():
 
 
 def test_randomized_validation():
-    p = constant_protocol(1, 1, 0)
+    p = constant_protocol(1, 0)
     with pytest.raises(ParameterRangeError):
         RandomizedProtocol(())
     with pytest.raises(ParameterRangeError):
         RandomizedProtocol(((F(1, 2), p),))  # probabilities must sum to 1
     with pytest.raises(ParameterRangeError):
         RandomizedProtocol(((0.5, p), (0.5, p)))  # floats rejected
-    q = constant_protocol(2, 2, 0)
-    with pytest.raises(ParameterRangeError):
-        RandomizedProtocol(((F(1, 2), p), (F(1, 2), q)))  # mismatched sizes
+
+
+def test_randomized_refuses_branches_of_different_widths():
+    p, q = constant_protocol(1, 0), constant_protocol(2, 0)
+    with pytest.raises(ParameterRangeError, match="all branches must share the input width"):
+        RandomizedProtocol(((F(1, 2), p), (F(1, 2), q)))
+    assert RandomizedProtocol(((F(1, 2), q), (F(1, 2), trivial_ndisj_kfold(2, 1)))).width == 2
+
+
+@pytest.mark.parametrize("width, worst_cost", [(-1, 0), (0, -1)])
+def test_program_refuses_a_negative_width_or_cost_when_built(width, worst_cost):
+    with pytest.raises(ParameterRangeError, match=r"^neg: negative width"):
+        ProgramProtocol(width, lambda x, y: (0, 0, 0), worst_cost, label="neg")
 
 
 def test_randomized_cost_and_wrapping():
     mix = RandomizedProtocol(
-        ((F(1, 2), constant_protocol(1, 1, 0)), (F(1, 2), constant_protocol(1, 1, 1)))
+        ((F(1, 2), constant_protocol(1, 0)), (F(1, 2), constant_protocol(1, 1)))
     )
     assert mix.worst_cost == 0
     assert as_randomized(mix) is mix
@@ -139,6 +148,18 @@ def test_classify_semantics():
     two = TaskSpec("search-choose", 2, 2, choose=2)
     assert classify(two, 0b1111, 0b1111, ((0, 1), (0, 1))) is Verdict.WRONG  # duplicate claim
     assert classify(two, 0b1111, 0b1111, ((0, 1), (1, 2))) is Verdict.CORRECT
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (3, 1), (2, 3), (4, 2)])
+def test_claim_at_inverts_position(n, k):
+    task = TaskSpec("search-kfold", n, k)
+    for pos in range(n * k):
+        assert position(task, claim_at(task, pos)) == pos
+    for claim in product(range(k), range(1, n + 1)):
+        assert claim_at(task, position(task, claim)) == claim
+    for pos in (-1, n * k):
+        with pytest.raises(ParameterRangeError, match=f"bit {pos} is outside"):
+            claim_at(task, pos)
 
 
 def test_task_validation():
@@ -205,7 +226,7 @@ def test_search_choose_is_measured_on_its_promise(monkeypatch):
 
 def test_census_refuses_bits_past_the_length():
     # One bit declared, but bit 1 of the packed transcript is set as well.
-    bad = ProgramProtocol(1, 1, lambda x, y: (0, 0b10, 1), worst_cost=1, label="bad")
+    bad = ProgramProtocol(1, lambda x, y: (0, 0b10, 1), worst_cost=1, label="bad")
     with pytest.raises(ProtocolContractError, match="outside its length"):
         leaf_rectangle_check(bad)
 
@@ -214,7 +235,7 @@ def test_transcript_census_groups_by_conversation():
     report = leaf_rectangle_check(trivial_ndisj_kfold(1, 1))
     assert report.partition_ok
     assert report.leaf_count == 3  # x=0 always answers 0; x=1 splits on y
-    census_pairs = sum(leaf.pair_count for leaf in report.leaves)
+    census_pairs = sum(leaf.rect.pair_count for leaf in report.leaves)
     assert census_pairs == 4
 
 
@@ -224,12 +245,12 @@ def test_transcript_census_groups_by_conversation():
 def test_census_tells_equal_outputs_of_different_types_apart(first, second):
     # One transcript for every input, answered `first` when x is set and
     # `second` otherwise: equal under ==, yet not one output.
-    proto = ProgramProtocol(1, 1, lambda x, y: (first if x else second, 0, 0), 0)
+    proto = ProgramProtocol(1, lambda x, y: (first if x else second, 0, 0), 0)
     assert first == second
     report = leaf_rectangle_check(proto)
     assert not report.partition_ok
     assert report.leaf_count == 1
-    assert leaf_rectangle_check(constant_protocol(1, 1, first)).partition_ok
+    assert leaf_rectangle_check(constant_protocol(1, first)).partition_ok
 
 
 @pytest.mark.parametrize(
@@ -247,15 +268,15 @@ def test_census_keeps_the_leaves_of_honest_protocols(proto):
     # Every transcript's inputs share one output, tuples of tuples included.
     report = leaf_rectangle_check(proto)
     assert report.partition_ok
-    assert sum(leaf.pair_count for leaf in report.leaves) == 1 << (proto.n_alice + proto.n_bob)
+    assert sum(leaf.rect.pair_count for leaf in report.leaves) == 1 << 2 * proto.width
     for leaf in report.leaves:
-        x = (leaf.rows & -leaf.rows).bit_length() - 1
-        y = (leaf.cols & -leaf.cols).bit_length() - 1
+        x = (leaf.rect.rows & -leaf.rect.rows).bit_length() - 1
+        y = (leaf.rect.cols & -leaf.rect.cols).bit_length() - 1
         assert proto.run(x, y).output == leaf.output
 
 
 def test_census_rejects_mixtures():
-    mix = as_randomized(constant_protocol(1, 1, 0))
+    mix = as_randomized(constant_protocol(1, 0))
     with pytest.raises(ParameterRangeError):
         leaf_rectangle_check(mix)
 
@@ -273,13 +294,13 @@ def test_success_probability_exact():
 
 def test_success_probability_counts_failures():
     task = TaskSpec("ndisj-kfold", 1, 1)
-    always_zero = constant_protocol(1, 1, 0)
+    always_zero = constant_protocol(1, 0)
     report = success_probability(always_zero, task)
     assert report.worst == 0
     assert report.average == F(3, 4)
     assert report.wrong == F(1, 4)
     assert report.worst_input == (1, 1)
-    rejecter = constant_protocol(1, 1, None)
+    rejecter = constant_protocol(1, None)
     report = success_probability(rejecter, task)
     assert report.average == 0
     assert report.rejected == 1
@@ -291,7 +312,7 @@ def test_success_probability_mixture_is_exact_per_input():
     mix = RandomizedProtocol(
         (
             (F(3, 4), trivial_ndisj_kfold(1, 1)),
-            (F(1, 4), constant_protocol(1, 1, None)),
+            (F(1, 4), constant_protocol(1, None)),
         )
     )
     report = success_probability(mix, task)
@@ -317,7 +338,7 @@ def _disagreeing_mixture(task):
 
     return RandomizedProtocol(
         tuple(
-            (prob, ProgramProtocol(bits, bits, fn, worst_cost=1))
+            (prob, ProgramProtocol(bits, fn, worst_cost=1))
             for prob, fn in ((F(1, 3), parity_of_x), (F(1, 4), silent_on_y), (F(5, 12), bit_two))
         )
     )
@@ -399,7 +420,7 @@ def _lookalike_mixture(width):
         return lambda x, y: (_LOOKALIKE_OUTPUTS[(i + x + y) % 8], 0, i % 3)
 
     return RandomizedProtocol(
-        tuple((F(i + 1, 36), ProgramProtocol(width, width, branch(i), worst_cost=2)) for i in range(8))
+        tuple((F(i + 1, 36), ProgramProtocol(width, branch(i), worst_cost=2)) for i in range(8))
     )
 
 
@@ -445,7 +466,7 @@ def test_success_probability_refuses_a_space_past_the_cap_before_any_run():
         calls.append((x, y))
         return 0, 0, 0
 
-    proto = ProgramProtocol(12, 12, counted, worst_cost=0)
+    proto = ProgramProtocol(12, counted, worst_cost=0)
     with pytest.raises(CapExceededError):
         measured_inputs(task)  # refused at the call, not at the first pair
     with pytest.raises(CapExceededError):
@@ -517,7 +538,7 @@ def test_cost_profile_histogram():
 
 def test_cost_profile_of_a_mixture_whose_branches_differ_in_length():
     mix = RandomizedProtocol(
-        ((F(1, 2), constant_protocol(2, 2, 0)), (F(1, 2), trivial_ndisj_kfold(2, 1)))
+        ((F(1, 2), constant_protocol(2, 0)), (F(1, 2), trivial_ndisj_kfold(2, 1)))
     )
     rep = success_probability(mix, TaskSpec("ndisj-kfold", 2, 1))
     assert list(rep.shortest) == [0] * 16
@@ -535,8 +556,8 @@ def test_cost_profile_histogram_counts_each_inputs_longest_branch():
     def short_on_odd_x(x, y):
         return (1 if x & y else 0), x & 1, (1 if x & 1 else 3)
 
-    cut = ProgramProtocol(2, 2, short_on_odd_x, worst_cost=3)
-    mix = RandomizedProtocol(((F(1, 2), cut), (F(1, 2), constant_protocol(2, 2, 0))))
+    cut = ProgramProtocol(2, short_on_odd_x, worst_cost=3)
+    mix = RandomizedProtocol(((F(1, 2), cut), (F(1, 2), constant_protocol(2, 0))))
     rep = success_probability(mix, TaskSpec("ndisj-kfold", 2, 1))
     assert list(rep.longest) == [3 if x % 2 == 0 else 1 for x in range(4) for y in range(4)]
     prof = cost_profile(rep, mix.worst_cost)

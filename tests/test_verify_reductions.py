@@ -37,8 +37,7 @@ def _liar(n: int, k: int) -> ProgramProtocol:
     # claims coordinate 1 in every block without looking
     width = n * k
     return ProgramProtocol(
-        n_alice=width,
-        n_bob=width,
+        width=width,
         run_fn=lambda x, y: (tuple(1 for _ in range(k)), 0, 0),
         worst_cost=0,
         label="liar",
@@ -80,7 +79,7 @@ def test_malformed_search_output_is_wrong_and_audited_away(task, output, mode):
     for x in range(1 << task.input_bits):
         for y in range(1 << task.input_bits):
             assert classify(task, x, y, output) is Verdict.WRONG
-    base = constant_protocol(task.input_bits, task.input_bits, output)
+    base = constant_protocol(task.input_bits, output)
     report = success_probability(make_verified(base, task, mode), task)
     assert report.wrong == 0
     assert report.rejected == 1
@@ -89,7 +88,7 @@ def test_malformed_search_output_is_wrong_and_audited_away(task, output, mode):
 def test_chooser_drops_claims_that_name_no_coordinate():
     # Block 0's entry is past the block and block 1's is not a coordinate:
     # neither maps through the permutation, so the chooser gives up.
-    chooser = reduce_search_from_kfold(constant_protocol(4, 4, (3, "a")), 2, 2, 1)
+    chooser = reduce_search_from_kfold(constant_protocol(4, (3, "a")), 2, 2, 1)
     assert success_probability(chooser, _CHOOSE_1).rejected == 1
 
 
@@ -186,7 +185,7 @@ def test_halving_reduction_gives_up_when_its_base_gives_up():
     # Read as the mask 0, "every block disjoint", a rejection would make the
     # halving answer all-zero claims: wrong on 7 of the 16 inputs.
     n, k, s = 2, 1, 1
-    refuser = ProgramProtocol(n * k, n * k, lambda x, y: (None, 0, 0), worst_cost=0, label="refuser")
+    refuser = ProgramProtocol(n * k, lambda x, y: (None, 0, 0), worst_cost=0, label="refuser")
     reduced, _ = reduce_ndisj_to_search(refuser, n, k, s)
     report = success_probability(reduced, TaskSpec("search-kfold", n, k))
     assert (report.rejected, report.wrong) == (1, 0)
@@ -290,7 +289,7 @@ _BROKEN_BASES = {
 
 def _broken_base(case: str, output) -> ProgramProtocol:
     label, bits, length, _ = _BROKEN_BASES[case]
-    return ProgramProtocol(2, 2, lambda x, y: (output, bits, length), worst_cost=2, label=label)
+    return ProgramProtocol(2, lambda x, y: (output, bits, length), worst_cost=2, label=label)
 
 
 def _composed(kind: str, base_case: str):
